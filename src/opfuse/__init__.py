@@ -21,8 +21,8 @@ from .evaluation import (EvalReport, EvaluationError, Prediction, aggregate,
                          write_predictions)
 from .fusion import FusionParams, fuse, residual
 from .gat import GatParams, aggregate_sentences, gat_layer, readout
-from .graphs import (STAR_TOPOLOGY, GraphEmpty, OpinionGraph, build_structure,
-                     build_subgraph)
+from .graphs import (STAR_TOPOLOGY, GraphEmpty, OpinionGraph, PackedGraphs,
+                     build_structure, build_subgraph)
 from .model import ConfigError, ModelConfig, OpinionFusionModel
 from .optim import Adam
 from .stats import (McNemarResult, StuartMaxwellResult, chi_square_sf, mcnemar,

@@ -15,6 +15,7 @@ the annotation spans use.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 import zlib
@@ -207,16 +208,35 @@ def read_encoder_states(path: str | Path) -> dict[str, StoredStates]:
         magic = fh.read(len(ENC_MAGIC))
         if magic != ENC_MAGIC:
             raise EncoderError(f"{path}: not an OPFUSE-ENC-1 state file")
-        (count,) = struct.unpack("<q", fh.read(8))
-        for _ in range(count):
-            (rid_len,) = struct.unpack("<q", fh.read(8))
-            rid = fh.read(rid_len).decode("utf-8")
-            width, n_tokens = struct.unpack("<qq", fh.read(16))
-            offsets = tuple(struct.unpack("<qq", fh.read(16)) for _ in range(n_tokens))
-            hidden = np.frombuffer(fh.read(n_tokens * width * 8), dtype="<f8")
-            hidden = hidden.reshape(n_tokens, width).copy()
-            pooled = np.frombuffer(fh.read(width * 8), dtype="<f8").copy()
-            records[rid] = StoredStates(offsets=offsets, hidden=hidden, pooled=pooled)
+        left = os.fstat(fh.fileno()).st_size - len(ENC_MAGIC)
+
+        def read(n: int, what: str) -> bytes:
+            # Lengths come from the file: a corrupt one may be negative or
+            # huge, so it is checked against what is left before reading.
+            nonlocal left
+            data = fh.read(n) if 0 <= n <= left else b""
+            if len(data) != n:
+                raise EncoderError(f"{path}: truncated {what}")
+            left -= n
+            return data
+
+        (count,) = struct.unpack("<q", read(8, "record count"))
+        for index in range(count):
+            where = f"record #{index}"
+            (rid_len,) = struct.unpack("<q", read(8, f"id length of {where}"))
+            try:
+                rid = read(rid_len, f"id of {where}").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EncoderError(f"{path}: id of {where} is not UTF-8") from exc
+            where = f"record {rid!r}"
+            width, n_tokens = struct.unpack("<qq", read(16, f"shape of {where}"))
+            offsets = read(16 * n_tokens, f"offsets of {where}")
+            hidden = read(n_tokens * width * 8, f"hidden states of {where}")
+            pooled = read(width * 8, f"pooled vector of {where}")
+            records[rid] = StoredStates(
+                offsets=tuple(struct.iter_unpack("<qq", offsets)),
+                hidden=np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width).copy(),
+                pooled=np.frombuffer(pooled, dtype="<f8").copy())
     return records
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .data import POLARITIES
-from .graphs import GraphEmpty, OpinionGraph
+from .graphs import GraphEmpty, OpinionGraph, PackedGraphs
 
 
 class GatParams:
@@ -57,9 +57,14 @@ class GatParams:
         return out
 
 
-def gat_layer(graph: OpinionGraph, params: GatParams,
+def gat_layer(graph: OpinionGraph | PackedGraphs, params: GatParams,
               collect_attention: list | None = None) -> Tensor:
     """One round of attention message passing; returns (|V|, heads * d_out).
+
+    Runs on one graph or on a packed disjoint union alike: every node's
+    neighborhood is its out-edges in edge order followed by its self-loop,
+    scores are normalized with a segment softmax per source node, and
+    messages are scatter-added back onto the source nodes.
 
     When ``collect_attention`` is given, the per-node coefficient arrays are
     appended to it as (node, head, neighborhood weights) triples.
@@ -72,72 +77,56 @@ def gat_layer(graph: OpinionGraph, params: GatParams,
             f"node features have width {graph.features.shape[1]}, "
             f"layer expects {params.d_in}")
 
-    # Neighborhood of i follows the out-edge convention N(i) = {j | (i, j) in E}.
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for edge_idx, (src, dst) in enumerate(graph.edges):
-        neighbors[src].append((dst, edge_idx))
+    # Self-loops go after the real edges, so a stable sort by source puts
+    # each node's out-edges in edge order, then its self-loop.
+    edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
+    loops = np.arange(n_nodes)
+    src = np.concatenate([edges[:, 0], loops])
+    order = np.argsort(src, kind="stable")
+    src = src[order]
+    dst = np.concatenate([edges[:, 1], loops])[order]
+    attr = np.concatenate([graph.edge_attr.data,
+                           np.zeros((n_nodes, graph.edge_attr.shape[1]))])[order]
 
-    zero_attr_row = ad.zeros((1, params.d_out))
-    head_rows: list[list[Tensor]] = [[] for _ in range(n_nodes)]
+    heads = []
     for k in range(params.heads):
         src_proj = ad.matmul(graph.features, ad.transpose(params.theta_s[k]))
         tgt_proj = ad.matmul(graph.features, ad.transpose(params.theta_t[k]))
-        edge_proj = (ad.matmul(graph.edge_attr, ad.transpose(params.theta_e[k]))
-                     if graph.edges else None)
-        for i in range(n_nodes):
-            targets = [j for j, _ in neighbors[i]] + [i]
-            edge_ids = [e for _, e in neighbors[i]]
-            messages = ad.gather_rows(tgt_proj, targets)
-            if edge_ids:
-                attr = ad.concat([ad.gather_rows(edge_proj, edge_ids), zero_attr_row],
-                                 axis=0)
-            else:
-                attr = ad.zeros((1, params.d_out))
-            pre = ad.leaky_relu(
-                ad.add(ad.add(ad.gather_rows(src_proj, [i]), messages), attr),
-                params.leaky_slope)
-            scores = ad.matmul(pre, params.attn[k])
-            alpha = ad.softmax(scores, axis=0)
-            if collect_attention is not None:
-                collect_attention.append((i, k, alpha.data.reshape(-1).copy()))
-            head_rows[i].append(ad.matmul(ad.transpose(alpha), messages))
-
-    rows = [ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-            for parts in head_rows]
-    return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+        edge_proj = ad.matmul(attr, ad.transpose(params.theta_e[k]))
+        messages = ad.gather_rows(tgt_proj, dst)
+        pre = ad.leaky_relu(
+            ad.add(ad.add(ad.gather_rows(src_proj, src), messages), edge_proj),
+            params.leaky_slope)
+        alpha = ad.segment_softmax(ad.matmul(pre, params.attn[k]), src, n_nodes)
+        if collect_attention is not None:
+            bounds = np.searchsorted(src, np.arange(n_nodes + 1))
+            weights = alpha.data.reshape(-1)
+            collect_attention.extend(
+                (i, k, weights[bounds[i]:bounds[i + 1]].copy()) for i in range(n_nodes))
+        heads.append(ad.segment_sum(ad.mul(alpha, messages), src, n_nodes))
+    return ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
 
 
-def readout(node_feats: Tensor, graph: OpinionGraph) -> Tensor:
-    """Sum-pool node vectors into one (1, width) graph vector."""
+def readout(node_feats: Tensor, graph: OpinionGraph | PackedGraphs) -> Tensor:
+    """Sum-pool node vectors into one (num_graphs, width) row per graph."""
     if graph.num_nodes == 0:
         raise GraphEmpty("readout on an empty graph")
-    return ad.tsum(node_feats, axis=0, keepdims=True)
+    return ad.segment_sum(node_feats, graph.node_graph, graph.num_graphs)
 
 
-def aggregate_sentences(readouts: list[Tensor], mapping: list[int],
+def aggregate_sentences(readouts: Tensor, mapping: list[int],
                         num_sentences: int, width: int) -> tuple[list[Tensor], list[bool]]:
-    """Mean of each sentence's graph readouts.
+    """Mean of each sentence's graph readouts, one (1, width) vector per sentence.
 
-    ``mapping[m]`` assigns readout ``m`` to its parent sentence.  Sentences
-    with no graphs get a zero vector and are flagged.
+    ``readouts`` stacks the (G, width) graph readouts and ``mapping[m]``
+    assigns row ``m`` to its parent sentence.  Sentences with no graphs get
+    a zero vector and are flagged.
     """
-    if len(readouts) != len(mapping):
-        raise ShapeError(f"{len(readouts)} readouts but {len(mapping)} mapping entries")
-    per_sentence: list[list[Tensor]] = [[] for _ in range(num_sentences)]
-    for vec, sentence in zip(readouts, mapping):
-        if not 0 <= sentence < num_sentences:
-            raise ShapeError(f"mapping entry {sentence} outside [0, {num_sentences})")
-        per_sentence[sentence].append(vec)
-    outputs: list[Tensor] = []
-    no_opinion: list[bool] = []
-    for vecs in per_sentence:
-        if not vecs:
-            outputs.append(ad.zeros((1, width)))
-            no_opinion.append(True)
-        elif len(vecs) == 1:
-            outputs.append(vecs[0])
-            no_opinion.append(False)
-        else:
-            outputs.append(ad.tmean(ad.concat(vecs, axis=0), axis=0, keepdims=True))
-            no_opinion.append(False)
-    return outputs, no_opinion
+    if readouts.shape != (len(mapping), width):
+        raise ShapeError(f"readouts of shape {readouts.shape} for {len(mapping)} "
+                         f"mapping entries of width {width}")
+    sums = ad.segment_sum(readouts, mapping, num_sentences)
+    counts = np.bincount(np.asarray(mapping, dtype=np.intp), minlength=num_sentences)
+    means = ad.mul(sums, 1.0 / np.maximum(counts, 1)[:, None])
+    return ([ad.gather_rows(means, [i]) for i in range(num_sentences)],
+            [bool(c == 0) for c in counts])

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import POLARITIES, OpinionAnnotation, Record, Span
-from .encoder import EncoderOutput, NoTokenOverlap, TokenSequence, span_pool
+from .encoder import EncoderOutput, TokenSequence
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +87,8 @@ class OpinionGraph:
     features: Tensor        # (|V|, d)
     edge_attr: Tensor       # (|E|, 3) polarity one-hots, constant
 
+    num_graphs = 1
+
     @property
     def num_nodes(self) -> int:
         return len(self.structure.nodes)
@@ -94,6 +96,41 @@ class OpinionGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self.structure.edges
+
+    @property
+    def node_graph(self) -> np.ndarray:
+        return np.zeros(self.num_nodes, dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class PackedGraphs:
+    """Disjoint union of opinion graphs, read by GAT like one ``OpinionGraph``.
+
+    Graph ``g``'s nodes are a contiguous block of rows; its edges are
+    offset to that block, and ``node_graph`` maps every node to ``g``.
+    """
+
+    features: Tensor        # (sum |V|, d)
+    edges: np.ndarray       # (sum |E|, 2) node indices into the packed rows
+    edge_attr: Tensor       # (sum |E|, 3)
+    node_graph: np.ndarray  # (sum |V|,) owning graph of each node
+    num_graphs: int
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.node_graph)
+
+    @classmethod
+    def pack(cls, graphs: Sequence[OpinionGraph]) -> "PackedGraphs":
+        sizes = [g.num_nodes for g in graphs]
+        offsets = np.cumsum([0] + sizes[:-1])
+        edges = [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) + off
+                 for g, off in zip(graphs, offsets)]
+        return cls(features=ad.concat([g.features for g in graphs], axis=0),
+                   edges=np.concatenate(edges, axis=0),
+                   edge_attr=ad.concat([g.edge_attr for g in graphs], axis=0),
+                   node_graph=np.repeat(np.arange(len(graphs)), sizes),
+                   num_graphs=len(graphs))
 
 
 def build_structure(record: Record, opinion: OpinionAnnotation,
@@ -145,22 +182,24 @@ def build_subgraph(record: Record, opinion: OpinionAnnotation, enc: EncoderOutpu
                    seq: TokenSequence,
                    role_embedding: Tensor | None = None,
                    edge_schema: EdgeSchema = STAR_TOPOLOGY) -> OpinionGraph:
-    """Attach span-pooled features (plus optional role embeddings) to the structure."""
+    """Attach span-pooled features (plus optional role embeddings) to the structure.
+
+    A span node's feature is the mean hidden state over its token indices;
+    the fallback node takes the pooled sequence vector, stored as the last
+    row of the pooling source.
+    """
     structure = build_structure(record, opinion, seq, edge_schema=edge_schema)
-    rows = []
-    for node in structure.nodes:
+    n_tokens = enc.hidden.shape[0]
+    pool = np.zeros((len(structure.nodes), n_tokens + 1))
+    for row, node in zip(pool, structure.nodes):
         if node.span is None:
-            feature = enc.pooled
+            row[n_tokens] = 1.0
         else:
-            try:
-                feature = span_pool(enc, seq, node.span)
-            except NoTokenOverlap:  # pragma: no cover - structure already resolved
-                raise
-        if role_embedding is not None:
-            feature = ad.add(feature,
-                             ad.gather_rows(role_embedding, [ROLES.index(node.role)]))
-        rows.append(feature)
-    features = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+            row[list(node.token_indices)] = 1.0 / len(node.token_indices)
+    features = ad.matmul(pool, ad.concat([enc.hidden, enc.pooled], axis=0))
+    if role_embedding is not None:
+        features = ad.add(features, ad.gather_rows(
+            role_embedding, [ROLES.index(node.role) for node in structure.nodes]))
     one_hot = polarity_one_hot(structure.polarity)
     edge_attr = Tensor(np.tile(one_hot, (len(structure.edges), 1))
                        if structure.edges else np.zeros((0, len(POLARITIES))))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from .data import EMOTIONS, Record
 from .encoder import FileEncoder, ToyEncoder
 from .fusion import FUSION_TYPES, ClassifierHead, FusionParams, fuse, residual
 from .gat import GatParams, aggregate_sentences, gat_layer, readout
-from .graphs import ROLES, GraphEmpty, OpinionGraph, build_subgraph
+from .graphs import ROLES, GraphEmpty, OpinionGraph, PackedGraphs, build_subgraph
 
 log = logging.getLogger(__name__)
 
@@ -30,9 +31,42 @@ ALPHA_RES_ALLOWED = (0.0,) + ALPHA_RES_VALUES
 
 
 class ConfigError(Exception):
-    def __init__(self, field_name: str, message: str):
+    def __init__(self, field_name: str | None, message: str):
         self.field_name = field_name
-        super().__init__(f"config field '{field_name}': {message}")
+        super().__init__(message if field_name is None
+                         else f"config field '{field_name}': {message}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# Field annotation -> (check, what the field must be).
+_FIELD_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def _check_types(section, prefix: str = "") -> None:
+    """Raise ConfigError for the first field whose value has the wrong type."""
+    for spec in fields(section):
+        value = getattr(section, spec.name)
+        if spec.type not in _FIELD_KINDS:  # a nested section
+            _check_types(value, f"{spec.name}.")
+            continue
+        check, expected = _FIELD_KINDS[spec.type]
+        if not check(value):
+            raise ConfigError(f"{prefix}{spec.name}",
+                              f"must be {expected}, got {type(value).__name__}")
 
 
 @dataclass
@@ -79,6 +113,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self)
         if self.architecture not in ARCHITECTURES:
             raise ConfigError("architecture", f"must be one of {ARCHITECTURES}")
         if self.encoder.provider not in ("toy", "file"):
@@ -125,6 +160,9 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(None, "config must be a JSON object")
+
         def build(section_cls, key):
             data = obj.get(key, {})
             if not isinstance(data, dict):
@@ -145,7 +183,7 @@ class ModelConfig:
             gat=build(GatConfig, "gat"),
             fusion=build(FusionConfig, "fusion"),
             optimizer=build(OptimizerConfig, "optimizer"),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
         )
         config.validate()
         return config
@@ -217,54 +255,67 @@ class OpinionFusionModel:
         params.update(self.head.parameters())
         return params
 
-    def graph_vector(self, record: Record, enc_out, seq) -> tuple[Tensor, bool]:
-        """Aggregated opinion representation for one record, plus a no-opinion flag."""
-        readouts: list[Tensor] = []
-        for opinion in record.opinions:
-            try:
-                graph = build_subgraph(record, opinion, enc_out, seq,
-                                       role_embedding=self.role_embedding)
-            except GraphEmpty as exc:
-                log.warning("skipping opinion graph: %s", exc)
-                continue
+    def graph_vectors(self, records: list[Record],
+                      encoded: list) -> tuple[list[Tensor], list[bool]]:
+        """Aggregated (1, graph_width) opinion vector per record, plus no-opinion flags.
+
+        ``encoded`` holds each record's (tokens, encoder output).  Every
+        opinion graph of the batch goes through GAT as one packed union.
+        """
+        graphs: list[OpinionGraph] = []
+        owners: list[int] = []
+        for index, (record, (seq, enc_out)) in enumerate(zip(records, encoded)):
+            for opinion in record.opinions:
+                try:
+                    graphs.append(build_subgraph(record, opinion, enc_out, seq,
+                                                 role_embedding=self.role_embedding))
+                except GraphEmpty as exc:
+                    log.warning("skipping opinion graph: %s", exc)
+                    continue
+                owners.append(index)
+        if graphs:
+            packed = PackedGraphs.pack(graphs)
             for layer in self.gat_layers:
-                graph = _with_features(graph, gat_layer(graph, layer))
-            readouts.append(readout(graph.features, graph))
-        aggregated, flags = aggregate_sentences(
-            readouts, [0] * len(readouts), 1, self.graph_width)
-        return aggregated[0], flags[0]
+                packed = replace(packed, features=gat_layer(packed, layer))
+            readouts = readout(packed.features, packed)
+        else:
+            readouts = ad.zeros((0, self.graph_width))
+        return aggregate_sentences(readouts, owners, len(records), self.graph_width)
+
+    def _logits(self, records: list[Record], force_text_only: bool = False) -> Tensor:
+        """Class logits (len(records), C); the graph path runs once per call."""
+        encoded = [self.encoder.encode_record(record) for record in records]
+        if self.config.architecture == "text_only" or force_text_only:
+            rows = [self.head(enc_out.pooled) for _, enc_out in encoded]
+        else:
+            graph_vecs, _ = self.graph_vectors(records, encoded)
+            rows = []
+            for (_, enc_out), graph_vec in zip(encoded, graph_vecs):
+                h_seq = enc_out.pooled
+                h_graph = self.fusion_params.project_graph(graph_vec)
+                h_fused = fuse(h_seq, h_graph, enc_out.hidden, self.fusion_params)
+                h_final = residual(h_seq, h_fused, self.config.fusion.alpha_res)
+                rows.append(self.head(h_final))
+        return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
 
     def forward_record(self, record: Record, force_text_only: bool = False) -> Tensor:
         """Class logits (1, C) for one record."""
-        seq, enc_out = self.encoder.encode_record(record)
-        h_seq = enc_out.pooled
-        if self.config.architecture == "text_only" or force_text_only:
-            return self.head(h_seq)
-        graph_vec, _ = self.graph_vector(record, enc_out, seq)
-        h_graph = self.fusion_params.project_graph(graph_vec)
-        h_fused = fuse(h_seq, h_graph, enc_out.hidden, self.fusion_params)
-        h_final = residual(h_seq, h_fused, self.config.fusion.alpha_res)
-        return self.head(h_final)
+        return self._logits([record], force_text_only)
 
     def forward_batch(self, records: list[Record]) -> Tensor:
-        rows = [self.forward_record(r) for r in records]
-        return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+        return self._logits(records)
 
     def predict(self, records: list[Record]) -> list[dict]:
-        """Greedy predictions without tape recording."""
+        """Greedy predictions without tape recording, one minibatch at a time."""
         out = []
-        for record in records:
-            logits = self.forward_record(record).data.reshape(-1)
-            pred = EMOTIONS[int(np.argmax(logits))]
-            out.append({
-                "id": record.id,
-                "gold": record.emotion,
-                "pred": pred,
-                "logits": [float(x) for x in logits],
-            })
+        step = self.config.optimizer.batch_size
+        for start in range(0, len(records), step):
+            chunk = records[start:start + step]
+            for record, logits in zip(chunk, self._logits(chunk).data):
+                out.append({
+                    "id": record.id,
+                    "gold": record.emotion,
+                    "pred": EMOTIONS[int(np.argmax(logits))],
+                    "logits": [float(x) for x in logits],
+                })
         return out
-
-
-def _with_features(graph: OpinionGraph, feats: Tensor) -> OpinionGraph:
-    return OpinionGraph(structure=graph.structure, features=feats,
-                        edge_attr=graph.edge_attr)

@@ -277,3 +277,55 @@ def test_no_recording_without_tape():
     with Tape() as tape:
         pass
     assert len(tape) == 0
+
+
+def test_segment_sum_hand_case_with_empty_segment():
+    rows = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    out = ad.segment_sum(rows, [2, 0, 2], 4)
+    assert out.data.tolist() == [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [0.0, 0.0]]
+
+
+def test_segment_sum_rejects_bad_ids():
+    with pytest.raises(ShapeError):
+        ad.segment_sum(Tensor(np.zeros((2, 3))), [0, 3], 3)
+    with pytest.raises(ShapeError):
+        ad.segment_sum(Tensor(np.zeros((2, 3))), [0], 3)
+
+
+def test_segment_softmax_single_row_segment_is_exactly_one():
+    scores = Tensor([[0.3], [-2.0], [7.5], [1.0]])
+    out = ad.segment_softmax(scores, [0, 0, 1, 2], 4).data
+    assert out[2, 0] == 1.0 and out[3, 0] == 1.0
+    pair = np.exp([0.3, -2.0]) / np.exp([0.3, -2.0]).sum()
+    assert np.allclose(out[:2, 0], pair, atol=1e-15)
+
+
+def test_segment_softmax_large_values_no_overflow():
+    out = ad.segment_softmax(Tensor([[1000.0], [1000.0], [-1000.0]]), [1, 1, 0], 2)
+    assert np.allclose(out.data.reshape(-1), [0.5, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("op_name", ["segment_sum", "segment_softmax"])
+def test_segment_gradients_match_finite_differences(op_name):
+    rng = np.random.default_rng(31)
+    # Segment 1 is empty and segment 3 holds a single row.
+    segments = [0, 2, 0, 3, 2, 2, 0]
+    x = Tensor(rng.standard_normal((len(segments), 3)), requires_grad=True)
+    probe_rows = 4 if op_name == "segment_sum" else len(segments)
+    probe = Tensor(rng.standard_normal((probe_rows, 3)))
+    op = getattr(ad, op_name)
+
+    def forward():
+        return ad.tsum(ad.mul(op(x, segments, 4), probe))
+
+    with Tape() as tape:
+        loss = forward()
+    grads = tape.backward(loss)
+    analytic = grads.wrt(x)
+    numeric = numeric_gradient(lambda: forward().item(), x)
+    assert max_rel_err(analytic, numeric) < TOL
+    if op_name == "segment_softmax":
+        # a one-row segment's softmax is constant, so its gradient is zero
+        assert np.array_equal(analytic[3], np.zeros(3))
+    else:
+        assert np.array_equal(analytic, probe.data[segments])

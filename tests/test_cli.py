@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from opfuse.cli import main
-from opfuse.data import Corpus, OpinionAnnotation, Record, Span, dump_corpus
+from opfuse.data import Corpus, OpinionAnnotation, Record, Span, dump_corpus, load_corpus
+from opfuse.encoder import tokenize, write_encoder_states
 from opfuse.evaluation import Prediction, write_predictions
 from opfuse.synthetic import make_reference_corpus
 
@@ -274,3 +276,63 @@ def test_log_level_env_variable(tmp_path):
         capture_output=True, text=True, env={**os.environ, "OPFUSE_LOG": "shout"})
     assert proc.returncode == 0
     assert "unknown OPFUSE_LOG level" in proc.stderr
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"encoder": {"provider": "toy", "width": "64"}},
+     "config field 'encoder.width': must be an integer, got str"),
+    ({"seed": "abc"}, "config field 'seed': must be an integer, got str"),
+    ({"gat": {"out_dim": 4, "heads": 2, "role_embedding": 1}},
+     "config field 'gat.role_embedding': must be true or false, got int"),
+    ({"fusion": {"type": "cat", "alpha_res": "0.5"}},
+     "config field 'fusion.alpha_res': must be a finite number, got str"),
+])
+def test_train_wrongly_typed_config_field_exits_2(tmp_path, capsys, overrides, message):
+    data = small_corpus_file(tmp_path)
+    config = config_file(tmp_path, **overrides)
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_train_non_object_config_exits_2(tmp_path, capsys):
+    data = small_corpus_file(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text("[1]", encoding="utf-8")
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+def test_train_config_probes_print_one_line_without_traceback(tmp_path):
+    data = small_corpus_file(tmp_path)
+    probes = ['{"encoder": {"width": "64"}}', '{"seed": "abc"}', "[1]"]
+    for index, text in enumerate(probes):
+        config = tmp_path / f"probe{index}.json"
+        config.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "opfuse.cli", "train", "--config", str(config),
+             "--data", str(data), "--out", str(tmp_path / "x")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_train_truncated_encoder_states_exits_2(tmp_path, capsys):
+    data = small_corpus_file(tmp_path)
+    entries = []
+    for record in load_corpus(data).records:
+        offsets = [(t.span.start, t.span.end) for t in tokenize(record.text)]
+        entries.append((record.id, offsets, np.ones((len(offsets), 8)), np.ones(8)))
+    states = tmp_path / "states.bin"
+    write_encoder_states(states, entries)
+    states.write_bytes(states.read_bytes()[:-5])
+    config = config_file(tmp_path, encoder={"provider": "file", "width": 8,
+                                            "states_path": str(states)},
+                         gat={"out_dim": 96, "heads": 2, "depth": 1})
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncated" in err and err.count("\n") == 1

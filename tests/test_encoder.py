@@ -198,3 +198,37 @@ def test_rejects_non_state_file(tmp_path):
     path.write_bytes(b"OPFUSE-CKPT-1\nnope")
     with pytest.raises(EncoderError):
         read_encoder_states(path)
+
+
+def test_truncated_state_file_raises_encoder_error(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, [
+        ("r1", [(0, 5), (6, 8)], rng.standard_normal((2, 4)), rng.standard_normal(4)),
+        ("r2", [(0, 3), (4, 9), (10, 12)], rng.standard_normal((3, 4)),
+         rng.standard_normal(4)),
+    ])
+    blob = path.read_bytes()
+    header = len(b"OPFUSE-ENC-1\n") + 8
+    r2 = header + 8 + 2 + 16 + 2 * 16 + 2 * 4 * 8 + 4 * 8   # start of record r2
+    r2_offsets = r2 + 8 + 2 + 16
+    r2_hidden = r2_offsets + 3 * 16
+    r2_pooled = r2_hidden + 3 * 4 * 8
+    assert r2_pooled + 4 * 8 == len(blob)
+    cuts = {
+        "in the record count": header - 3,
+        "in an id length": r2 + 4,
+        "in an id": r2 + 9,
+        "in a shape": r2 + 8 + 2 + 5,
+        "mid-offsets": r2_offsets + 20,
+        "mid-hidden": r2_hidden + 40,
+        "mid-pooled": r2_pooled + 12,
+        "one byte short": len(blob) - 1,
+    }
+    for where, cut in cuts.items():
+        truncated = tmp_path / "cut.bin"
+        truncated.write_bytes(blob[:cut])
+        with pytest.raises(EncoderError, match="truncated") as err:
+            read_encoder_states(truncated)
+        if cut > r2 + 10:
+            assert "'r2'" in str(err.value), where

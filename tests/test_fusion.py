@@ -178,9 +178,44 @@ def test_opinion_free_record_flows_through():
     assert logits.shape == (1, 12)
     # zero graph vector: fused branch sees exactly zeros for the graph side
     seq, enc_out = model.encoder.encode_record(bare)
-    graph_vec, flag = model.graph_vector(bare, enc_out, seq)
+    graph_vecs, flags = model.graph_vectors([bare], [(seq, enc_out)])
+    graph_vec, flag = graph_vecs[0], flags[0]
     assert flag is True
     assert np.array_equal(graph_vec.data, np.zeros((1, model.graph_width)))
+
+
+def mixed_batch():
+    """Records with 0-3 opinions, pooled-fallback sentiment nodes, dropped
+    roles, and one opinion that no token anchors (skipped)."""
+    text = "he says tesla price pump will dump  soon imo"
+    full = OpinionAnnotation(holder=Span(0, 2), sentiment_expression=Span(19, 23),
+                             target=Span(8, 13), aspect_term=Span(14, 19),
+                             qualifier=Span(41, 44), polarity="negative")
+    fallback = OpinionAnnotation(holder=Span(3, 7), target=Span(8, 13),
+                                 polarity="positive")
+    dropped = OpinionAnnotation(holder=Span(34, 35), sentiment_expression=Span(29, 33),
+                                polarity="neutral")
+    unanchored = OpinionAnnotation(holder=Span(34, 35), polarity="negative")
+    opinion_sets = [(full,), (), (fallback, dropped), (unanchored,),
+                    (dropped, unanchored, full), (), (fallback,)]
+    return [Record(id=f"m{i}", split="train", text=text, emotion="optimism",
+                   opinions=ops) for i, ops in enumerate(opinion_sets)]
+
+
+@pytest.mark.parametrize("fusion_type", ["cat", "gate", "attn"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_forward_batch_matches_single_record_forward(fusion_type, depth):
+    config = tiny_config(fusion_type)
+    config.gat.depth = depth
+    config.gat.role_embedding = True
+    model = OpinionFusionModel(config, rng=np.random.default_rng(17))
+    records = mixed_batch()
+    batch = model.forward_batch(records).data
+    single = np.concatenate([model.forward_record(r).data for r in records], axis=0)
+    assert np.max(np.abs(batch - single)) <= 1e-10 * np.max(np.abs(single))
+    graph_vecs, flags = model.graph_vectors(
+        records, [model.encoder.encode_record(r) for r in records])
+    assert flags == [False, True, False, True, False, True, False]
 
 
 def test_exactly_one_fusion_branch_is_parameterized():

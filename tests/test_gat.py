@@ -6,7 +6,8 @@ import pytest
 import opfuse.autodiff as ad
 from opfuse.autodiff import ShapeError, Tape, Tensor
 from opfuse.gat import GatParams, aggregate_sentences, gat_layer, readout
-from opfuse.graphs import GraphEmpty, GraphNode, GraphStructure, OpinionGraph, ROLES
+from opfuse.graphs import (GraphEmpty, GraphNode, GraphStructure, OpinionGraph, PackedGraphs,
+                           ROLES)
 
 from oracles import dense_gat_reference, max_rel_err, numeric_gradient
 
@@ -83,6 +84,38 @@ def test_matches_dense_oracle_on_200_random_graphs():
             [t.data for t in params.theta_e], [t.data for t in params.attn],
             params.leaky_slope)
         assert np.max(np.abs(out - ref)) < 1e-9, f"trial {trial}"
+
+
+def test_packed_union_matches_dense_oracle_per_graph():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        graphs = [random_graph(rng) for _ in range(int(rng.integers(1, 9)))]
+        packed = PackedGraphs.pack(graphs)
+        params = params_for(heads=int(rng.integers(1, 4)), seed=int(rng.integers(1 << 30)))
+        attention = []
+        out = gat_layer(packed, params, collect_attention=attention).data
+        start = 0
+        for graph in graphs:
+            ref = dense_gat_reference(
+                graph.features.data, list(graph.edges), graph.edge_attr.data,
+                [t.data for t in params.theta_s], [t.data for t in params.theta_t],
+                [t.data for t in params.theta_e], [t.data for t in params.attn],
+                params.leaky_slope)
+            block = out[start:start + graph.num_nodes]
+            assert np.max(np.abs(block - ref)) < 1e-9, f"trial {trial}"
+            start += graph.num_nodes
+        assert len(attention) == params.heads * packed.num_nodes
+        for _, _, alpha in attention:
+            assert abs(alpha.sum() - 1.0) < 1e-9
+
+
+def test_packed_readout_sums_each_graph():
+    rng = np.random.default_rng(13)
+    graphs = [random_graph(rng, n_nodes=n) for n in (2, 1, 3)]
+    packed = PackedGraphs.pack(graphs)
+    feats = Tensor(rng.standard_normal((6, 4)))
+    out = readout(feats, packed).data
+    assert np.allclose(out, [feats.data[0:2].sum(0), feats.data[2], feats.data[3:6].sum(0)])
 
 
 def test_permutation_equivariance():
@@ -167,7 +200,7 @@ def test_readout_sums_nodes_and_is_permutation_invariant():
 
 def test_aggregate_single_graph_unchanged():
     vec = Tensor(np.arange(4.0).reshape(1, 4))
-    out, flags = aggregate_sentences([vec], [0], 1, 4)
+    out, flags = aggregate_sentences(vec, [0], 1, 4)
     assert np.allclose(out[0].data, vec.data)
     assert flags == [False]
 
@@ -175,13 +208,13 @@ def test_aggregate_single_graph_unchanged():
 def test_aggregate_two_graphs_mean():
     u = Tensor(np.array([[1.0, 3.0]]))
     v = Tensor(np.array([[5.0, 7.0]]))
-    out, flags = aggregate_sentences([u, v], [0, 0], 1, 2)
+    out, flags = aggregate_sentences(ad.concat([u, v]), [0, 0], 1, 2)
     assert np.allclose(out[0].data, [[3.0, 5.0]])
     assert flags == [False]
 
 
 def test_aggregate_zero_graphs_zero_vector_flagged():
-    out, flags = aggregate_sentences([], [], 1, 5)
+    out, flags = aggregate_sentences(Tensor(np.zeros((0, 5))), [], 1, 5)
     assert np.array_equal(out[0].data, np.zeros((1, 5)))
     assert flags == [True]
 
@@ -190,7 +223,7 @@ def test_aggregate_routes_by_mapping():
     u = Tensor(np.array([[1.0]]))
     v = Tensor(np.array([[2.0]]))
     w = Tensor(np.array([[4.0]]))
-    out, flags = aggregate_sentences([u, v, w], [0, 2, 2], 3, 1)
+    out, flags = aggregate_sentences(ad.concat([u, v, w]), [0, 2, 2], 3, 1)
     assert np.allclose(out[0].data, [[1.0]])
     assert flags == [False, True, False]
     assert np.allclose(out[1].data, [[0.0]])
