@@ -213,7 +213,8 @@ class Tape:
                 _check_finite("backward", g)
                 prev = store.get(id(t))
                 if prev is None:
-                    store[id(t)] = (t, np.array(g, dtype=np.float64))
+                    # May stay a view: accumulation below never writes in place.
+                    store[id(t)] = (t, np.asarray(g, dtype=np.float64))
                 else:
                     store[id(t)] = (t, prev[1] + g)
         return Gradients(store)
@@ -287,29 +288,30 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-D tensors; gradients g·bᵀ and aᵀ·g."""
+    """Matrix product over the last two axes, broadcasting leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of 2 or more axes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     out = a.data @ b.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _apply("matmul", out, (a, b), backward)
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes as numpy does; by default reverse them."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
+    inverse = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        return (g.T,)
+        return (g.transpose(inverse),)
 
-    return _apply("transpose", a.data.T, (a,), backward)
+    return _apply("transpose", a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
@@ -442,11 +444,13 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     if not 0.0 < slope < 1.0:
         raise ShapeError(f"leaky_relu slope must lie in (0, 1), got {slope}")
+    # Selects written as maximum/product: same bits as np.where, which
+    # branches per element and runs several times slower on mixed signs.
     positive = a.data >= 0.0
-    out = np.where(positive, a.data, slope * a.data)
+    out = np.maximum(a.data, slope * a.data)
 
     def backward(g):
-        return (np.where(positive, g, slope * g),)
+        return (g * np.maximum(positive, slope),)
 
     return _apply("leaky_relu", out, (a,), backward)
 

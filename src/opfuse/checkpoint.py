@@ -3,11 +3,18 @@
 Layout: the magic line ``OPFUSE-CKPT-1``, a JSON manifest line listing
 parameter names and shapes in order, then the raw little-endian float64
 payloads concatenated in the same order.
+
+Per-head weights are stored stacked, as ``P.N`` with a leading head axis.
+Files written before that stored one ``P.h{k}.N`` entry per head; the
+reader stacks those back into ``P.N``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +22,7 @@ import numpy as np
 from .autodiff import Tensor
 
 MAGIC = b"OPFUSE-CKPT-1\n"
+_LEGACY_HEAD = re.compile(r"(.+)\.h(0|[1-9][0-9]*)\.([^.]+)")
 
 
 class CheckpointError(Exception):
@@ -35,25 +43,71 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray | Tensor]) ->
             fh.write(arr.astype("<f8").tobytes())
 
 
+def _is_dim(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_manifest(path, header: bytes) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) per manifest entry; CheckpointError for any malformed field."""
+    try:
+        obj = json.loads(header.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint manifest") from exc
+    manifest = obj.get("params") if isinstance(obj, dict) else None
+    if not isinstance(manifest, list):
+        raise CheckpointError(f"{path}: checkpoint manifest needs a 'params' list")
+    entries = []
+    for index, entry in enumerate(manifest):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: manifest entry #{index} has no string name")
+        if not isinstance(shape, list) or not all(_is_dim(d) for d in shape):
+            raise CheckpointError(
+                f"{path}: shape of {name!r} must be a list of non-negative integers")
+        entries.append((name, tuple(shape)))
+    if len({name for name, _ in entries}) != len(entries):
+        raise CheckpointError(f"{path}: manifest names a parameter twice")
+    return entries
+
+
+def _stack_legacy_heads(path, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Stack per-head ``P.h{k}.N`` entries into one ``P.N`` with a leading head axis."""
+    groups: dict[str, dict[int, np.ndarray]] = {}
+    for name in list(arrays):
+        if match := _LEGACY_HEAD.fullmatch(name):
+            groups.setdefault(f"{match[1]}.{match[3]}", {})[int(match[2])] = arrays.pop(name)
+    for name, heads in groups.items():
+        if (name in arrays or sorted(heads) != list(range(len(heads)))
+                or len({arr.shape for arr in heads.values()}) != 1):
+            raise CheckpointError(f"{path}: per-head entries of {name!r} have a gap, "
+                                  f"ragged shapes or a stacked duplicate")
+        arrays[name] = np.stack([heads[k] for k in range(len(heads))])
+    return arrays
+
+
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not an OPFUSE-CKPT-1 checkpoint")
         header = fh.readline()
-        try:
-            manifest = json.loads(header.decode("utf-8"))["params"]
-        except (ValueError, KeyError) as exc:
-            raise CheckpointError(f"{path}: corrupt checkpoint manifest") from exc
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         out: dict[str, np.ndarray] = {}
-        for entry in manifest:
-            shape = tuple(int(d) for d in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated payload for {entry['name']}")
-            out[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return out
+        for name, shape in _read_manifest(path, header):
+            # Sizes come from the file, so they are checked against what is
+            # left before any read.
+            size = 8 * math.prod(shape)
+            if size > left:
+                raise CheckpointError(f"{path}: truncated payload for {name}")
+            left -= size
+            arr = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: non-finite values in {name}")
+            out[name] = arr.copy()
+        if left:
+            raise CheckpointError(f"{path}: {left} bytes after the last payload")
+    return _stack_legacy_heads(path, out)
 
 
 def restore_into(params: dict[str, Tensor], values: dict[str, np.ndarray]) -> None:

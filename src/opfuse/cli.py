@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 I/O failure (unreadable/missing files), 2
-validation failure (schema, config, alignment).  Whatever a command
-prints to stdout is also written verbatim to ``--out`` when given; human
-tables that accompany JSON payloads go to stderr.  Log verbosity comes
-from the OPFUSE_LOG environment variable (error, info, debug).
+validation failure (schema, config, alignment, non-finite values during
+training).  Whatever a command prints to stdout is also written verbatim
+to ``--out`` when given; human tables that accompany JSON payloads go to
+stderr.  Log verbosity comes from the OPFUSE_LOG environment variable
+(error, info, debug); Python warnings go to the log.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def _setup_logging() -> None:
         level_name = "error"
     logging.basicConfig(level=levels[level_name],
                         format="%(levelname)s %(name)s: %(message)s")
+    # numpy's overflow warnings go to the log, so a failure stays one line.
+    logging.captureWarnings(True)
 
 
 def _emit(payload: str, out_path: str | None) -> None:

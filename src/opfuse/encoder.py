@@ -98,11 +98,10 @@ class ToyEncoder:
         self._params["embedding"] = Tensor(
             0.1 * rng.standard_normal((vocab_buckets, width)), requires_grad=True)
         for layer in range(layers):
-            for head in range(heads):
-                for name in ("wq", "wk", "wv"):
-                    self._params[f"block{layer}.h{head}.{name}"] = Tensor(
-                        scale * rng.standard_normal((width, self.head_dim)),
-                        requires_grad=True)
+            # wq, wk, wv are (heads, width, head_dim), drawn head by head.
+            qkv = scale * rng.standard_normal((heads, 3, width, self.head_dim))
+            for index, name in enumerate(("wq", "wk", "wv")):
+                self._params[f"block{layer}.{name}"] = Tensor(qkv[:, index], requires_grad=True)
             self._params[f"block{layer}.wo"] = Tensor(
                 scale * rng.standard_normal((width, width)), requires_grad=True)
             self._params[f"block{layer}.ffn_w1"] = Tensor(
@@ -131,16 +130,11 @@ class ToyEncoder:
         return EncoderOutput(hidden=x, pooled=pooled)
 
     def _attention(self, layer: int, x: Tensor) -> Tensor:
-        outs = []
-        inv_sqrt = 1.0 / np.sqrt(self.head_dim)
-        for head in range(self.heads):
-            q = ad.matmul(x, self._params[f"block{layer}.h{head}.wq"])
-            k = ad.matmul(x, self._params[f"block{layer}.h{head}.wk"])
-            v = ad.matmul(x, self._params[f"block{layer}.h{head}.wv"])
-            scores = ad.mul(ad.matmul(q, ad.transpose(k)), inv_sqrt)
-            alpha = ad.softmax(scores, axis=1)
-            outs.append(ad.matmul(alpha, v))
-        merged = ad.concat(outs, axis=1) if len(outs) > 1 else outs[0]
+        q, k, v = (ad.matmul(x, self._params[f"block{layer}.{name}"])
+                   for name in ("wq", "wk", "wv"))
+        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(self.head_dim))
+        heads = ad.matmul(ad.softmax(scores, axis=2), v)  # (heads, |T|, head_dim)
+        merged = ad.reshape(ad.transpose(heads, (1, 0, 2)), (x.shape[0], self.width))
         return ad.matmul(merged, self._params[f"block{layer}.wo"])
 
     def _ffn(self, layer: int, x: Tensor) -> Tensor:

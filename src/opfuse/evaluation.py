@@ -8,6 +8,7 @@ to hit cannot drag the mean.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,10 +42,19 @@ def read_predictions(path: str | Path) -> list[Prediction]:
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise EvaluationError(f"{path} line {line_no}: invalid JSON ({exc.msg})")
+            if not isinstance(obj, dict):
+                raise EvaluationError(f"{path} line {line_no}: not a JSON object")
             for key in ("id", "gold", "pred"):
                 if key not in obj:
                     raise EvaluationError(f"{path} line {line_no}: missing field '{key}'")
             logits = obj.get("logits")
+            if logits is not None and not isinstance(logits, list):
+                raise EvaluationError(f"{path} line {line_no}: 'logits' must be a list")
+            # type(), not isinstance(): JSON true/false must not pass as 1/0.
+            if logits is not None and not all(type(x) in (int, float) and math.isfinite(x)
+                                              for x in logits):
+                raise EvaluationError(
+                    f"{path} line {line_no}: every logit must be a finite number")
             preds.append(Prediction(
                 id=str(obj["id"]), gold=str(obj["gold"]), pred=str(obj["pred"]),
                 logits=None if logits is None else tuple(float(x) for x in logits)))

@@ -1,13 +1,14 @@
 """Multi-head GATv2 message passing with polarity edge attributes.
 
-Per head, the unnormalized score of node ``i`` attending to ``j`` is
+Per head ``k``, the unnormalized score of node ``i`` attending to ``j`` is
 
-    score(i, j) = aᵀ · LeakyReLU(Θ_s h_i + Θ_t h_j + Θ_e e_ij)
+    score_k(i, j) = a_kᵀ · LeakyReLU(Θ_s[k] h_i + Θ_t[k] h_j + Θ_e[k] e_ij)
 
 with the implicit self-loop ``j = i`` carrying a zero edge attribute.
 Coefficients are softmax-normalized over ``N(i) ∪ {i}`` where
-``N(i) = {j | (i, j) ∈ E}``, and messages are ``h'_i = Σ_j α_ij Θ_t h_j``.
-Head outputs are concatenated.
+``N(i) = {j | (i, j) ∈ E}``, and messages are ``h'_i = Σ_j α_ij Θ_t[k] h_j``.
+Head outputs are concatenated.  Each weight is one tensor with a leading
+head axis, so every array op runs all heads at once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from .graphs import GraphEmpty, OpinionGraph, PackedGraphs
 
 
 class GatParams:
-    """Weights for one GATv2 layer: per head Θ_s, Θ_t (d_out, d_in), Θ_e (d_out, 3), a."""
+    """Weights for one GATv2 layer, each one tensor with the head axis first.
+
+    Θ_s and Θ_t are (heads, d_out, d_in), Θ_e is (heads, d_out, 3) and a is
+    (heads, d_out, 1).
+    """
 
     def __init__(self, d_in: int, d_out: int, heads: int, leaky_slope: float = 0.2,
                  rng: np.random.Generator | None = None, prefix: str = "gat"):
@@ -33,28 +38,22 @@ class GatParams:
         rng = rng if rng is not None else np.random.default_rng(0)
         scale = np.sqrt(2.0 / (d_in + d_out))
         e_dim = len(POLARITIES)
-        self.theta_s = [Tensor(scale * rng.standard_normal((d_out, d_in)), requires_grad=True)
-                        for _ in range(heads)]
-        self.theta_t = [Tensor(scale * rng.standard_normal((d_out, d_in)), requires_grad=True)
-                        for _ in range(heads)]
-        self.theta_e = [Tensor(scale * rng.standard_normal((d_out, e_dim)), requires_grad=True)
-                        for _ in range(heads)]
-        self.attn = [Tensor(rng.standard_normal((d_out, 1)) / np.sqrt(d_out),
-                            requires_grad=True)
-                     for _ in range(heads)]
+        self.theta_s = Tensor(scale * rng.standard_normal((heads, d_out, d_in)),
+                              requires_grad=True)
+        self.theta_t = Tensor(scale * rng.standard_normal((heads, d_out, d_in)),
+                              requires_grad=True)
+        self.theta_e = Tensor(scale * rng.standard_normal((heads, d_out, e_dim)),
+                              requires_grad=True)
+        self.attn = Tensor(rng.standard_normal((heads, d_out, 1)) / np.sqrt(d_out),
+                           requires_grad=True)
 
     @property
     def out_width(self) -> int:
         return self.heads * self.d_out
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for k in range(self.heads):
-            out[f"{self.prefix}.h{k}.theta_s"] = self.theta_s[k]
-            out[f"{self.prefix}.h{k}.theta_t"] = self.theta_t[k]
-            out[f"{self.prefix}.h{k}.theta_e"] = self.theta_e[k]
-            out[f"{self.prefix}.h{k}.attn"] = self.attn[k]
-        return out
+        return {f"{self.prefix}.{name}": getattr(self, name)
+                for name in ("theta_s", "theta_t", "theta_e", "attn")}
 
 
 def gat_layer(graph: OpinionGraph | PackedGraphs, params: GatParams,
@@ -67,7 +66,7 @@ def gat_layer(graph: OpinionGraph | PackedGraphs, params: GatParams,
     messages are scatter-added back onto the source nodes.
 
     When ``collect_attention`` is given, the per-node coefficient arrays are
-    appended to it as (node, head, neighborhood weights) triples.
+    appended to it as (node, head, neighborhood weights) triples, head by head.
     """
     n_nodes = graph.num_nodes
     if n_nodes == 0:
@@ -88,23 +87,27 @@ def gat_layer(graph: OpinionGraph | PackedGraphs, params: GatParams,
     attr = np.concatenate([graph.edge_attr.data,
                            np.zeros((n_nodes, graph.edge_attr.shape[1]))])[order]
 
-    heads = []
-    for k in range(params.heads):
-        src_proj = ad.matmul(graph.features, ad.transpose(params.theta_s[k]))
-        tgt_proj = ad.matmul(graph.features, ad.transpose(params.theta_t[k]))
-        edge_proj = ad.matmul(attr, ad.transpose(params.theta_e[k]))
-        messages = ad.gather_rows(tgt_proj, dst)
-        pre = ad.leaky_relu(
-            ad.add(ad.add(ad.gather_rows(src_proj, src), messages), edge_proj),
-            params.leaky_slope)
-        alpha = ad.segment_softmax(ad.matmul(pre, params.attn[k]), src, n_nodes)
-        if collect_attention is not None:
-            bounds = np.searchsorted(src, np.arange(n_nodes + 1))
-            weights = alpha.data.reshape(-1)
-            collect_attention.extend(
-                (i, k, weights[bounds[i]:bounds[i + 1]].copy()) for i in range(n_nodes))
-        heads.append(ad.segment_sum(ad.mul(alpha, messages), src, n_nodes))
-    return ad.concat(heads, axis=1) if len(heads) > 1 else heads[0]
+    heads, d_out, width, n_edges = params.heads, params.d_out, params.out_width, len(src)
+    # One (rows, heads * d_out) projection per weight, heads in concatenation order.
+    src_proj, tgt_proj, edge_proj = (
+        ad.matmul(rows, ad.transpose(ad.reshape(theta, (width, theta.shape[2]))))
+        for rows, theta in ((graph.features, params.theta_s),
+                            (graph.features, params.theta_t), (attr, params.theta_e)))
+    messages = ad.gather_rows(tgt_proj, dst)
+    pre = ad.leaky_relu(
+        ad.add(ad.add(ad.gather_rows(src_proj, src), messages), edge_proj),
+        params.leaky_slope)
+    # Block-diagonal (heads * d_out, heads) scorer: column k holds a_k.
+    scorer = ad.mul(ad.reshape(params.attn, (width, 1)),
+                    np.kron(np.eye(heads), np.ones((d_out, 1))))
+    alpha = ad.segment_softmax(ad.matmul(pre, scorer), src, n_nodes)
+    if collect_attention is not None:
+        bounds = np.searchsorted(src, np.arange(n_nodes + 1))
+        collect_attention.extend((i, k, alpha.data[bounds[i]:bounds[i + 1], k].copy())
+                                 for k in range(heads) for i in range(n_nodes))
+    weighted = ad.mul(ad.reshape(messages, (n_edges, heads, d_out)),
+                      ad.reshape(alpha, (n_edges, heads, 1)))
+    return ad.segment_sum(ad.reshape(weighted, (n_edges, width)), src, n_nodes)
 
 
 def readout(node_feats: Tensor, graph: OpinionGraph | PackedGraphs) -> Tensor:

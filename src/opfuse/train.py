@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, cross_entropy
+from .autodiff import NumericsError, Tape, cross_entropy
 from .checkpoint import restore_into, save_checkpoint
 from .data import EMOTIONS, Corpus
 from .evaluation import macro_f1, write_predictions
@@ -89,14 +89,17 @@ def train_model(config: ModelConfig, corpus: Corpus,
     for epoch in range(1, config.optimizer.epochs + 1):
         order = shuffle_rng.permutation(len(train_records))
         total_loss = 0.0
-        for start in range(0, len(order), batch_size):
+        for batch_no, start in enumerate(range(0, len(order), batch_size), start=1):
             batch = [train_records[i] for i in order[start:start + batch_size]]
             labels = [label_index[r.emotion] for r in batch]
-            with Tape() as tape:
-                logits = model.forward_batch(batch)
-                loss = cross_entropy(logits, labels, class_weights=weights)
-            grads = tape.backward(loss)
-            optimizer.step(grads)
+            try:
+                with Tape() as tape:
+                    logits = model.forward_batch(batch)
+                    loss = cross_entropy(logits, labels, class_weights=weights)
+                grads = tape.backward(loss)
+                optimizer.step(grads)
+            except NumericsError as exc:
+                raise TrainingError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
             total_loss += loss.item() * len(batch)
         epoch_loss = total_loss / len(train_records)
 

@@ -3,7 +3,8 @@
 Nothing here imports the implementation paths it is checking: gradients
 come from central finite differences, the graph-attention reference is a
 dense masked recomputation, and the marginal-homogeneity statistic is
-solved in exact rational arithmetic.
+solved in exact rational arithmetic.  The self-attention reference runs
+one head at a time in plain numpy.
 """
 
 from __future__ import annotations
@@ -71,6 +72,22 @@ def dense_gat_reference(features: np.ndarray, edges: list[tuple[int, int]],
         alpha = ex / ex.sum(axis=1, keepdims=True)
         outputs.append(alpha @ t)
     return np.concatenate(outputs, axis=1)
+
+
+def self_attention_reference(x: np.ndarray, wq: list[np.ndarray], wk: list[np.ndarray],
+                             wv: list[np.ndarray], wo: np.ndarray) -> np.ndarray:
+    """Multi-head scaled dot-product self-attention, one head at a time.
+
+    Head ``k`` projects ``x`` with its own (width, d_h) matrices; the head
+    outputs are concatenated, head 0 first, and mixed by ``wo``.
+    """
+    outputs = []
+    for q_w, k_w, v_w in zip(wq, wk, wv):
+        q, k, v = x @ q_w, x @ k_w, x @ v_w
+        scores = q @ k.T / np.sqrt(q_w.shape[1])
+        ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outputs.append(ex / ex.sum(axis=1, keepdims=True) @ v)
+    return np.concatenate(outputs, axis=1) @ wo
 
 
 def fraction_stuart_maxwell(table: list[list[int]]) -> Fraction:

@@ -193,8 +193,8 @@ def test_acceptance_gat_oracle():
         out = gat_layer(graph, params, collect_attention=attention).data
         ref = dense_gat_reference(
             graph.features.data, list(graph.edges), graph.edge_attr.data,
-            [t.data for t in params.theta_s], [t.data for t in params.theta_t],
-            [t.data for t in params.theta_e], [t.data for t in params.attn],
+            list(params.theta_s.data), list(params.theta_t.data),
+            list(params.theta_e.data), list(params.attn.data),
             params.leaky_slope)
         worst = max(worst, float(np.max(np.abs(out - ref))))
         assert np.max(np.abs(out - ref)) < 1e-9

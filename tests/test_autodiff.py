@@ -190,11 +190,14 @@ def test_gradient_accumulates_across_uses():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "transpose", "gather", "concat",
     "mean_axis", "sum_axis", "sigmoid", "softmax", "leaky", "reshape",
+    "matmul_leading_axis", "transpose_axes",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2 ** 31))
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    # Own generator, so the draws of the 2-D cases stay as they were.
+    z = Tensor(np.random.default_rng(1).standard_normal((2, 4, 5)), requires_grad=True)
 
     builders = {
         "add": lambda: ad.add(x, y),
@@ -210,6 +213,8 @@ def test_primitive_gradients_match_finite_differences(op_name):
         "leaky": lambda: ad.leaky_relu(x, 0.2),
     }
     builders["reshape"] = lambda: ad.reshape(x, (4, 3))
+    builders["matmul_leading_axis"] = lambda: ad.matmul(x, z)  # (3, 4) @ (2, 4, 5)
+    builders["transpose_axes"] = lambda: ad.transpose(z, (2, 0, 1))
 
     # Weighted sum makes the scalar sensitive to every output entry.
     probe = Tensor(rng.standard_normal(builders[op_name]().shape))
@@ -221,7 +226,7 @@ def test_primitive_gradients_match_finite_differences(op_name):
         loss = scalar()
     grads = tape.backward(loss)
 
-    for t in (x, y):
+    for t in (x, y, z):
         if t in grads:
             assert max_rel_err(grads.wrt(t), numeric_gradient(lambda: scalar().item(), t)) < TOL
 

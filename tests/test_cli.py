@@ -336,3 +336,36 @@ def test_train_truncated_encoder_states_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truncated" in err and err.count("\n") == 1
+
+
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "opfuse.cli", *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_train_non_finite_update_exits_2_naming_epoch_and_batch(tmp_path):
+    data = small_corpus_file(tmp_path)
+    config = config_file(tmp_path, optimizer={"learning_rate": 1e308, "batch_size": 8,
+                                              "epochs": 2, "patience": 5})
+    proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: epoch 1, batch 1: "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "not a JSON object"),
+    ('{"id": "a", "gold": "anger", "pred": "anger", "logits": 5}', "must be a list"),
+    ('{"id": "a", "gold": "anger", "pred": "anger", "logits": ["x", 1]}', "finite number"),
+    ('{"id": "a", "gold": "anger", "pred": "anger", "logits": [NaN, 1]}', "finite number"),
+])
+def test_malformed_prediction_fields_exit_2_with_one_line(tmp_path, line, message):
+    good = json.dumps({"id": "z", "gold": "anger", "pred": "anger"})
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    for args in (["eval", "--pred", pred], ["aggregate", "--pred", pred, "--map", "ekman6"],
+                 ["compare", "--pred-a", pred, "--pred-b", pred]):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {pred} line 2: "), proc.stderr
+        assert message in proc.stderr and len(proc.stderr.splitlines()) == 1

@@ -10,9 +10,10 @@ from opfuse.autodiff import Tape, Tensor
 from opfuse.data import Record, Span
 from opfuse.encoder import (EncoderError, EncoderOutput, FileEncoder,
                             NoTokenOverlap, ToyEncoder, read_encoder_states,
-                            span_pool, tokenize, write_encoder_states)
+                            hash_bucket, sinusoidal_positions, span_pool, tokenize,
+                            write_encoder_states)
 
-from oracles import max_rel_err, numeric_gradient
+from oracles import max_rel_err, numeric_gradient, self_attention_reference
 
 
 def test_tokenize_words_and_punctuation():
@@ -48,6 +49,26 @@ def make_encoder(**kw):
                     rng=np.random.default_rng(0))
     defaults.update(kw)
     return ToyEncoder(**defaults)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_encode_matches_per_head_reference(heads):
+    enc = make_encoder(heads=heads, rng=np.random.default_rng(heads))
+    p = {name.removeprefix("encoder."): t.data for name, t in enc.parameters().items()}
+    seq = tokenize("short the dip , buy the rip ?")
+    buckets = [hash_bucket(tok.text, enc.vocab_buckets) for tok in seq]
+    x = p["embedding"][buckets] + sinusoidal_positions(len(seq), enc.width)
+    for layer in range(enc.layers):
+        w = {name: p[f"block{layer}.{name}"] for name in ("wq", "wk", "wv", "wo")}
+        assert w["wq"].shape == (heads, enc.width, enc.width // heads)
+        x = x + self_attention_reference(x, list(w["wq"]), list(w["wk"]), list(w["wv"]),
+                                         w["wo"])
+        h = x @ p[f"block{layer}.ffn_w1"] + p[f"block{layer}.ffn_b1"]
+        h = np.where(h >= 0, h, 0.2 * h)
+        x = x + h @ p[f"block{layer}.ffn_w2"] + p[f"block{layer}.ffn_b2"]
+    out = enc.encode(seq)
+    assert np.max(np.abs(out.hidden.data - x)) < 1e-12
+    assert np.max(np.abs(out.pooled.data - x.mean(axis=0, keepdims=True))) < 1e-12
 
 
 def test_toy_encoder_output_shapes():

@@ -46,7 +46,7 @@ def test_single_node_output_is_target_transform():
     params = params_for(heads=2)
     out = gat_layer(graph, params)
     expected = np.concatenate(
-        [graph.features.data @ params.theta_t[k].data.T for k in range(2)], axis=1)
+        [graph.features.data @ params.theta_t.data[k].T for k in range(2)], axis=1)
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -80,8 +80,8 @@ def test_matches_dense_oracle_on_200_random_graphs():
         out = gat_layer(graph, params).data
         ref = dense_gat_reference(
             graph.features.data, list(graph.edges), graph.edge_attr.data,
-            [t.data for t in params.theta_s], [t.data for t in params.theta_t],
-            [t.data for t in params.theta_e], [t.data for t in params.attn],
+            list(params.theta_s.data), list(params.theta_t.data),
+            list(params.theta_e.data), list(params.attn.data),
             params.leaky_slope)
         assert np.max(np.abs(out - ref)) < 1e-9, f"trial {trial}"
 
@@ -98,8 +98,8 @@ def test_packed_union_matches_dense_oracle_per_graph():
         for graph in graphs:
             ref = dense_gat_reference(
                 graph.features.data, list(graph.edges), graph.edge_attr.data,
-                [t.data for t in params.theta_s], [t.data for t in params.theta_t],
-                [t.data for t in params.theta_e], [t.data for t in params.attn],
+                list(params.theta_s.data), list(params.theta_t.data),
+                list(params.theta_e.data), list(params.attn.data),
                 params.leaky_slope)
             block = out[start:start + graph.num_nodes]
             assert np.max(np.abs(block - ref)) < 1e-9, f"trial {trial}"
