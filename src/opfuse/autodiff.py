@@ -11,12 +11,17 @@ points:
   as a node; ``Tape.backward`` replays the node list once in reverse.
 * Any non-finite value produced by a primitive raises ``NonFiniteError``
   immediately instead of propagating NaN/Inf.
+* ``gather_rows`` hands back a row-sparse gradient (indices plus rows);
+  ``Tape.backward`` sums a tensor's row parts into one dense array only
+  when that array is needed, so a table gathered by every record of a
+  batch is scattered once per batch.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +39,10 @@ class NonFiniteError(NumericsError):
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    # A finite sum means every element is finite; a NaN or an infinity
+    # always makes the sum non-finite.  Only then is the exact elementwise
+    # check run, which clears a finite array whose sum overflowed.
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} produced non-finite values")
 
 
@@ -146,20 +154,57 @@ def active_tape() -> "Tape | None":
     return stack[-1] if stack else None
 
 
+class _RowGrad(NamedTuple):
+    """Row-sparse gradient of a 2-D tensor: ``rows[m]`` adds into row ``idx[m]``."""
+
+    idx: np.ndarray
+    rows: np.ndarray
+
+
+class _Accumulator:
+    """One tensor's gradient: a dense sum plus row-sparse parts not yet added."""
+
+    __slots__ = ("tensor", "dense", "parts")
+
+    def __init__(self, tensor: Tensor):
+        self.tensor = tensor
+        self.dense: np.ndarray | None = None
+        self.parts: list[_RowGrad] = []
+
+    def add(self, g) -> None:
+        if isinstance(g, _RowGrad):
+            _check_finite("backward", g.rows)
+            self.parts.append(g)
+            return
+        _check_finite("backward", g)
+        # A first gradient may stay a view: later sums never write in place.
+        self.dense = np.asarray(g, dtype=np.float64) if self.dense is None else self.dense + g
+
+    def value(self) -> np.ndarray:
+        """The dense gradient; every row part is scattered in one pass."""
+        if self.parts:
+            rows = _scatter_add_rows(np.concatenate([p.rows for p in self.parts]),
+                                     np.concatenate([p.idx for p in self.parts]),
+                                     self.tensor.shape[0])
+            self.dense = rows if self.dense is None else self.dense + rows
+            self.parts = []
+        return self.dense
+
+
 class Gradients:
     """Per-tensor gradient accumulators produced by ``Tape.backward``.
 
     Tensors never touched by the loss read as exact zeros.
     """
 
-    def __init__(self, store: dict[int, tuple[Tensor, np.ndarray]]):
+    def __init__(self, store: dict[int, _Accumulator]):
         self._store = store
 
     def wrt(self, t: Tensor) -> np.ndarray:
         entry = self._store.get(id(t))
         if entry is None:
             return np.zeros(t.shape, dtype=np.float64)
-        return entry[1]
+        return entry.value()
 
     def __contains__(self, t: Tensor) -> bool:
         return id(t) in self._store
@@ -199,24 +244,19 @@ class Tape:
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        store: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones(loss.shape, dtype=np.float64))
-        }
+        store = {id(loss): _Accumulator(loss)}
+        store[id(loss)].dense = np.ones(loss.shape, dtype=np.float64)
         for node in reversed(self._nodes):
             entry = store.get(id(node.out))
             if entry is None:
                 continue
-            in_grads = node.backward_fn(entry[1])
+            in_grads = node.backward_fn(entry.value())
             for t, g in zip(node.inputs, in_grads):
                 if g is None or not t.requires_grad:
                     continue
-                _check_finite("backward", g)
-                prev = store.get(id(t))
-                if prev is None:
-                    # May stay a view: accumulation below never writes in place.
-                    store[id(t)] = (t, np.asarray(g, dtype=np.float64))
-                else:
-                    store[id(t)] = (t, prev[1] + g)
+                if id(t) not in store:
+                    store[id(t)] = _Accumulator(t)
+                store[id(t)].add(g)
         return Gradients(store)
 
 
@@ -325,7 +365,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
 
 def gather_rows(a, indices: Sequence[int]) -> Tensor:
-    """Select rows of a 2-D tensor; backward scatter-adds into the source."""
+    """Select rows of a 2-D tensor; backward hands back a row-sparse gradient."""
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"gather_rows needs a 2-D tensor, got {a.shape}")
@@ -335,7 +375,7 @@ def gather_rows(a, indices: Sequence[int]) -> Tensor:
     out = a.data[idx]
 
     def backward(g):
-        return (_scatter_add_rows(g, idx, a.shape[0]),)
+        return (_RowGrad(idx, g),)
 
     return _apply("gather_rows", out, (a,), backward)
 

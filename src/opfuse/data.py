@@ -151,9 +151,13 @@ def _parse_span(value, where: str, issues: list[str]) -> Optional[Span]:
     if not isinstance(value, dict) or set(value) != {"start", "end"}:
         issues.append(f"{where}: span must be null or {{start, end}}")
         return None
+    start, end = value["start"], value["end"]
+    if type(start) is not int or type(end) is not int:  # bool is an int subclass
+        issues.append(f"{where}: span offsets must be integers")
+        return None
     try:
-        return Span(int(value["start"]), int(value["end"]))
-    except (TypeError, ValueError) as exc:
+        return Span(start, end)
+    except ValueError as exc:
         issues.append(f"{where}: {exc}")
         return None
 
@@ -194,13 +198,17 @@ def _parse_record(obj: dict, line_no: int, issues: list[str]) -> Optional[Record
             continue
         spans = {name: _parse_span(raw.get(name), f"{op_where} field '{name}'", issues)
                  for name in SPAN_FIELDS}
+        labels = {}
+        for name in ("aspect_category", "target_entity"):
+            value = raw.get(name)
+            if value is not None and not isinstance(value, str):
+                issues.append(f"{op_where} field '{name}': must be a string or null")
+            labels[name] = value or ""
         try:
             opinions.append(OpinionAnnotation(
                 polarity=raw.get("polarity", "neutral"),
                 intensity=raw.get("intensity", "average"),
-                aspect_category=str(raw.get("aspect_category", "") or ""),
-                target_entity=str(raw.get("target_entity", "") or ""),
-                **spans,
+                **labels, **spans,
             ))
         except ValueError as exc:
             issues.append(f"{op_where}: {exc}")
@@ -243,8 +251,11 @@ def parse_corpus(lines: Iterable[str]) -> tuple[Corpus, list[str]]:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a JSONL corpus; raises CorpusError on any violation."""
-    with open(path, "r", encoding="utf-8") as fh:
-        corpus, issues = parse_corpus(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            corpus, issues = parse_corpus(fh)
+    except UnicodeDecodeError as exc:
+        raise CorpusError([f"{path}: not UTF-8 text ({exc.reason})"]) from exc
     if issues:
         raise CorpusError(issues)
     return corpus
@@ -334,18 +345,25 @@ class LabelMap:
 
 
 def load_label_map(path: str | Path) -> LabelMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LabelMapError(f"{path}: invalid JSON ({exc.msg})") from exc
+    except json.JSONDecodeError as exc:
+        raise LabelMapError(f"{path}: invalid JSON ({exc.msg})") from exc
+    except UnicodeDecodeError as exc:
+        raise LabelMapError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not isinstance(obj, dict) or "name" not in obj or "mapping" not in obj:
         raise LabelMapError(f"{path}: label map needs 'name' and 'mapping'")
-    return LabelMap(
-        name=str(obj["name"]),
-        mapping={str(k): str(v) for k, v in obj["mapping"].items()},
-        excluded=frozenset(str(x) for x in obj.get("excluded", [])),
-    )
+    name, mapping, excluded = obj["name"], obj["mapping"], obj.get("excluded", [])
+    if not isinstance(mapping, dict):
+        raise LabelMapError(f"{path}: 'mapping' must be an object")
+    if not isinstance(excluded, list):
+        raise LabelMapError(f"{path}: 'excluded' must be a list")
+    for value in (name, *mapping.values(), *excluded):
+        if not isinstance(value, str):
+            raise LabelMapError(f"{path}: name, groups and excluded labels must be "
+                                f"strings, got {type(value).__name__}")
+    return LabelMap(name=name, mapping=dict(mapping), excluded=frozenset(excluded))
 
 
 DEFAULT_LABEL_MAPS = ("ekman6", "valence3")

@@ -7,11 +7,15 @@ Three strategies, searched as a hyperparameter:
 * ``attn`` — dot-product attention with the graph vector as query and the
   token-level states as keys and values.
 
+Every function takes a minibatch as stacked (B, ·) rows.
+
 The fused vector is folded back through a scaled residual,
 ``H_R = H_seq + α_res · H_f``, before the classification head.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -59,12 +63,17 @@ class FusionParams:
 
 
 def fuse(h_seq: Tensor, h_graph: Tensor, h_tokens: Tensor,
-         params: FusionParams) -> Tensor:
-    """Combine (1, d) text and graph vectors into the fused (1, d) vector."""
+         params: FusionParams, token_rows: Sequence[int] | None = None) -> Tensor:
+    """Combine (B, d) text and graph rows into the fused (B, d) rows.
+
+    ``h_tokens`` stacks the token states of every record in the batch and
+    ``token_rows[t]`` names the record (row) token ``t`` belongs to; by
+    default every token belongs to row 0.  Only ``attn`` reads them.
+    """
     d = params.d
-    if h_seq.shape != (1, d) or h_graph.shape != (1, d):
+    if h_seq.data.ndim != 2 or h_seq.shape[1] != d or h_graph.shape != h_seq.shape:
         raise ShapeError(
-            f"fuse expects (1, {d}) inputs, got {h_seq.shape} and {h_graph.shape}")
+            f"fuse expects (B, {d}) inputs, got {h_seq.shape} and {h_graph.shape}")
     if params.fusion_type == "cat":
         joined = ad.concat([h_seq, h_graph], axis=1)
         return ad.add(ad.matmul(joined, params.weight), params.bias)
@@ -72,12 +81,17 @@ def fuse(h_seq: Tensor, h_graph: Tensor, h_tokens: Tensor,
         joined = ad.concat([h_seq, h_graph], axis=1)
         gate = ad.sigmoid(ad.add(ad.matmul(joined, params.weight), params.bias))
         return ad.add(ad.mul(gate, h_seq), ad.mul(ad.sub(1.0, gate), h_graph))
-    # attn: query = graph vector; keys/values = token states
+    # attn: each record's graph row is the query over its own token states,
+    # which are both keys and values; softmax and sum run per record.
     if h_tokens.shape[1] != d:
         raise ShapeError(f"token states width {h_tokens.shape[1]} != {d}")
-    scores = ad.mul(ad.matmul(h_tokens, ad.transpose(h_graph)), 1.0 / np.sqrt(d))
-    alpha = ad.softmax(scores, axis=0)
-    return ad.matmul(ad.transpose(alpha), h_tokens)
+    owner = (np.zeros(h_tokens.shape[0], dtype=np.intp) if token_rows is None
+             else np.asarray(token_rows, dtype=np.intp))
+    queries = ad.gather_rows(h_graph, owner)
+    scores = ad.mul(ad.tsum(ad.mul(h_tokens, queries), axis=1, keepdims=True),
+                    1.0 / np.sqrt(d))
+    alpha = ad.segment_softmax(scores, owner, h_seq.shape[0])
+    return ad.segment_sum(ad.mul(h_tokens, alpha), owner, h_seq.shape[0])
 
 
 def residual(h_seq: Tensor, h_fused: Tensor, alpha_res: float) -> Tensor:
@@ -102,4 +116,14 @@ class ClassifierHead:
         return {f"{self.prefix}.weight": self.weight, f"{self.prefix}.bias": self.bias}
 
     def __call__(self, h: Tensor) -> Tensor:
-        return ad.add(ad.matmul(h, self.weight), self.bias)
+        """Logits (B, C) for (B, d) rows.
+
+        Each row is multiplied as its own (1, d) matrix, (B, 1, d) @ (d, C),
+        so a record's logits have the same bits in any batch; a plain
+        (B, d) @ (d, C) product may round a row differently by batch size.
+        Bit-identical nesting at ``alpha_res = 0`` (a fused batch against
+        text-only records one at a time) depends on it.
+        """
+        batch, width = h.shape
+        rows = ad.matmul(ad.reshape(h, (batch, 1, width)), self.weight)
+        return ad.add(ad.reshape(rows, (batch, self.weight.shape[1])), self.bias)

@@ -118,12 +118,12 @@ def readout(node_feats: Tensor, graph: OpinionGraph | PackedGraphs) -> Tensor:
 
 
 def aggregate_sentences(readouts: Tensor, mapping: list[int],
-                        num_sentences: int, width: int) -> tuple[list[Tensor], list[bool]]:
-    """Mean of each sentence's graph readouts, one (1, width) vector per sentence.
+                        num_sentences: int, width: int) -> tuple[Tensor, list[bool]]:
+    """Mean of each sentence's graph readouts: (num_sentences, width), plus flags.
 
     ``readouts`` stacks the (G, width) graph readouts and ``mapping[m]``
     assigns row ``m`` to its parent sentence.  Sentences with no graphs get
-    a zero vector and are flagged.
+    a zero row and are flagged.
     """
     if readouts.shape != (len(mapping), width):
         raise ShapeError(f"readouts of shape {readouts.shape} for {len(mapping)} "
@@ -131,5 +131,4 @@ def aggregate_sentences(readouts: Tensor, mapping: list[int],
     sums = ad.segment_sum(readouts, mapping, num_sentences)
     counts = np.bincount(np.asarray(mapping, dtype=np.intp), minlength=num_sentences)
     means = ad.mul(sums, 1.0 / np.maximum(counts, 1)[:, None])
-    return ([ad.gather_rows(means, [i]) for i in range(num_sentences)],
-            [bool(c == 0) for c in counts])
+    return means, [bool(c == 0) for c in counts]

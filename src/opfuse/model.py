@@ -256,8 +256,8 @@ class OpinionFusionModel:
         return params
 
     def graph_vectors(self, records: list[Record],
-                      encoded: list) -> tuple[list[Tensor], list[bool]]:
-        """Aggregated (1, graph_width) opinion vector per record, plus no-opinion flags.
+                      encoded: list) -> tuple[Tensor, list[bool]]:
+        """Aggregated opinion vectors (len(records), graph_width), plus no-opinion flags.
 
         ``encoded`` holds each record's (tokens, encoder output).  Every
         opinion graph of the batch goes through GAT as one packed union.
@@ -283,20 +283,18 @@ class OpinionFusionModel:
         return aggregate_sentences(readouts, owners, len(records), self.graph_width)
 
     def _logits(self, records: list[Record], force_text_only: bool = False) -> Tensor:
-        """Class logits (len(records), C); the graph path runs once per call."""
+        """Class logits (len(records), C); everything after the encoder runs once per call."""
         encoded = [self.encoder.encode_record(record) for record in records]
+        h_seq = ad.concat([out.pooled for _, out in encoded])
         if self.config.architecture == "text_only" or force_text_only:
-            rows = [self.head(enc_out.pooled) for _, enc_out in encoded]
-        else:
-            graph_vecs, _ = self.graph_vectors(records, encoded)
-            rows = []
-            for (_, enc_out), graph_vec in zip(encoded, graph_vecs):
-                h_seq = enc_out.pooled
-                h_graph = self.fusion_params.project_graph(graph_vec)
-                h_fused = fuse(h_seq, h_graph, enc_out.hidden, self.fusion_params)
-                h_final = residual(h_seq, h_fused, self.config.fusion.alpha_res)
-                rows.append(self.head(h_final))
-        return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+            return self.head(h_seq)
+        graph_vecs, _ = self.graph_vectors(records, encoded)
+        h_graph = self.fusion_params.project_graph(graph_vecs)
+        tokens = ad.concat([out.hidden for _, out in encoded])
+        token_rows = np.repeat(np.arange(len(records)),
+                               [out.hidden.shape[0] for _, out in encoded])
+        h_fused = fuse(h_seq, h_graph, tokens, self.fusion_params, token_rows)
+        return self.head(residual(h_seq, h_fused, self.config.fusion.alpha_res))
 
     def forward_record(self, record: Record, force_text_only: bool = False) -> Tensor:
         """Class logits (1, C) for one record."""

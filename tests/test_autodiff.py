@@ -190,7 +190,7 @@ def test_gradient_accumulates_across_uses():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "transpose", "gather", "concat",
     "mean_axis", "sum_axis", "sigmoid", "softmax", "leaky", "reshape",
-    "matmul_leading_axis", "transpose_axes",
+    "matmul_leading_axis", "transpose_axes", "gather_nonleaf",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2 ** 31))
@@ -215,6 +215,13 @@ def test_primitive_gradients_match_finite_differences(op_name):
     builders["reshape"] = lambda: ad.reshape(x, (4, 3))
     builders["matmul_leading_axis"] = lambda: ad.matmul(x, z)  # (3, 4) @ (2, 4, 5)
     builders["transpose_axes"] = lambda: ad.transpose(z, (2, 0, 1))
+
+    def gather_nonleaf():
+        # Two row-sparse parts and one dense part meet on the same non-leaf.
+        h = ad.mul(x, y)
+        return ad.concat([ad.gather_rows(h, [2, 0, 2]), h, ad.gather_rows(h, [1, 1])])
+
+    builders["gather_nonleaf"] = gather_nonleaf
 
     # Weighted sum makes the scalar sensitive to every output entry.
     probe = Tensor(rng.standard_normal(builders[op_name]().shape))
@@ -253,6 +260,17 @@ def test_non_finite_forward_is_rejected():
     big = Tensor([[1e308]])
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         ad.mul(big, 10.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.arange(12.0).reshape(3, 4)
+        values[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            Tensor(values)
+        with pytest.raises(NonFiniteError):
+            ad.add(Tensor(np.zeros((3, 4))), values)
+    # Every element is finite although the sum overflows.
+    with np.errstate(over="ignore"):
+        assert Tensor([1e308, 1e308]).shape == (2,)
+        assert ad.mul(Tensor([[1e308], [1e308]]), 1.0).shape == (2, 1)
 
 
 def test_tensor_data_is_read_only():
@@ -334,3 +352,41 @@ def test_segment_gradients_match_finite_differences(op_name):
         assert np.array_equal(analytic[3], np.zeros(3))
     else:
         assert np.array_equal(analytic, probe.data[segments])
+
+
+def test_row_sparse_gradient_matches_dense_scatter():
+    rng = np.random.default_rng(41)
+    table = Tensor(rng.standard_normal((50, 6)), requires_grad=True)
+    gathers = [rng.integers(0, 50, size=n) for n in (7, 1, 12, 30, 30)]
+    gathers.append(np.array([3, 3, 3, 3]))
+    probes = [rng.standard_normal((len(idx), 6)) for idx in gathers]
+    dense_probe = rng.standard_normal((50, 6))
+    with Tape() as tape:
+        loss = ad.tsum(ad.mul(table, dense_probe))
+        for idx, probe in zip(gathers, probes):
+            loss = ad.add(loss, ad.tsum(ad.mul(ad.gather_rows(table, idx), probe)))
+    analytic = tape.backward(loss).wrt(table)
+    expected = dense_probe.copy()
+    for idx, probe in zip(gathers, probes):
+        np.add.at(expected, idx, probe)
+    assert max_rel_err(analytic, expected) < 1e-12
+
+
+def test_non_finite_row_in_sparse_gradient_is_rejected():
+    table = Tensor(np.ones((4, 2)), requires_grad=True)
+
+    def nan_rows(g):
+        return (ad._RowGrad(np.array([1, 3]), np.array([[1.0, 2.0], [np.nan, 0.0]])),)
+
+    with Tape() as tape:
+        loss = ad.tsum(ad._apply("nan_gather", table.data[[1, 3]], (table,), nan_rows))
+    with pytest.raises(NonFiniteError):
+        tape.backward(loss)
+
+    # Two finite gradients of 1e308 sum to inf on the gathered rows.
+    x = Tensor([[1e-10], [2e-10]], requires_grad=True)
+    with Tape() as tape:
+        rows = ad.gather_rows(x, [1, 0])
+        loss = ad.tsum(ad.add(ad.mul(rows, 1e308), ad.mul(rows, 1e308)))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        tape.backward(loss)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from opfuse.cli import main
-from opfuse.data import Corpus, OpinionAnnotation, Record, Span, dump_corpus, load_corpus
+from opfuse.data import (EMOTIONS, Corpus, OpinionAnnotation, Record, Span, dump_corpus,
+                         load_corpus)
 from opfuse.encoder import tokenize, write_encoder_states
 from opfuse.evaluation import Prediction, write_predictions
 from opfuse.synthetic import make_reference_corpus
@@ -369,3 +370,36 @@ def test_malformed_prediction_fields_exit_2_with_one_line(tmp_path, line, messag
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"error: {pred} line 2: "), proc.stderr
         assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_malformed_label_maps_exit_2_with_one_line(tmp_path):
+    pred, _ = write_prediction_files(tmp_path)
+    mapping = {label: "g" for label in EMOTIONS if label != "anger"}
+    probes = [({"mapping": ["anger"]}, "'mapping' must be an object"),
+              ({"mapping": None}, "'mapping' must be an object"),
+              ({"excluded": 5}, "'excluded' must be a list"),
+              ({"mapping": {**mapping, "panic": ["g"]}}, "must be strings, got list"),
+              ({"excluded": [7]}, "must be strings, got int"),
+              ({"name": 3}, "must be strings, got int")]
+    for index, (override, message) in enumerate(probes):
+        label_map = tmp_path / f"map{index}.json"
+        obj = {"name": "probe", "mapping": mapping, "excluded": ["anger"], **override}
+        label_map.write_text(json.dumps(obj), encoding="utf-8")
+        for command in ("eval", "aggregate"):
+            proc = run_cli(command, "--pred", pred, "--map", label_map)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith(f"error: {label_map}: "), proc.stderr
+            assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("offset", ['"0"', "0.7", "true", "1e400", "null"])
+def test_ingest_rejects_non_integer_span_offsets(tmp_path, offset):
+    line = ('{"id": "a", "split": "train", "text": "bulls run", "emotion": "anger", '
+            '"opinions": [{"holder": {"start": %s, "end": 5}}]}' % offset)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    proc = run_cli("ingest", "--data", path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line 1 (record a, opinion 0) field 'holder': span offsets must be integers" \
+        in proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfuse.data import (EMOTIONS, CorpusError, LabelMap, LabelMapError,
+from opfuse.data import (EMOTIONS, SPAN_FIELDS, CorpusError, LabelMap, LabelMapError,
                          OpinionAnnotation, Record, Span, default_label_map,
                          dump_corpus, load_corpus, load_label_map,
                          parse_corpus, validate_distribution)
@@ -194,3 +194,97 @@ def test_label_map_rejects_mapped_and_excluded():
 def test_label_map_application_is_pure(label):
     m = default_label_map("ekman6")
     assert m.group_of(label) == m.group_of(label)
+
+
+@pytest.mark.parametrize("field", ["aspect_category", "target_entity"])
+@pytest.mark.parametrize("value", [5, ["price"], {"a": 1}, True])
+def test_non_string_opinion_labels_rejected_with_line(field, value):
+    line = json.loads(make_line())
+    line["opinions"][0][field] = value
+    corpus, issues = parse_corpus([json.dumps(line)])
+    assert len(corpus) == 0
+    assert issues == [f"line 1 (record r1, opinion 0) field '{field}': "
+                      "must be a string or null"]
+
+
+def test_null_opinion_labels_read_as_empty():
+    line = json.loads(make_line())
+    line["opinions"][0].update(aspect_category=None, target_entity=None)
+    corpus, issues = parse_corpus([json.dumps(line)])
+    assert issues == []
+    assert corpus.records[0].opinions[0].aspect_category == ""
+
+
+FIELD_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**12),
+                         st.floats(allow_nan=True), st.text(max_size=4),
+                         st.lists(st.integers(-2, 4), max_size=3),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+OPINION_FIELDS = SPAN_FIELDS + ("polarity", "intensity", "aspect_category", "target_entity")
+
+
+def mutate(data, raw: bytes) -> bytes:
+    """Truncate the bytes or flip 1-4 bits, as the draw decides."""
+    raw = bytearray(raw)
+    if data.draw(st.booleans()):
+        return bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    for _ in range(data.draw(st.integers(1, 4))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_corpora_raise_only_corpus_error(tmp_path_factory, data):
+    records = [json.loads(make_line()), json.loads(make_line(id="r2", split="dev"))]
+    if data.draw(st.booleans()):
+        index = data.draw(st.integers(0, len(records) - 1))
+        where = data.draw(st.sampled_from(["record", "field", "opinion", "span"]))
+        if where == "record":
+            records[index] = data.draw(FIELD_VALUES)
+        elif where == "field":
+            records[index][data.draw(st.sampled_from(list(records[index])))] = \
+                data.draw(FIELD_VALUES)
+        elif where == "opinion":
+            records[index]["opinions"][0][data.draw(st.sampled_from(OPINION_FIELDS))] = \
+                data.draw(FIELD_VALUES)
+        else:
+            span = records[index]["opinions"][0]["target"]
+            span[data.draw(st.sampled_from(["start", "end"]))] = data.draw(FIELD_VALUES)
+        raw = "\n".join(json.dumps(r) for r in records).encode("utf-8")
+    else:
+        raw = mutate(data, "\n".join(json.dumps(r) for r in records).encode("utf-8"))
+    path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+    path.write_bytes(raw)
+    try:
+        load_corpus(path)
+    except CorpusError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_label_maps_raise_only_label_map_error(tmp_path_factory, data):
+    ekman6 = default_label_map("ekman6")
+    obj = {"name": ekman6.name, "mapping": dict(ekman6.mapping),
+           "excluded": sorted(ekman6.excluded)}
+    if data.draw(st.booleans()):
+        where = data.draw(st.sampled_from(["map", "field", "group", "excluded"]))
+        if where == "map":
+            obj = data.draw(FIELD_VALUES)
+        elif where == "field":
+            obj[data.draw(st.sampled_from(["name", "mapping", "excluded"]))] = \
+                data.draw(FIELD_VALUES)
+        elif where == "group":
+            obj["mapping"][data.draw(st.sampled_from(sorted(obj["mapping"])))] = \
+                data.draw(FIELD_VALUES)
+        else:
+            obj["excluded"][0] = data.draw(FIELD_VALUES)
+        raw = json.dumps(obj).encode("utf-8")
+    else:
+        raw = mutate(data, json.dumps(obj).encode("utf-8"))
+    path = tmp_path_factory.mktemp("fuzz") / "map.json"
+    path.write_bytes(raw)
+    try:
+        load_label_map(path)
+    except LabelMapError:
+        pass

@@ -93,6 +93,18 @@ def test_classifier_head_affine():
     assert np.allclose(head(ad.mul(h, 2.0)).data, 2.0 * head(h).data)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 32, 64])
+def test_head_rows_match_single_row_calls_bit_for_bit(batch):
+    rng = np.random.default_rng(batch)
+    head = ClassifierHead(64, 12, rng=rng)
+    head.bias.replace_data(rng.standard_normal((1, 12)))
+    h = rng.standard_normal((batch, 64))
+    rows = head(Tensor(h)).data
+    single = np.concatenate([head(Tensor(h[i:i + 1])).data for i in range(batch)])
+    assert rows.shape == (batch, 12)
+    assert rows.tobytes() == single.tobytes()
+
+
 def test_argmax_invariant_to_constant_logit_shift():
     rng = np.random.default_rng(2)
     logits = rng.standard_normal(12)
@@ -179,9 +191,9 @@ def test_opinion_free_record_flows_through():
     # zero graph vector: fused branch sees exactly zeros for the graph side
     seq, enc_out = model.encoder.encode_record(bare)
     graph_vecs, flags = model.graph_vectors([bare], [(seq, enc_out)])
-    graph_vec, flag = graph_vecs[0], flags[0]
+    graph_vec, flag = graph_vecs.data[0:1], flags[0]
     assert flag is True
-    assert np.array_equal(graph_vec.data, np.zeros((1, model.graph_width)))
+    assert np.array_equal(graph_vec, np.zeros((1, model.graph_width)))
 
 
 def mixed_batch():

@@ -201,7 +201,7 @@ def test_readout_sums_nodes_and_is_permutation_invariant():
 def test_aggregate_single_graph_unchanged():
     vec = Tensor(np.arange(4.0).reshape(1, 4))
     out, flags = aggregate_sentences(vec, [0], 1, 4)
-    assert np.allclose(out[0].data, vec.data)
+    assert np.allclose(out.data[0:1], vec.data)
     assert flags == [False]
 
 
@@ -209,13 +209,13 @@ def test_aggregate_two_graphs_mean():
     u = Tensor(np.array([[1.0, 3.0]]))
     v = Tensor(np.array([[5.0, 7.0]]))
     out, flags = aggregate_sentences(ad.concat([u, v]), [0, 0], 1, 2)
-    assert np.allclose(out[0].data, [[3.0, 5.0]])
+    assert np.allclose(out.data[0:1], [[3.0, 5.0]])
     assert flags == [False]
 
 
 def test_aggregate_zero_graphs_zero_vector_flagged():
     out, flags = aggregate_sentences(Tensor(np.zeros((0, 5))), [], 1, 5)
-    assert np.array_equal(out[0].data, np.zeros((1, 5)))
+    assert np.array_equal(out.data[0:1], np.zeros((1, 5)))
     assert flags == [True]
 
 
@@ -224,10 +224,10 @@ def test_aggregate_routes_by_mapping():
     v = Tensor(np.array([[2.0]]))
     w = Tensor(np.array([[4.0]]))
     out, flags = aggregate_sentences(ad.concat([u, v, w]), [0, 2, 2], 3, 1)
-    assert np.allclose(out[0].data, [[1.0]])
+    assert np.allclose(out.data[0:1], [[1.0]])
     assert flags == [False, True, False]
-    assert np.allclose(out[1].data, [[0.0]])
-    assert np.allclose(out[2].data, [[3.0]])
+    assert np.allclose(out.data[1:2], [[0.0]])
+    assert np.allclose(out.data[2:3], [[3.0]])
 
 
 def test_empty_graph_readout_raises():
