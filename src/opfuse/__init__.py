@@ -14,8 +14,7 @@ from .data import (EMOTIONS, POLARITIES, Corpus, CorpusError, LabelMap,
                    LabelMapError, OpinionAnnotation, Record, Span,
                    default_label_map, load_corpus, load_label_map,
                    validate_distribution)
-from .encoder import (EncoderError, EncoderOutput, FileEncoder, NoTokenOverlap,
-                      ToyEncoder, span_pool, tokenize)
+from .encoder import EncoderError, EncoderOutput, FileEncoder, ToyEncoder, tokenize
 from .evaluation import (EvalReport, EvaluationError, Prediction, aggregate,
                          f1_report, macro_f1, read_predictions,
                          write_predictions)

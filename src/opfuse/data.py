@@ -8,12 +8,31 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 log = logging.getLogger(__name__)
+
+
+def is_finite_number(value) -> bool:
+    """A number, not a bool, that reads as a finite float (NaN compares false)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def load_json(path: str | Path, error: Callable[[str], Exception]):
+    """The parsed UTF-8 JSON file; text that is neither raises ``error(message)``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON ({exc.msg})") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text ({exc.reason})") from exc
+
 
 EMOTIONS: tuple[str, ...] = (
     "optimism", "anxiety", "excitement", "disgust", "belief", "ambiguous",
@@ -345,13 +364,7 @@ class LabelMap:
 
 
 def load_label_map(path: str | Path) -> LabelMap:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise LabelMapError(f"{path}: invalid JSON ({exc.msg})") from exc
-    except UnicodeDecodeError as exc:
-        raise LabelMapError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    obj = load_json(path, lambda message: LabelMapError(f"{path}: {message}"))
     if not isinstance(obj, dict) or "name" not in obj or "mapping" not in obj:
         raise LabelMapError(f"{path}: label map needs 'name' and 'mapping'")
     name, mapping, excluded = obj["name"], obj["mapping"], obj.get("excluded", [])

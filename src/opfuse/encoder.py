@@ -36,10 +36,6 @@ class EncoderError(Exception):
     pass
 
 
-class NoTokenOverlap(Exception):
-    """A span intersects no token's character range."""
-
-
 @dataclass(frozen=True)
 class Token:
     text: str        # lowercased surface form
@@ -147,14 +143,6 @@ class ToyEncoder:
     def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
         seq = tokenize(record.text)
         return seq, self.encode(seq)
-
-
-def span_pool(output: EncoderOutput, seq: TokenSequence, span: Span) -> Tensor:
-    """Mean hidden state over all tokens whose character range meets the span."""
-    indices = [i for i, tok in enumerate(seq) if tok.span.overlaps(span)]
-    if not indices:
-        raise NoTokenOverlap(f"span [{span.start}, {span.end}) overlaps no token")
-    return ad.tmean(ad.gather_rows(output.hidden, indices), axis=0, keepdims=True)
 
 
 ENC_MAGIC = b"OPFUSE-ENC-1\n"

@@ -8,14 +8,13 @@ to hit cannot drag the mean.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import EMOTIONS, LabelMap
+from .data import EMOTIONS, LabelMap, is_finite_number
 
 
 class EvaluationError(Exception):
@@ -33,9 +32,12 @@ class Prediction:
 def read_predictions(path: str | Path) -> list[Prediction]:
     """Read a JSON Lines prediction file ({id, gold, pred, logits?})."""
     preds: list[Prediction] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                stripped = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise EvaluationError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})")
             if not stripped:
                 continue
             try:
@@ -50,9 +52,7 @@ def read_predictions(path: str | Path) -> list[Prediction]:
             logits = obj.get("logits")
             if logits is not None and not isinstance(logits, list):
                 raise EvaluationError(f"{path} line {line_no}: 'logits' must be a list")
-            # type(), not isinstance(): JSON true/false must not pass as 1/0.
-            if logits is not None and not all(type(x) in (int, float) and math.isfinite(x)
-                                              for x in logits):
+            if logits is not None and not all(is_finite_number(x) for x in logits):
                 raise EvaluationError(
                     f"{path} line {line_no}: every logit must be a finite number")
             preds.append(Prediction(

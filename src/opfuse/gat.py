@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .data import POLARITIES
-from .graphs import GraphEmpty, OpinionGraph, PackedGraphs
+from .graphs import GraphEmpty, PackedGraphs
 
 
 class GatParams:
@@ -56,11 +56,11 @@ class GatParams:
                 for name in ("theta_s", "theta_t", "theta_e", "attn")}
 
 
-def gat_layer(graph: OpinionGraph | PackedGraphs, params: GatParams,
+def gat_layer(graph: PackedGraphs, params: GatParams,
               collect_attention: list | None = None) -> Tensor:
     """One round of attention message passing; returns (|V|, heads * d_out).
 
-    Runs on one graph or on a packed disjoint union alike: every node's
+    Runs on the packed disjoint union as one edge list: every node's
     neighborhood is its out-edges in edge order followed by its self-loop,
     scores are normalized with a segment softmax per source node, and
     messages are scatter-added back onto the source nodes.
@@ -78,13 +78,12 @@ def gat_layer(graph: OpinionGraph | PackedGraphs, params: GatParams,
 
     # Self-loops go after the real edges, so a stable sort by source puts
     # each node's out-edges in edge order, then its self-loop.
-    edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
     loops = np.arange(n_nodes)
-    src = np.concatenate([edges[:, 0], loops])
+    src = np.concatenate([graph.edges[:, 0], loops])
     order = np.argsort(src, kind="stable")
     src = src[order]
-    dst = np.concatenate([edges[:, 1], loops])[order]
-    attr = np.concatenate([graph.edge_attr.data,
+    dst = np.concatenate([graph.edges[:, 1], loops])[order]
+    attr = np.concatenate([graph.edge_attr,
                            np.zeros((n_nodes, graph.edge_attr.shape[1]))])[order]
 
     heads, d_out, width, n_edges = params.heads, params.d_out, params.out_width, len(src)
@@ -110,7 +109,7 @@ def gat_layer(graph: OpinionGraph | PackedGraphs, params: GatParams,
     return ad.segment_sum(ad.reshape(weighted, (n_edges, width)), src, n_nodes)
 
 
-def readout(node_feats: Tensor, graph: OpinionGraph | PackedGraphs) -> Tensor:
+def readout(node_feats: Tensor, graph: PackedGraphs) -> Tensor:
     """Sum-pool node vectors into one (num_graphs, width) row per graph."""
     if graph.num_nodes == 0:
         raise GraphEmpty("readout on an empty graph")

@@ -5,6 +5,10 @@ to the sentiment node; the aspect attaches to the target when present and
 to the sentiment node otherwise.  All edges are bidirectional and carry the
 opinion's polarity as a one-hot attribute; the implicit self-loop added by
 the attention layer carries a zero attribute instead.
+
+``build_subgraph`` resolves one opinion's spans to tokens, with no
+parameter involved; ``PackedGraphs.pack`` collates a minibatch's graphs
+and computes all their node features at once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import POLARITIES, OpinionAnnotation, Record, Span
-from .encoder import EncoderOutput, TokenSequence
+from .encoder import TokenSequence
 
 log = logging.getLogger(__name__)
 
@@ -34,10 +38,8 @@ _FIELD_ROLE = {
 }
 
 # Topology is data, not code: each entry is (role, partner, fallback partner),
-# linked bidirectionally when both endpoints exist.  Alternative schemas can
-# be passed to build_structure/build_subgraph for experimentation.
-EdgeSchema = tuple[tuple[str, str, Optional[str]], ...]
-STAR_TOPOLOGY: EdgeSchema = (
+# linked bidirectionally when both endpoints exist.
+STAR_TOPOLOGY: tuple[tuple[str, str, Optional[str]], ...] = (
     ("holder", "sentiment", None),
     ("target", "sentiment", None),
     ("qualifier", "sentiment", None),
@@ -81,30 +83,22 @@ class GraphStructure:
                 raise ValueError(f"edge ({src}, {dst}) outside node range")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpinionGraph:
-    structure: GraphStructure
-    features: Tensor        # (|V|, d)
-    edge_attr: Tensor       # (|E|, 3) polarity one-hots, constant
+    """One opinion's structure and edge arrays; node features come at packing."""
 
-    num_graphs = 1
+    structure: GraphStructure
+    edge_index: np.ndarray  # (|E|, 2) node indices
+    edge_attr: np.ndarray   # (|E|, 3) polarity one-hots
 
     @property
     def num_nodes(self) -> int:
         return len(self.structure.nodes)
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.structure.edges
-
-    @property
-    def node_graph(self) -> np.ndarray:
-        return np.zeros(self.num_nodes, dtype=np.intp)
-
 
 @dataclass(frozen=True)
 class PackedGraphs:
-    """Disjoint union of opinion graphs, read by GAT like one ``OpinionGraph``.
+    """Disjoint union of a minibatch's opinion graphs, the graph type GAT reads.
 
     Graph ``g``'s nodes are a contiguous block of rows; its edges are
     offset to that block, and ``node_graph`` maps every node to ``g``.
@@ -112,7 +106,7 @@ class PackedGraphs:
 
     features: Tensor        # (sum |V|, d)
     edges: np.ndarray       # (sum |E|, 2) node indices into the packed rows
-    edge_attr: Tensor       # (sum |E|, 3)
+    edge_attr: np.ndarray   # (sum |E|, 3)
     node_graph: np.ndarray  # (sum |V|,) owning graph of each node
     num_graphs: int
 
@@ -121,21 +115,43 @@ class PackedGraphs:
         return len(self.node_graph)
 
     @classmethod
-    def pack(cls, graphs: Sequence[OpinionGraph]) -> "PackedGraphs":
-        sizes = [g.num_nodes for g in graphs]
+    def pack(cls, graphs: Sequence[OpinionGraph], owners: Sequence[int], tokens: Tensor,
+             pooled: Tensor, token_rows: np.ndarray,
+             role_embedding: Tensor | None = None) -> "PackedGraphs":
+        """Collate ``graphs``, the record of graph ``g`` being ``owners[g]``.
+
+        ``tokens`` stacks the records' token states, row ``t`` belonging to
+        record ``token_rows[t]``, and ``pooled`` has one row per record.  A
+        span node's feature is the mean of its tokens' rows, a fallback
+        node's its record's pooled row, plus its role's embedding if given.
+        """
+        starts = np.searchsorted(token_rows, owners)
+        nodes = [(node, start, owner) for graph, start, owner in zip(graphs, starts, owners)
+                 for node in graph.structure.nodes]
+        # Source rows of each node: its tokens, or its record's pooled row,
+        # which follows the token rows in the gathered table.
+        sources = [[start + i for i in node.token_indices] or [len(token_rows) + owner]
+                   for node, start, owner in nodes]
+        counts = [len(rows) for rows in sources]
+        weights = np.repeat(1.0 / np.array(counts), counts)[:, None]
+        rows = ad.gather_rows(ad.concat([tokens, pooled]), np.concatenate(sources))
+        features = ad.segment_sum(ad.mul(rows, weights),
+                                  np.repeat(np.arange(len(nodes)), counts), len(nodes))
+        if role_embedding is not None:
+            features = ad.add(features, ad.gather_rows(
+                role_embedding, [ROLES.index(node.role) for node, _, _ in nodes]))
+        sizes = [graph.num_nodes for graph in graphs]
         offsets = np.cumsum([0] + sizes[:-1])
-        edges = [np.asarray(g.edges, dtype=np.intp).reshape(-1, 2) + off
-                 for g, off in zip(graphs, offsets)]
-        return cls(features=ad.concat([g.features for g in graphs], axis=0),
-                   edges=np.concatenate(edges, axis=0),
-                   edge_attr=ad.concat([g.edge_attr for g in graphs], axis=0),
+        return cls(features=features,
+                   edges=np.concatenate([graph.edge_index + offset
+                                         for graph, offset in zip(graphs, offsets)]),
+                   edge_attr=np.concatenate([graph.edge_attr for graph in graphs]),
                    node_graph=np.repeat(np.arange(len(graphs)), sizes),
                    num_graphs=len(graphs))
 
 
 def build_structure(record: Record, opinion: OpinionAnnotation,
-                    seq: TokenSequence,
-                    edge_schema: EdgeSchema = STAR_TOPOLOGY) -> GraphStructure:
+                    seq: TokenSequence) -> GraphStructure:
     """Resolve spans to token indices and derive the edge topology.
 
     Nodes whose span overlaps no token are dropped with a warning.  A
@@ -166,7 +182,7 @@ def build_structure(record: Record, opinion: OpinionAnnotation,
     index = {node.role: i for i, node in enumerate(nodes)}
 
     edges: list[tuple[int, int]] = []
-    for role, partner, fallback in edge_schema:
+    for role, partner, fallback in STAR_TOPOLOGY:
         if role not in index:
             continue
         other = partner if partner in index else fallback
@@ -178,32 +194,13 @@ def build_structure(record: Record, opinion: OpinionAnnotation,
     return GraphStructure(nodes=nodes, edges=tuple(edges), polarity=opinion.polarity)
 
 
-def build_subgraph(record: Record, opinion: OpinionAnnotation, enc: EncoderOutput,
-                   seq: TokenSequence,
-                   role_embedding: Tensor | None = None,
-                   edge_schema: EdgeSchema = STAR_TOPOLOGY) -> OpinionGraph:
-    """Attach span-pooled features (plus optional role embeddings) to the structure.
-
-    A span node's feature is the mean hidden state over its token indices;
-    the fallback node takes the pooled sequence vector, stored as the last
-    row of the pooling source.
-    """
-    structure = build_structure(record, opinion, seq, edge_schema=edge_schema)
-    n_tokens = enc.hidden.shape[0]
-    pool = np.zeros((len(structure.nodes), n_tokens + 1))
-    for row, node in zip(pool, structure.nodes):
-        if node.span is None:
-            row[n_tokens] = 1.0
-        else:
-            row[list(node.token_indices)] = 1.0 / len(node.token_indices)
-    features = ad.matmul(pool, ad.concat([enc.hidden, enc.pooled], axis=0))
-    if role_embedding is not None:
-        features = ad.add(features, ad.gather_rows(
-            role_embedding, [ROLES.index(node.role) for node in structure.nodes]))
-    one_hot = polarity_one_hot(structure.polarity)
-    edge_attr = Tensor(np.tile(one_hot, (len(structure.edges), 1))
-                       if structure.edges else np.zeros((0, len(POLARITIES))))
-    return OpinionGraph(structure=structure, features=features, edge_attr=edge_attr)
+def build_subgraph(record: Record, opinion: OpinionAnnotation,
+                   seq: TokenSequence) -> OpinionGraph:
+    """The opinion's structure with its edge list and per-edge polarity one-hots."""
+    structure = build_structure(record, opinion, seq)
+    edge_index = np.array(structure.edges, dtype=np.intp).reshape(-1, 2)
+    edge_attr = np.tile(polarity_one_hot(structure.polarity), (len(edge_index), 1))
+    return OpinionGraph(structure=structure, edge_index=edge_index, edge_attr=edge_attr)
 
 
 def structure_to_json(record: Record, structures: list[GraphStructure]) -> dict:

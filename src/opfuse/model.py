@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -12,11 +10,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import EMOTIONS, Record
+from .data import EMOTIONS, Record, is_finite_number, load_json
 from .encoder import FileEncoder, ToyEncoder
 from .fusion import FUSION_TYPES, ClassifierHead, FusionParams, fuse, residual
 from .gat import GatParams, aggregate_sentences, gat_layer, readout
-from .graphs import ROLES, GraphEmpty, OpinionGraph, PackedGraphs, build_subgraph
+from .graphs import ROLES, GraphEmpty, PackedGraphs, build_subgraph
 
 log = logging.getLogger(__name__)
 
@@ -41,15 +39,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 # Field annotation -> (check, what the field must be).
-_FIELD_KINDS = {
+FIELD_KINDS = {
     "int": (_is_int, "an integer"),
-    "float": (_is_real, "a finite number"),
+    "float": (is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -60,10 +53,10 @@ def _check_types(section, prefix: str = "") -> None:
     """Raise ConfigError for the first field whose value has the wrong type."""
     for spec in fields(section):
         value = getattr(section, spec.name)
-        if spec.type not in _FIELD_KINDS:  # a nested section
+        if spec.type not in FIELD_KINDS:  # a nested section
             _check_types(value, f"{spec.name}.")
             continue
-        check, expected = _FIELD_KINDS[spec.type]
+        check, expected = FIELD_KINDS[spec.type]
         if not check(value):
             raise ConfigError(f"{prefix}{spec.name}",
                               f"must be {expected}, got {type(value).__name__}")
@@ -121,6 +114,10 @@ class ModelConfig:
         if self.encoder.width <= 0:
             raise ConfigError("encoder.width", "must be positive")
         if self.encoder.provider == "toy":
+            if self.encoder.layers < 0:
+                raise ConfigError("encoder.layers", "must be >= 0")
+            if self.encoder.heads <= 0:
+                raise ConfigError("encoder.heads", "must be positive")
             if self.encoder.width % self.encoder.heads != 0:
                 raise ConfigError("encoder.heads",
                                   f"must divide width {self.encoder.width}")
@@ -190,12 +187,7 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("file", f"invalid JSON ({exc.msg})") from exc
-        return cls.from_json(obj)
+        return cls.from_json(load_json(path, lambda message: ConfigError("file", message)))
 
 
 class OpinionFusionModel:
@@ -255,26 +247,26 @@ class OpinionFusionModel:
         params.update(self.head.parameters())
         return params
 
-    def graph_vectors(self, records: list[Record],
-                      encoded: list) -> tuple[Tensor, list[bool]]:
+    def graph_vectors(self, records: list[Record], seqs: list, tokens: Tensor,
+                      pooled: Tensor, token_rows: np.ndarray) -> tuple[Tensor, list[bool]]:
         """Aggregated opinion vectors (len(records), graph_width), plus no-opinion flags.
 
-        ``encoded`` holds each record's (tokens, encoder output).  Every
-        opinion graph of the batch goes through GAT as one packed union.
+        ``seqs`` holds each record's tokens and the rest the batch's encoder
+        rows, as ``PackedGraphs.pack`` reads them.  Every opinion graph of
+        the batch goes through GAT as one packed union.
         """
-        graphs: list[OpinionGraph] = []
-        owners: list[int] = []
-        for index, (record, (seq, enc_out)) in enumerate(zip(records, encoded)):
+        graphs, owners = [], []
+        for index, (record, seq) in enumerate(zip(records, seqs)):
             for opinion in record.opinions:
                 try:
-                    graphs.append(build_subgraph(record, opinion, enc_out, seq,
-                                                 role_embedding=self.role_embedding))
+                    graphs.append(build_subgraph(record, opinion, seq))
                 except GraphEmpty as exc:
                     log.warning("skipping opinion graph: %s", exc)
                     continue
                 owners.append(index)
         if graphs:
-            packed = PackedGraphs.pack(graphs)
+            packed = PackedGraphs.pack(graphs, owners, tokens, pooled, token_rows,
+                                       self.role_embedding)
             for layer in self.gat_layers:
                 packed = replace(packed, features=gat_layer(packed, layer))
             readouts = readout(packed.features, packed)
@@ -288,11 +280,12 @@ class OpinionFusionModel:
         h_seq = ad.concat([out.pooled for _, out in encoded])
         if self.config.architecture == "text_only" or force_text_only:
             return self.head(h_seq)
-        graph_vecs, _ = self.graph_vectors(records, encoded)
-        h_graph = self.fusion_params.project_graph(graph_vecs)
         tokens = ad.concat([out.hidden for _, out in encoded])
         token_rows = np.repeat(np.arange(len(records)),
                                [out.hidden.shape[0] for _, out in encoded])
+        graph_vecs, _ = self.graph_vectors(records, [seq for seq, _ in encoded],
+                                           tokens, h_seq, token_rows)
+        h_graph = self.fusion_params.project_graph(graph_vecs)
         h_fused = fuse(h_seq, h_graph, tokens, self.fusion_params, token_rows)
         return self.head(residual(h_seq, h_fused, self.config.fusion.alpha_res))
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus
-from .model import (ALPHA_RES_VALUES, BATCH_SIZES, GAT_HEADS, GAT_OUT_DIMS,
+from .data import Corpus, load_json
+from .model import (ALPHA_RES_VALUES, BATCH_SIZES, FIELD_KINDS, GAT_HEADS, GAT_OUT_DIMS,
                     ModelConfig)
 from .train import train_model
 
@@ -27,6 +27,9 @@ DEFAULT_SPACE: dict[str, list] = {
     "fusion_type": ["cat", "attn", "gate"],
     "alpha_res": list(ALPHA_RES_VALUES),
 }
+# Type of the config field each dimension sets, checked as the config checks it.
+_DIMENSION_TYPES = {"batch_size": "int", "gat_out_dim": "int", "gat_heads": "int",
+                    "fusion_type": "str", "alpha_res": "float"}
 
 
 class SweepError(Exception):
@@ -37,8 +40,7 @@ def load_space(path: str | Path | None) -> dict[str, list]:
     """Search space from JSON; keys restrict/override the default grid."""
     if path is None:
         return {k: list(v) for k, v in DEFAULT_SPACE.items()}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(path, lambda message: SweepError(f"{path}: {message}"))
     if not isinstance(obj, dict):
         raise SweepError("sweep space must be a JSON object of lists")
     space = {k: list(v) for k, v in DEFAULT_SPACE.items()}
@@ -48,17 +50,22 @@ def load_space(path: str | Path | None) -> dict[str, list]:
                              f"known: {sorted(DEFAULT_SPACE)}")
         if not isinstance(values, list) or not values:
             raise SweepError(f"sweep dimension {key!r} needs a non-empty list")
+        check, expected = FIELD_KINDS[_DIMENSION_TYPES[key]]
+        for value in values:
+            if not check(value):
+                raise SweepError(f"sweep dimension {key!r}: every value must be {expected}, "
+                                 f"got {type(value).__name__}")
         space[key] = list(values)
     return space
 
 
 def apply_point(base: ModelConfig, point: dict) -> ModelConfig:
     config = ModelConfig.from_json(base.to_json())
-    config.optimizer.batch_size = int(point["batch_size"])
-    config.gat.out_dim = int(point["gat_out_dim"])
-    config.gat.heads = int(point["gat_heads"])
-    config.fusion.type = str(point["fusion_type"])
-    config.fusion.alpha_res = float(point["alpha_res"])
+    config.optimizer.batch_size = point["batch_size"]
+    config.gat.out_dim = point["gat_out_dim"]
+    config.gat.heads = point["gat_heads"]
+    config.fusion.type = point["fusion_type"]
+    config.fusion.alpha_res = point["alpha_res"]
     return config
 
 

@@ -4,7 +4,8 @@ Nothing here imports the implementation paths it is checking: gradients
 come from central finite differences, the graph-attention reference is a
 dense masked recomputation, and the marginal-homogeneity statistic is
 solved in exact rational arithmetic.  The self-attention reference runs
-one head at a time in plain numpy.
+one head at a time in plain numpy, and span pooling resolves a span against
+token offsets itself rather than reading the token indices a graph stores.
 """
 
 from __future__ import annotations
@@ -32,6 +33,18 @@ def numeric_gradient(f, param: Tensor, eps: float = 1e-5) -> np.ndarray:
         grad.reshape(-1)[i] = (up - down) / (2 * eps)
     param.replace_data(base)
     return grad
+
+
+class NoTokenOverlap(Exception):
+    """A span intersects no token's character range."""
+
+
+def span_pool(output, seq, span) -> Tensor:
+    """(1, d) mean hidden state over all tokens whose character range meets the span."""
+    indices = [i for i, tok in enumerate(seq) if tok.span.overlaps(span)]
+    if not indices:
+        raise NoTokenOverlap(f"span [{span.start}, {span.end}) overlaps no token")
+    return Tensor(output.hidden.data[indices].mean(axis=0, keepdims=True))
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

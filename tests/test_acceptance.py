@@ -19,7 +19,7 @@ from opfuse.cli import main as cli_main
 from opfuse.data import EMOTIONS, OpinionAnnotation, Record, Span, default_label_map
 from opfuse.evaluation import Prediction, aggregate, f1_report
 from opfuse.gat import GatParams, gat_layer
-from opfuse.graphs import GraphNode, GraphStructure, OpinionGraph
+from opfuse.graphs import PackedGraphs
 from opfuse.model import (EncoderConfig, FusionConfig, GatConfig, ModelConfig,
                           OpinionFusionModel, OptimizerConfig)
 from opfuse.stats import chi_square_sf, mcnemar, stuart_maxwell_table
@@ -73,14 +73,10 @@ def grad_config(fusion_type):
 
 
 def manual_graph(features, edges, edge_attr, requires_grad=False):
-    from opfuse.graphs import ROLES
-    n = len(features)
-    roles = ("sentiment",) + tuple(r for r in ROLES if r != "sentiment")[:n - 1]
-    nodes = tuple(GraphNode(role=r, span=None, token_indices=()) for r in roles)
-    structure = GraphStructure(nodes=nodes, edges=tuple(edges), polarity="neutral")
-    return OpinionGraph(structure=structure,
-                        features=Tensor(features, requires_grad=requires_grad),
-                        edge_attr=Tensor(edge_attr))
+    return PackedGraphs(features=Tensor(features, requires_grad=requires_grad),
+                        edges=np.asarray(edges, dtype=np.intp).reshape(-1, 2),
+                        edge_attr=np.asarray(edge_attr, dtype=np.float64),
+                        node_graph=np.zeros(len(features), dtype=np.intp), num_graphs=1)
 
 
 def random_graph(rng, d_in=4, requires_grad=False):
@@ -192,7 +188,7 @@ def test_acceptance_gat_oracle():
         attention = []
         out = gat_layer(graph, params, collect_attention=attention).data
         ref = dense_gat_reference(
-            graph.features.data, list(graph.edges), graph.edge_attr.data,
+            graph.features.data, list(graph.edges), graph.edge_attr,
             list(params.theta_s.data), list(params.theta_t.data),
             list(params.theta_e.data), list(params.attn.data),
             params.leaky_slope)

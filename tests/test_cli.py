@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ def test_aggregate_remapped_output(tmp_path, capsys):
     assert {l["gold"] for l in lines} <= {"positive", "negative", "ambiguous"}
 
 
+def test_export_graphs_matches_golden_output(tmp_path, capsys):
+    # The corpus mixes opinion-free records (one with empty text), dropped
+    # role spans, pooled-fallback sentiment nodes, an opinion no token
+    # anchors and multi-token spans; the expected file was written by the
+    # per-opinion graph build that preceded batch packing.
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "graphs.jsonl"
+    assert main(["export-graphs", "--data", str(data / "export_corpus.jsonl"),
+                 "--out", str(out)]) == 0
+    expected = (data / "export_graphs.jsonl").read_bytes()
+    assert out.read_bytes() == expected
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
 def test_export_graphs(tmp_path, capsys):
     data = small_corpus_file(tmp_path, n_train=3, n_dev=1)
     assert main(["export-graphs", "--data", str(data)]) == 0
@@ -308,10 +323,12 @@ def test_train_non_object_config_exits_2(tmp_path, capsys):
 
 def test_train_config_probes_print_one_line_without_traceback(tmp_path):
     data = small_corpus_file(tmp_path)
-    probes = ['{"encoder": {"width": "64"}}', '{"seed": "abc"}', "[1]"]
+    probes = ['{"encoder": {"width": "64"}}', '{"seed": "abc"}', "[1]",
+              '{"encoder": {"heads": 0}}', '{"encoder": {"heads": -4}}',
+              '{"encoder": {"layers": -1}}', '{"seed": "\xff"}'.encode("latin-1")]
     for index, text in enumerate(probes):
         config = tmp_path / f"probe{index}.json"
-        config.write_text(text, encoding="utf-8")
+        config.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         proc = subprocess.run(
             [sys.executable, "-m", "opfuse.cli", "train", "--config", str(config),
              "--data", str(data), "--out", str(tmp_path / "x")],
@@ -359,11 +376,16 @@ def test_train_non_finite_update_exits_2_naming_epoch_and_batch(tmp_path):
     ('{"id": "a", "gold": "anger", "pred": "anger", "logits": 5}', "must be a list"),
     ('{"id": "a", "gold": "anger", "pred": "anger", "logits": ["x", 1]}', "finite number"),
     ('{"id": "a", "gold": "anger", "pred": "anger", "logits": [NaN, 1]}', "finite number"),
+    pytest.param('{"id": "a", "gold": "anger", "pred": "anger", "logits": [1%s]}' % ("0" * 400),
+                 "finite number", id="int-too-large-for-a-float"),
+    pytest.param('{"id": "a", "gold": "anger\xff", "pred": "anger"}'.encode("latin-1"),
+                 "not UTF-8", id="not-utf-8"),
 ])
 def test_malformed_prediction_fields_exit_2_with_one_line(tmp_path, line, message):
     good = json.dumps({"id": "z", "gold": "anger", "pred": "anger"})
     pred = tmp_path / "preds.jsonl"
-    pred.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    line = line if isinstance(line, bytes) else line.encode("utf-8")
+    pred.write_bytes(good.encode("utf-8") + b"\n" + line + b"\n")
     for args in (["eval", "--pred", pred], ["aggregate", "--pred", pred, "--map", "ekman6"],
                  ["compare", "--pred-a", pred, "--pred-b", pred]):
         proc = run_cli(*args)
@@ -390,6 +412,21 @@ def test_malformed_label_maps_exit_2_with_one_line(tmp_path):
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr.startswith(f"error: {label_map}: "), proc.stderr
             assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_sweep_space_probes_exit_2_with_one_line(tmp_path):
+    data = small_corpus_file(tmp_path)
+    config = config_file(tmp_path)
+    probes = [("{bad", "invalid JSON"), (b"\xff", "not UTF-8"),
+              ('{"batch_size": [32.7]}', "must be an integer, got float")]
+    for index, (text, message) in enumerate(probes):
+        space = tmp_path / f"space{index}.json"
+        space.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        proc = run_cli("sweep", "--config", config, "--data", data, "--out", tmp_path / "s",
+                       "--budget", "1", "--space", space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 @pytest.mark.parametrize("offset", ['"0"', "0.7", "true", "1e400", "null"])

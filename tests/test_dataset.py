@@ -12,6 +12,8 @@ from opfuse.data import (EMOTIONS, SPAN_FIELDS, CorpusError, LabelMap, LabelMapE
                          parse_corpus, validate_distribution)
 from opfuse.synthetic import make_reference_corpus, reference_counts
 
+from fuzzing import FIELD_VALUES, mutate
+
 
 def make_line(**overrides):
     obj = {
@@ -215,21 +217,7 @@ def test_null_opinion_labels_read_as_empty():
     assert corpus.records[0].opinions[0].aspect_category == ""
 
 
-FIELD_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**12),
-                         st.floats(allow_nan=True), st.text(max_size=4),
-                         st.lists(st.integers(-2, 4), max_size=3),
-                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 OPINION_FIELDS = SPAN_FIELDS + ("polarity", "intensity", "aspect_category", "target_entity")
-
-
-def mutate(data, raw: bytes) -> bytes:
-    """Truncate the bytes or flip 1-4 bits, as the draw decides."""
-    raw = bytearray(raw)
-    if data.draw(st.booleans()):
-        return bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
-    for _ in range(data.draw(st.integers(1, 4))):
-        raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
-    return bytes(raw)
 
 
 @settings(max_examples=300, deadline=None)

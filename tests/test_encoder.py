@@ -1,4 +1,6 @@
-"""Tokenizer, toy encoder, precomputed-state provider, and span pooling."""
+"""Tokenizer, toy encoder, precomputed-state provider, and the span-pooling oracle."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 import opfuse.autodiff as ad
 from opfuse.autodiff import Tape, Tensor
 from opfuse.data import Record, Span
-from opfuse.encoder import (EncoderError, EncoderOutput, FileEncoder,
-                            NoTokenOverlap, ToyEncoder, read_encoder_states,
-                            hash_bucket, sinusoidal_positions, span_pool, tokenize,
-                            write_encoder_states)
+from opfuse.encoder import (ENC_MAGIC, EncoderError, EncoderOutput, FileEncoder, ToyEncoder,
+                            read_encoder_states, hash_bucket, sinusoidal_positions,
+                            tokenize, write_encoder_states)
 
-from oracles import max_rel_err, numeric_gradient, self_attention_reference
+from fuzzing import mutate
+
+from oracles import (NoTokenOverlap, max_rel_err, numeric_gradient,
+                     self_attention_reference, span_pool)
 
 
 def test_tokenize_words_and_punctuation():
@@ -253,3 +257,42 @@ def test_truncated_state_file_raises_encoder_error(tmp_path):
             read_encoder_states(truncated)
         if cut > r2 + 10:
             assert "'r2'" in str(err.value), where
+
+
+def state_entries():
+    rng = np.random.default_rng(8)
+    return [("r1", [(0, 5), (6, 8)], rng.standard_normal((2, 3)), rng.standard_normal(3)),
+            ("r\u00e9", [(0, 2)], rng.standard_normal((1, 3)), rng.standard_normal(3))]
+
+
+def int_field_positions(entries):
+    """Byte offset of every int64 field (count, id length, shape, token offsets)."""
+    pos = len(ENC_MAGIC)
+    fields = [pos]
+    pos += 8
+    for rid, offsets, hidden, pooled in entries:
+        fields.append(pos)
+        pos += 8 + len(rid.encode("utf-8"))
+        fields += [pos + 8 * k for k in range(2 + 2 * len(offsets))]
+        pos += 16 + 16 * len(offsets) + 8 * (hidden.size + pooled.size)
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_state_files_raise_only_encoder_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "states.bin"
+    entries = state_entries()
+    write_encoder_states(path, entries)
+    raw = bytearray(path.read_bytes())
+    if data.draw(st.booleans()):
+        # A length, shape or offset field rewritten with any int64.
+        field = data.draw(st.sampled_from(int_field_positions(entries)))
+        struct.pack_into("<q", raw, field, data.draw(st.integers(-2**63, 2**63 - 1)))
+    else:
+        raw = mutate(data, bytes(raw))
+    path.write_bytes(bytes(raw))
+    try:
+        read_encoder_states(path)
+    except EncoderError:
+        pass

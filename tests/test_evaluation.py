@@ -1,12 +1,18 @@
 """F1 reporting and taxonomy aggregation."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfuse.data import EMOTIONS, LabelMap, default_label_map
 from opfuse.evaluation import (EvaluationError, Prediction, aggregate,
                                f1_report, macro_f1, read_predictions,
                                write_predictions)
+
+from fuzzing import FIELD_VALUES, mutate
 
 
 def preds_from(pairs):
@@ -140,6 +146,32 @@ def test_prediction_file_round_trip(tmp_path):
     write_predictions(path, preds)
     loaded = read_predictions(path)
     assert loaded == preds
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_prediction_files_raise_only_evaluation_error(tmp_path_factory, data):
+    lines = [{"id": "a", "gold": "anger", "pred": "panic", "logits": [0.5] * 12},
+             {"id": "b", "gold": "belief", "pred": "belief"}]
+    if data.draw(st.booleans()):
+        index = data.draw(st.integers(0, len(lines) - 1))
+        where = data.draw(st.sampled_from(["line", "field", "logit"]))
+        if where == "line":
+            lines[index] = data.draw(FIELD_VALUES)
+        elif where == "field":
+            key = data.draw(st.sampled_from(["id", "gold", "pred", "logits"]))
+            lines[index][key] = data.draw(FIELD_VALUES)
+        else:
+            lines[0]["logits"][data.draw(st.integers(0, 11))] = data.draw(FIELD_VALUES)
+        raw = "\n".join(json.dumps(line) for line in lines).encode("utf-8")
+    else:
+        raw = mutate(data, "\n".join(json.dumps(line) for line in lines).encode("utf-8"))
+    path = tmp_path_factory.mktemp("fuzz") / "preds.jsonl"
+    path.write_bytes(raw)
+    try:
+        read_predictions(path)
+    except EvaluationError:
+        pass
 
 
 def test_macro_f1_helper():

@@ -148,10 +148,13 @@ def tiny_records():
     return [rec_a, rec_b]
 
 
-@pytest.mark.parametrize("fusion_type", ["cat", "gate", "attn"])
-def test_end_to_end_gradients_match_finite_differences(fusion_type):
-    model = OpinionFusionModel(tiny_config(fusion_type),
-                               rng=np.random.default_rng(0))
+@pytest.mark.parametrize("fusion_type, role_embedding",
+                         [("cat", False), ("gate", False), ("attn", False), ("gate", True)],
+                         ids=["cat", "gate", "attn", "gate-role-embedding"])
+def test_end_to_end_gradients_match_finite_differences(fusion_type, role_embedding):
+    config = tiny_config(fusion_type)
+    config.gat.role_embedding = role_embedding
+    model = OpinionFusionModel(config, rng=np.random.default_rng(0))
     records = tiny_records()
     labels = [0, 1]
 
@@ -181,6 +184,16 @@ def test_nesting_alpha_zero_matches_text_only_bit_exact():
     assert fused_logits.tobytes() == baseline_logits.tobytes()
 
 
+def graph_vectors(model, records):
+    """The model's graph vectors and no-opinion flags for ``records``."""
+    encoded = [model.encoder.encode_record(r) for r in records]
+    token_rows = np.repeat(np.arange(len(records)),
+                           [out.hidden.shape[0] for _, out in encoded])
+    return model.graph_vectors(records, [seq for seq, _ in encoded],
+                               ad.concat([out.hidden for _, out in encoded]),
+                               ad.concat([out.pooled for _, out in encoded]), token_rows)
+
+
 def test_opinion_free_record_flows_through():
     config = tiny_config("cat")
     model = OpinionFusionModel(config, rng=np.random.default_rng(5))
@@ -189,8 +202,7 @@ def test_opinion_free_record_flows_through():
     logits = model.forward_record(bare)
     assert logits.shape == (1, 12)
     # zero graph vector: fused branch sees exactly zeros for the graph side
-    seq, enc_out = model.encoder.encode_record(bare)
-    graph_vecs, flags = model.graph_vectors([bare], [(seq, enc_out)])
+    graph_vecs, flags = graph_vectors(model, [bare])
     graph_vec, flag = graph_vecs.data[0:1], flags[0]
     assert flag is True
     assert np.array_equal(graph_vec, np.zeros((1, model.graph_width)))
@@ -225,8 +237,7 @@ def test_forward_batch_matches_single_record_forward(fusion_type, depth):
     batch = model.forward_batch(records).data
     single = np.concatenate([model.forward_record(r).data for r in records], axis=0)
     assert np.max(np.abs(batch - single)) <= 1e-10 * np.max(np.abs(single))
-    graph_vecs, flags = model.graph_vectors(
-        records, [model.encoder.encode_record(r) for r in records])
+    graph_vecs, flags = graph_vectors(model, records)
     assert flags == [False, True, False, True, False, True, False]
 
 

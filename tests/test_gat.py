@@ -6,20 +6,28 @@ import pytest
 import opfuse.autodiff as ad
 from opfuse.autodiff import ShapeError, Tape, Tensor
 from opfuse.gat import GatParams, aggregate_sentences, gat_layer, readout
-from opfuse.graphs import (GraphEmpty, GraphNode, GraphStructure, OpinionGraph, PackedGraphs,
-                           ROLES)
+from opfuse.graphs import GraphEmpty, PackedGraphs
 
 from oracles import dense_gat_reference, max_rel_err, numeric_gradient
 
 
 def manual_graph(features, edges, edge_attr, requires_grad=False):
-    n = len(features)
-    roles = ("sentiment",) + tuple(r for r in ROLES if r != "sentiment")[:n - 1]
-    nodes = tuple(GraphNode(role=r, span=None, token_indices=()) for r in roles)
-    structure = GraphStructure(nodes=nodes, edges=tuple(edges), polarity="neutral")
-    return OpinionGraph(structure=structure,
-                        features=Tensor(features, requires_grad=requires_grad),
-                        edge_attr=Tensor(edge_attr))
+    """A one-graph pack of the given node features, edge list and edge attributes."""
+    return PackedGraphs(features=Tensor(features, requires_grad=requires_grad),
+                        edges=np.asarray(edges, dtype=np.intp).reshape(-1, 2),
+                        edge_attr=np.asarray(edge_attr, dtype=np.float64),
+                        node_graph=np.zeros(len(features), dtype=np.intp), num_graphs=1)
+
+
+def union(graphs):
+    """The disjoint union of one-graph packs, nodes and edges offset block by block."""
+    sizes = [g.num_nodes for g in graphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    return PackedGraphs(features=Tensor(np.concatenate([g.features.data for g in graphs])),
+                        edges=np.concatenate([g.edges + off for g, off in zip(graphs, offsets)]),
+                        edge_attr=np.concatenate([g.edge_attr for g in graphs]),
+                        node_graph=np.repeat(np.arange(len(graphs)), sizes),
+                        num_graphs=len(graphs))
 
 
 def random_graph(rng, n_nodes=None, d_in=4, requires_grad=False):
@@ -79,7 +87,7 @@ def test_matches_dense_oracle_on_200_random_graphs():
         params = params_for(heads=heads, seed=int(rng.integers(1 << 30)))
         out = gat_layer(graph, params).data
         ref = dense_gat_reference(
-            graph.features.data, list(graph.edges), graph.edge_attr.data,
+            graph.features.data, list(graph.edges), graph.edge_attr,
             list(params.theta_s.data), list(params.theta_t.data),
             list(params.theta_e.data), list(params.attn.data),
             params.leaky_slope)
@@ -90,14 +98,14 @@ def test_packed_union_matches_dense_oracle_per_graph():
     rng = np.random.default_rng(12)
     for trial in range(60):
         graphs = [random_graph(rng) for _ in range(int(rng.integers(1, 9)))]
-        packed = PackedGraphs.pack(graphs)
+        packed = union(graphs)
         params = params_for(heads=int(rng.integers(1, 4)), seed=int(rng.integers(1 << 30)))
         attention = []
         out = gat_layer(packed, params, collect_attention=attention).data
         start = 0
         for graph in graphs:
             ref = dense_gat_reference(
-                graph.features.data, list(graph.edges), graph.edge_attr.data,
+                graph.features.data, list(graph.edges), graph.edge_attr,
                 list(params.theta_s.data), list(params.theta_t.data),
                 list(params.theta_e.data), list(params.attn.data),
                 params.leaky_slope)
@@ -112,7 +120,7 @@ def test_packed_union_matches_dense_oracle_per_graph():
 def test_packed_readout_sums_each_graph():
     rng = np.random.default_rng(13)
     graphs = [random_graph(rng, n_nodes=n) for n in (2, 1, 3)]
-    packed = PackedGraphs.pack(graphs)
+    packed = union(graphs)
     feats = Tensor(rng.standard_normal((6, 4)))
     out = readout(feats, packed).data
     assert np.allclose(out, [feats.data[0:2].sum(0), feats.data[2], feats.data[3:6].sum(0)])
@@ -127,13 +135,9 @@ def test_permutation_equivariance():
         perm = rng.permutation(n)
         inv = np.argsort(perm)
         features_p = graph.features.data[inv]
-        edges_p = [(int(perm[src]), int(perm[dst])) for src, dst in graph.edges]
         # permuted node i corresponds to original node inv[i]
-        roles = tuple(graph.structure.nodes[j].role for j in inv)
-        nodes = tuple(GraphNode(role=r, span=None, token_indices=()) for r in roles)
-        structure = GraphStructure(nodes=nodes, edges=tuple(edges_p), polarity="neutral")
-        graph_p = OpinionGraph(structure=structure, features=Tensor(features_p),
-                               edge_attr=graph.edge_attr)
+        edges_p = [(int(perm[src]), int(perm[dst])) for src, dst in graph.edges]
+        graph_p = manual_graph(features_p, edges_p, graph.edge_attr)
         out = gat_layer(graph, params).data
         out_p = gat_layer(graph_p, params).data
         assert np.allclose(out_p, out[inv], atol=1e-12)
@@ -160,7 +164,7 @@ def test_width_mismatch_raises():
 def test_gradients_reach_all_parameters_and_features():
     rng = np.random.default_rng(7)
     graph = random_graph(rng, n_nodes=3, requires_grad=True)
-    while not graph.edges:
+    while not len(graph.edges):
         graph = random_graph(rng, n_nodes=3, requires_grad=True)
     params = params_for(heads=2, seed=8)
     probe = Tensor(rng.standard_normal((3, params.out_width)))
@@ -231,11 +235,8 @@ def test_aggregate_routes_by_mapping():
 
 
 def test_empty_graph_readout_raises():
-    rng = np.random.default_rng(11)
-    graph = random_graph(rng, n_nodes=1)
-    object.__setattr__(graph.structure, "nodes", ())  # force the degenerate case
+    empty = manual_graph(np.zeros((0, 4)), [], np.zeros((0, 3)))
     with pytest.raises(GraphEmpty):
-        gat_layer(OpinionGraph(structure=graph.structure,
-                               features=Tensor(np.zeros((0, 4))),
-                               edge_attr=graph.edge_attr),
-                  params_for())
+        gat_layer(empty, params_for())
+    with pytest.raises(GraphEmpty):
+        readout(empty.features, empty)

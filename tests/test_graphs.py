@@ -1,14 +1,21 @@
-"""Opinion sub-graph construction: topology, fallbacks, and export form."""
+"""Opinion sub-graph construction: topology, fallbacks, packed node features, export."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opfuse.autodiff as ad
 from opfuse.autodiff import Tensor
-from opfuse.data import OpinionAnnotation, Record, Span
-from opfuse.encoder import EncoderOutput, tokenize
-from opfuse.graphs import (GraphEmpty, build_structure, build_subgraph,
+from opfuse.data import OpinionAnnotation, Record, Span, load_corpus
+from opfuse.encoder import EncoderOutput, ToyEncoder, tokenize
+from opfuse.graphs import (ROLES, GraphEmpty, PackedGraphs, build_structure, build_subgraph,
                            polarity_one_hot, structure_to_json)
 import opfuse.graphs as graphs_mod
+
+from oracles import span_pool
+
+EXPORT_CORPUS = Path(__file__).parent / "data" / "export_corpus.jsonl"
 
 
 def encoder_output(n_tokens, width=8, seed=0):
@@ -16,6 +23,14 @@ def encoder_output(n_tokens, width=8, seed=0):
     hidden = rng.standard_normal((n_tokens, width))
     return EncoderOutput(hidden=Tensor(hidden),
                          pooled=Tensor(hidden.mean(axis=0, keepdims=True)))
+
+
+def pack_one(rec, opinion, enc, seq, role_embedding=None):
+    """One opinion's graph and its one-graph pack over a single record's rows."""
+    graph = build_subgraph(rec, opinion, seq)
+    token_rows = np.zeros(enc.hidden.shape[0], dtype=np.intp)
+    return graph, PackedGraphs.pack([graph], [0], enc.hidden, enc.pooled, token_rows,
+                                    role_embedding)
 
 
 def span_over(seq, lo, hi):
@@ -70,11 +85,12 @@ def test_holder_target_sentiment_example():
         target=Span(0, 5),                     # "Tesla"
         sentiment_expression=Span(27, 34),     # "go Long"
         polarity="positive")
-    graph = build_subgraph(rec, opinion, encoder_output(len(seq)), seq)
+    graph = build_subgraph(rec, opinion, seq)
     assert graph.num_nodes == 3
-    assert len(graph.edges) == 4
+    assert graph.edge_index.tolist() == [list(e) for e in graph.structure.edges]
+    assert len(graph.edge_index) == 4
     assert graph.edge_attr.shape == (4, 3)
-    assert np.array_equal(graph.edge_attr.data,
+    assert np.array_equal(graph.edge_attr,
                           np.tile([1.0, 0.0, 0.0], (4, 1)))
 
 
@@ -97,11 +113,11 @@ def test_missing_sentiment_falls_back_to_pooled():
     seq = tokenize(text)
     opinion = OpinionAnnotation(holder=span_over(seq, 0, 2), polarity="neutral")
     enc = encoder_output(len(seq))
-    graph = build_subgraph(rec, opinion, enc, seq)
+    graph, packed = pack_one(rec, opinion, enc, seq)
     roles = {n.role: i for i, n in enumerate(graph.structure.nodes)}
     sent = graph.structure.nodes[roles["sentiment"]]
     assert sent.span is None and sent.token_indices == ()
-    assert np.allclose(graph.features.data[roles["sentiment"]],
+    assert np.allclose(packed.features.data[roles["sentiment"]],
                        enc.pooled.data.reshape(-1))
 
 
@@ -136,10 +152,10 @@ def test_node_features_are_span_pools():
         sentiment_expression=span_over(seq, 1, 3),
         polarity="positive")
     enc = encoder_output(len(seq))
-    graph = build_subgraph(rec, opinion, enc, seq)
+    graph, packed = pack_one(rec, opinion, enc, seq)
     roles = {n.role: i for i, n in enumerate(graph.structure.nodes)}
-    assert np.allclose(graph.features.data[roles["holder"]], enc.hidden.data[0])
-    assert np.allclose(graph.features.data[roles["sentiment"]],
+    assert np.allclose(packed.features.data[roles["holder"]], enc.hidden.data[0])
+    assert np.allclose(packed.features.data[roles["sentiment"]],
                        enc.hidden.data[1:3].mean(axis=0))
 
 
@@ -151,13 +167,13 @@ def test_role_embedding_addition():
                                 polarity="positive")
     enc = encoder_output(len(seq))
     role_table = Tensor(np.arange(40.0).reshape(5, 8), requires_grad=True)
-    plain = build_subgraph(rec, opinion, enc, seq)
-    with_roles = build_subgraph(rec, opinion, enc, seq, role_embedding=role_table)
+    _, plain = pack_one(rec, opinion, enc, seq)
+    _, with_roles = pack_one(rec, opinion, enc, seq, role_embedding=role_table)
     delta = with_roles.features.data - plain.features.data
     assert np.allclose(delta, role_table.data[1])  # sentiment is ROLES[1]
 
 
-def test_alternative_edge_schema_is_data_driven():
+def test_alternative_edge_schema_is_data_driven(monkeypatch):
     # a fully sentiment-centered schema (aspect loses its target chain)
     schema = (("holder", "sentiment", None),
               ("target", "sentiment", None),
@@ -173,15 +189,65 @@ def test_alternative_edge_schema_is_data_driven():
         aspect_term=span_over(seq, 3, 4),
         qualifier=span_over(seq, 8, 9),
         polarity="negative")
-    s = build_structure(rec, opinion, seq, edge_schema=schema)
+    default = build_structure(rec, opinion, seq)
+    assert graphs_mod.STAR_TOPOLOGY[3] == ("aspect", "target", "sentiment")
+    monkeypatch.setattr(graphs_mod, "STAR_TOPOLOGY", schema)
+    s = build_structure(rec, opinion, seq)
     roles = {n.role: i for i, n in enumerate(s.nodes)}
     undirected = {frozenset(e) for e in s.edges}
     assert frozenset((roles["aspect"], roles["sentiment"])) in undirected
     assert frozenset((roles["aspect"], roles["target"])) not in undirected
-    # default schema still chains aspect through target
-    default = build_structure(rec, opinion, seq)
+    # the default schema chains aspect through target
     assert default.edges != s.edges
-    assert graphs_mod.STAR_TOPOLOGY[3] == ("aspect", "target", "sentiment")
+
+
+@pytest.mark.parametrize("with_roles", [False, True])
+def test_packed_node_features_match_span_pool_oracle(with_roles):
+    # The fixed corpus mixes opinion-free records (one with empty text, so
+    # its single padding row has no token), fallback sentiment nodes,
+    # dropped roles, a skipped opinion and multi-token spans.
+    records = load_corpus(EXPORT_CORPUS).records
+    encoder = ToyEncoder(width=8, layers=1, heads=2, vocab_buckets=64,
+                         rng=np.random.default_rng(3))
+    encoded = [encoder.encode_record(r) for r in records]
+    rng = np.random.default_rng(4)
+    role_table = Tensor(rng.standard_normal((len(ROLES), 8))) if with_roles else None
+    graphs, owners = [], []
+    for index, (record, (seq, _)) in enumerate(zip(records, encoded)):
+        for opinion in record.opinions:
+            try:
+                graphs.append(build_subgraph(record, opinion, seq))
+            except GraphEmpty:
+                continue
+            owners.append(index)
+    token_rows = np.repeat(np.arange(len(records)),
+                           [out.hidden.shape[0] for _, out in encoded])
+    packed = PackedGraphs.pack(graphs, owners, ad.concat([out.hidden for _, out in encoded]),
+                               ad.concat([out.pooled for _, out in encoded]), token_rows,
+                               role_table)
+
+    expected, fallbacks = [], 0
+    for graph, owner in zip(graphs, owners):
+        seq, out = encoded[owner]
+        for node in graph.structure.nodes:
+            if node.span is None:
+                fallbacks += 1
+                row = out.pooled.data
+            else:
+                row = span_pool(out, seq, node.span).data
+            if with_roles:
+                row = row + role_table.data[ROLES.index(node.role)]
+            expected.append(row)
+    assert (len(graphs), sum(len(r.opinions) for r in records), fallbacks) == (8, 10, 2)
+    assert np.max(np.abs(packed.features.data - np.concatenate(expected))) <= 1e-12
+
+    sizes = [g.num_nodes for g in graphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    assert packed.num_graphs == len(graphs)
+    assert packed.node_graph.tolist() == np.repeat(np.arange(len(graphs)), sizes).tolist()
+    assert packed.edges.tolist() == [[src + off, dst + off] for g, off in zip(graphs, offsets)
+                                     for src, dst in g.structure.edges]
+    assert np.array_equal(packed.edge_attr, np.concatenate([g.edge_attr for g in graphs]))
 
 
 def test_polarity_one_hot():

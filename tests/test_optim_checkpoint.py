@@ -15,6 +15,8 @@ from opfuse.model import ModelConfig, OpinionFusionModel
 from opfuse.optim import Adam
 from opfuse.synthetic import make_planted_corpus
 
+from fuzzing import FIELD_VALUES
+
 
 def test_adam_minimizes_quadratic():
     x = Tensor([3.0, -2.0, 5.0], requires_grad=True)
@@ -165,12 +167,6 @@ def test_trailing_bytes_and_non_finite_payload_rejected(tmp_path):
     path.write_bytes(checkpoint_bytes(manifest, np.array([1.0, np.nan]).tobytes()))
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(path)
-
-
-FIELD_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**12),
-                         st.floats(allow_nan=True), st.text(max_size=4),
-                         st.lists(st.integers(-2, 4), max_size=3),
-                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,14 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, load_corpus
-from opfuse.model import (EncoderConfig, FusionConfig, GatConfig, ModelConfig,
+from opfuse.model import (ConfigError, EncoderConfig, FusionConfig, GatConfig, ModelConfig,
                           OpinionFusionModel, OptimizerConfig)
-from opfuse.sweep import (DEFAULT_SPACE, SweepError, load_space, run_sweep,
+from opfuse.sweep import (DEFAULT_SPACE, SweepError, apply_point, load_space, run_sweep,
                           sweep_csv, trial_seed)
 from opfuse.synthetic import make_gate_favoring_setup, make_planted_corpus
 from opfuse.train import TrainingError, class_weights_from, train_model
+
+from fuzzing import FIELD_VALUES, mutate
 
 
 def quick_config(architecture="fused", fusion_type="cat", epochs=3,
@@ -198,6 +202,82 @@ def test_load_space_rejects_unknown_dimension(tmp_path):
     path.write_text(json.dumps({"nope": [1]}), encoding="utf-8")
     with pytest.raises(SweepError):
         load_space(path)
+
+
+@pytest.mark.parametrize("text", ["{bad", '{"batch_size": ["x"]}', '{"batch_size": [32.7]}',
+                                  '{"gat_heads": [true]}', '{"alpha_res": ["0.5"]}',
+                                  '{"alpha_res": [NaN]}', '{"fusion_type": [1]}'])
+def test_load_space_rejects_invalid_json_and_wrongly_typed_values(tmp_path, text):
+    path = tmp_path / "space.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SweepError):
+        load_space(path)
+
+
+def test_load_space_keeps_value_types(tmp_path):
+    # Nothing is coerced: values reach the config as the file wrote them.
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"batch_size": [8], "alpha_res": [1, 0.5]}), encoding="utf-8")
+    space = load_space(path)
+    assert space["batch_size"] == [8] and space["alpha_res"] == [1, 0.5]
+    config = apply_point(quick_config(), {key: values[0] for key, values in space.items()})
+    assert type(config.fusion.alpha_res) is int and config.optimizer.batch_size == 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_sweep_spaces_raise_only_sweep_error(tmp_path_factory, data):
+    obj = {key: list(values) for key, values in DEFAULT_SPACE.items()}
+    if data.draw(st.booleans()):
+        where = data.draw(st.sampled_from(["space", "dimension", "value"]))
+        key = data.draw(st.sampled_from(sorted(obj)))
+        if where == "space":
+            obj = data.draw(FIELD_VALUES)
+        elif where == "dimension":
+            obj[key] = data.draw(FIELD_VALUES)
+        else:
+            obj[key][data.draw(st.integers(0, len(obj[key]) - 1))] = data.draw(FIELD_VALUES)
+        raw = json.dumps(obj).encode("utf-8")
+    else:
+        raw = mutate(data, json.dumps(obj).encode("utf-8"))
+    path = tmp_path_factory.mktemp("fuzz") / "space.json"
+    path.write_bytes(raw)
+    try:
+        load_space(path)
+    except SweepError:
+        pass
+
+
+# Every config field as (section, name), with section None at the top level.
+DEFAULT_CONFIG = ModelConfig().to_json()
+CONFIG_FIELDS = [(None, key) for key, value in DEFAULT_CONFIG.items()
+                 if not isinstance(value, dict)] + [
+    (key, name) for key, value in DEFAULT_CONFIG.items() if isinstance(value, dict)
+    for name in value]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_configs_raise_only_config_error(tmp_path_factory, data):
+    obj = ModelConfig().to_json()
+    if data.draw(st.booleans()):
+        where = data.draw(st.sampled_from(["config", "section", "field"]))
+        section, name = data.draw(st.sampled_from(CONFIG_FIELDS))
+        if where == "config":
+            obj = data.draw(FIELD_VALUES)
+        elif where == "section" and section is not None:
+            obj[section] = data.draw(FIELD_VALUES)
+        else:
+            (obj if section is None else obj[section])[name] = data.draw(FIELD_VALUES)
+        raw = json.dumps(obj).encode("utf-8")
+    else:
+        raw = mutate(data, json.dumps(obj).encode("utf-8"))
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_bytes(raw)
+    try:
+        ModelConfig.load(path)
+    except ConfigError:
+        pass
 
 
 def test_gate_ranks_first_on_xnor_corpus(tmp_path):
