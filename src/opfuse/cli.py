@@ -1,11 +1,23 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 I/O failure (unreadable/missing files), 2
-validation failure (schema, config, alignment, non-finite values during
-training).  Whatever a command prints to stdout is also written verbatim
-to ``--out`` when given; human tables that accompany JSON payloads go to
-stderr.  Log verbosity comes from the OPFUSE_LOG environment variable
-(error, info, debug); Python warnings go to the log.
+Commands raise their readers' and trainers' exceptions unchanged; ``main``
+alone turns them into an exit code and a message on stderr:
+
+* 0: success.
+* 1: a file could not be opened, read or written (``OSError``) or a
+  checkpoint is corrupt (``CheckpointError``); one line
+  ``error: cannot read or write <file>: <reason>``, or
+  ``error: <message>`` when the error names no file.
+* 2: input was read but is invalid (config, corpus, predictions, label
+  map, sweep space, encoder states, or a non-finite value during
+  training); one line ``error: <message>``.  A corpus lists every issue:
+  ``error: corpus validation failed:`` and then one indented line per issue.
+
+``aggregate`` is ``eval`` with a required ``--map`` and an optional
+``--remapped`` output.  Whatever a command prints to stdout is also
+written verbatim to ``--out`` when given; human tables that accompany
+JSON payloads go to stderr.  Log verbosity comes from the OPFUSE_LOG
+environment variable (error, info, debug); Python warnings go to the log.
 """
 
 from __future__ import annotations
@@ -23,13 +35,11 @@ from .data import (CorpusError, LabelMapError, load_corpus, resolve_label_map,
 from .encoder import EncoderError, tokenize
 from .evaluation import (EvaluationError, aggregate, f1_report,
                          read_predictions, write_predictions)
-from .graphs import GraphEmpty, build_structure, structure_to_json
+from .graphs import record_structures, structure_to_json
 from .model import ConfigError, ModelConfig
 from .stats import mcnemar, pair_predictions, stuart_maxwell
 from .sweep import SweepError, load_space, run_sweep, sweep_csv
 from .train import TrainingError, train_model
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -37,9 +47,7 @@ EXIT_VALIDATION = 2
 
 
 class CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
+    """A command's own check of otherwise valid input failed (exit 2)."""
 
 
 def _setup_logging() -> None:
@@ -64,31 +72,8 @@ def _emit(payload: str, out_path: str | None) -> None:
         Path(out_path).write_text(payload, encoding="utf-8")
 
 
-def _load_corpus_checked(path: str):
-    if not Path(path).exists():
-        raise CliFailure(EXIT_IO, f"cannot read corpus file: {path}")
-    try:
-        return load_corpus(path)
-    except OSError as exc:
-        raise CliFailure(EXIT_IO, f"cannot read corpus file: {exc}")
-    except CorpusError as exc:
-        raise CliFailure(EXIT_VALIDATION,
-                         "corpus validation failed:\n  " + "\n  ".join(exc.issues))
-
-
-def _read_predictions_checked(path: str):
-    if not Path(path).exists():
-        raise CliFailure(EXIT_IO, f"cannot read prediction file: {path}")
-    try:
-        return read_predictions(path)
-    except OSError as exc:
-        raise CliFailure(EXIT_IO, f"cannot read prediction file: {exc}")
-    except EvaluationError as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
-
-
 def cmd_ingest(args) -> int:
-    corpus = _load_corpus_checked(args.data)
+    corpus = load_corpus(args.data)
     if not corpus.records:
         _emit("0 records", args.out)
         return EXIT_OK
@@ -101,9 +86,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = _load_corpus_checked(args.data)
+    corpus = load_corpus(args.data)
     if not corpus.records:
-        raise CliFailure(EXIT_VALIDATION, "cannot compute statistics for an empty corpus")
+        raise CliFailure("cannot compute statistics for an empty corpus")
     report = validate_distribution(corpus)
     _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)
     print(report.to_text(), file=sys.stderr)
@@ -111,19 +96,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if not Path(args.config).exists():
-        raise CliFailure(EXIT_IO, f"cannot read config file: {args.config}")
-    try:
-        config = ModelConfig.load(args.config)
-    except ConfigError as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
+    config = ModelConfig.load(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    corpus = _load_corpus_checked(args.data)
-    try:
-        result = train_model(config, corpus, out_dir=args.out)
-    except (TrainingError, EncoderError, ConfigError) as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
+    corpus = load_corpus(args.data)
+    result = train_model(config, corpus, out_dir=args.out)
     summary = {
         "best_epoch": result.best_epoch,
         "best_dev_macro_f1": result.best_dev_f1,
@@ -137,21 +114,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    preds = _read_predictions_checked(args.pred)
-    try:
-        if args.map:
-            label_map = resolve_label_map(args.map)
-            _, report = aggregate(preds, label_map)
-            taxonomy = label_map.name
-        else:
-            report = f1_report(preds)
-            taxonomy = "emotion12"
-    except FileNotFoundError as exc:
-        raise CliFailure(EXIT_IO, f"cannot read label map: {exc}")
-    except (EvaluationError, LabelMapError) as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
+    """Score predictions; with ``--map``, first remap both labels onto its groups."""
+    preds = read_predictions(args.pred)
+    if args.map:
+        label_map = resolve_label_map(args.map)
+        remapped, report = aggregate(preds, label_map)
+        taxonomy = label_map.name
+    else:
+        remapped, report, taxonomy = preds, f1_report(preds), "emotion12"
     _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)
     print(report.to_text(), file=sys.stderr)
+    if args.remapped:
+        write_predictions(args.remapped, remapped)
     if args.csv:
         rows = report.to_csv_rows(taxonomy)
         text = "taxonomy,label,f1\n" + "\n".join(",".join(r) for r in rows) + "\n"
@@ -159,35 +133,10 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_aggregate(args) -> int:
-    preds = _read_predictions_checked(args.pred)
-    try:
-        label_map = resolve_label_map(args.map)
-        remapped, report = aggregate(preds, label_map)
-    except FileNotFoundError as exc:
-        raise CliFailure(EXIT_IO, f"cannot read label map: {exc}")
-    except (EvaluationError, LabelMapError) as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
-    _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)
-    print(report.to_text(), file=sys.stderr)
-    if args.remapped:
-        write_predictions(args.remapped, remapped)
-    if args.csv:
-        rows = report.to_csv_rows(label_map.name)
-        text = "taxonomy,label,f1\n" + "\n".join(",".join(r) for r in rows) + "\n"
-        Path(args.csv).write_text(text, encoding="utf-8")
-    return EXIT_OK
-
-
 def cmd_compare(args) -> int:
-    preds_a = _read_predictions_checked(args.pred_a)
-    preds_b = _read_predictions_checked(args.pred_b)
-    try:
-        paired = pair_predictions(preds_a, preds_b)
-        mcn = mcnemar(paired)
-        sm = stuart_maxwell(paired)
-    except EvaluationError as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
+    paired = pair_predictions(read_predictions(args.pred_a), read_predictions(args.pred_b))
+    mcn = mcnemar(paired)
+    sm = stuart_maxwell(paired)
     result = {"n": len(paired), "mcnemar": mcn.to_json(), "stuart_maxwell": sm.to_json()}
     table = [
         f"{'test':<28}{'statistic':>12}{'df':>5}{'p-value':>14}",
@@ -203,22 +152,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not Path(args.config).exists():
-        raise CliFailure(EXIT_IO, f"cannot read config file: {args.config}")
-    try:
-        base = ModelConfig.load(args.config)
-        space = load_space(args.space)
-    except (ConfigError, SweepError) as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        raise CliFailure(EXIT_IO, f"cannot read sweep space: {exc}")
-    corpus = _load_corpus_checked(args.data)
+    base = ModelConfig.load(args.config)
+    space = load_space(args.space)
+    corpus = load_corpus(args.data)
     seed = args.seed if args.seed is not None else base.seed
-    try:
-        trials = run_sweep(base, space, corpus, budget=args.budget,
-                           seed=seed, jobs=args.jobs)
-    except (SweepError, TrainingError, ConfigError) as exc:
-        raise CliFailure(EXIT_VALIDATION, str(exc))
+    trials = run_sweep(base, space, corpus, budget=args.budget, seed=seed, jobs=args.jobs)
     payload = sweep_csv(trials)
     sys.stdout.write(payload)
     out_dir = Path(args.out)
@@ -228,18 +166,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_graphs(args) -> int:
-    corpus = _load_corpus_checked(args.data)
-    lines = []
-    for record in corpus.records:
-        seq = tokenize(record.text)
-        structures = []
-        for opinion in record.opinions:
-            try:
-                structures.append(build_structure(record, opinion, seq))
-            except GraphEmpty as exc:
-                log.warning("%s", exc)
-        lines.append(json.dumps(structure_to_json(record, structures)))
-    _emit("\n".join(lines) if lines else "", args.out)
+    corpus = load_corpus(args.data)
+    lines = [json.dumps(structure_to_json(record,
+                                          record_structures(record, tokenize(record.text))))
+             for record in corpus.records]
+    _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -273,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional label map (ekman6, valence3, or a JSON path)")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="write plot-ready per-class F1 CSV")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, remapped=None)
 
     p = sub.add_parser("aggregate", help="score a prediction file under a label map")
     p.add_argument("--pred", required=True)
@@ -282,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--remapped", default=None,
                    help="write the remapped predictions to this path")
-    p.set_defaults(func=cmd_aggregate)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="paired significance tests for two models")
     p.add_argument("--pred-a", required=True)
@@ -310,16 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except CorpusError as exc:
+        message = "corpus validation failed:\n  " + "\n  ".join(exc.issues)
+        code = EXIT_VALIDATION
+    except (CliFailure, ConfigError, EncoderError, EvaluationError, LabelMapError,
+            SweepError, TrainingError) as exc:
+        message, code = str(exc), EXIT_VALIDATION
+    except (OSError, CheckpointError) as exc:
+        filename = getattr(exc, "filename", None)
+        message = (str(exc) if filename is None
+                   else f"cannot read or write {filename}: {exc.strerror or exc}")
+        code = EXIT_IO
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -49,6 +49,9 @@ def read_predictions(path: str | Path) -> list[Prediction]:
             for key in ("id", "gold", "pred"):
                 if key not in obj:
                     raise EvaluationError(f"{path} line {line_no}: missing field '{key}'")
+                if not isinstance(obj[key], str):
+                    raise EvaluationError(f"{path} line {line_no}: field '{key}' must be a "
+                                          f"string, got {type(obj[key]).__name__}")
             logits = obj.get("logits")
             if logits is not None and not isinstance(logits, list):
                 raise EvaluationError(f"{path} line {line_no}: 'logits' must be a list")
@@ -56,7 +59,7 @@ def read_predictions(path: str | Path) -> list[Prediction]:
                 raise EvaluationError(
                     f"{path} line {line_no}: every logit must be a finite number")
             preds.append(Prediction(
-                id=str(obj["id"]), gold=str(obj["gold"]), pred=str(obj["pred"]),
+                id=obj["id"], gold=obj["gold"], pred=obj["pred"],
                 logits=None if logits is None else tuple(float(x) for x in logits)))
     return preds
 

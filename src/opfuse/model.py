@@ -107,6 +107,8 @@ class ModelConfig:
 
     def validate(self) -> None:
         _check_types(self)
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.architecture not in ARCHITECTURES:
             raise ConfigError("architecture", f"must be one of {ARCHITECTURES}")
         if self.encoder.provider not in ("toy", "file"):

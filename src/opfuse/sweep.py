@@ -7,7 +7,7 @@ import itertools
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +60,14 @@ def load_space(path: str | Path | None) -> dict[str, list]:
 
 
 def apply_point(base: ModelConfig, point: dict) -> ModelConfig:
+    """A copy of ``base`` set to the grid point; raises ConfigError if it is invalid."""
     config = ModelConfig.from_json(base.to_json())
     config.optimizer.batch_size = point["batch_size"]
     config.gat.out_dim = point["gat_out_dim"]
     config.gat.heads = point["gat_heads"]
     config.fusion.type = point["fusion_type"]
     config.fusion.alpha_res = point["alpha_res"]
+    config.validate()
     return config
 
 
@@ -85,11 +87,8 @@ class TrialResult:
         return json.dumps(self.point, sort_keys=True)
 
 
-def _run_trial(args: tuple[dict, dict, Corpus, int]) -> tuple[float, int]:
-    base_json, point, corpus, seed = args
-    config = apply_point(ModelConfig.from_json(base_json), point)
-    config.seed = seed
-    result = train_model(config, corpus)
+def _run_trial(args: tuple[ModelConfig, Corpus]) -> tuple[float, int]:
+    result = train_model(*args)
     return result.best_dev_f1, result.best_epoch
 
 
@@ -102,6 +101,8 @@ def run_sweep(base: ModelConfig, space: dict[str, list], corpus: Corpus,
     """
     if budget < 1:
         raise SweepError(f"sweep budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise SweepError(f"sweep seed must be >= 0, got {seed}")
     base.validate()
     if base.architecture != "fused":
         raise SweepError("sweep searches fusion hyperparameters; "
@@ -115,8 +116,9 @@ def run_sweep(base: ModelConfig, space: dict[str, list], corpus: Corpus,
     while len(points) < budget:
         points.append(grid[int(rng.integers(len(grid)))])
 
-    base_json = base.to_json()
-    tasks = [(base_json, point, corpus, trial_seed(seed, t))
+    # Every trial's config is built and validated here, before any trial
+    # trains: a ConfigError raised in a worker cannot be unpickled back.
+    tasks = [(replace(apply_point(base, point), seed=trial_seed(seed, t)), corpus)
              for t, point in enumerate(points)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

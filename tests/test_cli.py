@@ -325,7 +325,8 @@ def test_train_config_probes_print_one_line_without_traceback(tmp_path):
     data = small_corpus_file(tmp_path)
     probes = ['{"encoder": {"width": "64"}}', '{"seed": "abc"}', "[1]",
               '{"encoder": {"heads": 0}}', '{"encoder": {"heads": -4}}',
-              '{"encoder": {"layers": -1}}', '{"seed": "\xff"}'.encode("latin-1")]
+              '{"encoder": {"layers": -1}}', '{"seed": "\xff"}'.encode("latin-1"),
+              '{"seed": -1}']
     for index, text in enumerate(probes):
         config = tmp_path / f"probe{index}.json"
         config.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -338,8 +339,8 @@ def test_train_config_probes_print_one_line_without_traceback(tmp_path):
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
-def test_train_truncated_encoder_states_exits_2(tmp_path, capsys):
-    data = small_corpus_file(tmp_path)
+def truncated_states_config(tmp_path, data):
+    """A file-provider config whose encoder-state file lost its last bytes."""
     entries = []
     for record in load_corpus(data).records:
         offsets = [(t.span.start, t.span.end) for t in tokenize(record.text)]
@@ -347,9 +348,14 @@ def test_train_truncated_encoder_states_exits_2(tmp_path, capsys):
     states = tmp_path / "states.bin"
     write_encoder_states(states, entries)
     states.write_bytes(states.read_bytes()[:-5])
-    config = config_file(tmp_path, encoder={"provider": "file", "width": 8,
-                                            "states_path": str(states)},
-                         gat={"out_dim": 96, "heads": 2, "depth": 1})
+    return config_file(tmp_path, encoder={"provider": "file", "width": 8,
+                                          "states_path": str(states)},
+                       gat={"out_dim": 96, "heads": 2, "depth": 1})
+
+
+def test_train_truncated_encoder_states_exits_2(tmp_path, capsys):
+    data = small_corpus_file(tmp_path)
+    config = truncated_states_config(tmp_path, data)
     assert main(["train", "--config", str(config), "--data", str(data),
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
@@ -380,6 +386,11 @@ def test_train_non_finite_update_exits_2_naming_epoch_and_batch(tmp_path):
                  "finite number", id="int-too-large-for-a-float"),
     pytest.param('{"id": "a", "gold": "anger\xff", "pred": "anger"}'.encode("latin-1"),
                  "not UTF-8", id="not-utf-8"),
+    ('{"id": 5, "gold": "anger", "pred": "anger"}', "field 'id' must be a string, got int"),
+    ('{"id": [1], "gold": "anger", "pred": "anger"}', "field 'id' must be a string, got list"),
+    ('{"id": "a", "gold": 3, "pred": "anger"}', "field 'gold' must be a string, got int"),
+    ('{"id": "a", "gold": "anger", "pred": null}',
+     "field 'pred' must be a string, got NoneType"),
 ])
 def test_malformed_prediction_fields_exit_2_with_one_line(tmp_path, line, message):
     good = json.dumps({"id": "z", "gold": "anger", "pred": "anger"})
@@ -418,7 +429,8 @@ def test_sweep_space_probes_exit_2_with_one_line(tmp_path):
     data = small_corpus_file(tmp_path)
     config = config_file(tmp_path)
     probes = [("{bad", "invalid JSON"), (b"\xff", "not UTF-8"),
-              ('{"batch_size": [32.7]}', "must be an integer, got float")]
+              ('{"batch_size": [32.7]}', "must be an integer, got float"),
+              ('{"gat_heads": [5]}', "config field 'gat.heads': must be one of")]
     for index, (text, message) in enumerate(probes):
         space = tmp_path / f"space{index}.json"
         space.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -427,6 +439,84 @@ def test_sweep_space_probes_exit_2_with_one_line(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("train", [], "config field 'seed': must be >= 0"),
+    ("sweep", ["--budget", "1"], "sweep seed must be >= 0, got -1"),
+])
+def test_negative_seed_flag_exits_2_with_one_line(tmp_path, command, extra, message):
+    data = small_corpus_file(tmp_path)
+    proc = run_cli(command, "--config", config_file(tmp_path), "--data", data,
+                   "--out", tmp_path / "x", "--seed", "-1", *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_sweep_invalid_grid_point_exits_2_with_parallel_jobs(tmp_path):
+    # A worker cannot send a ConfigError back, so the parent checks every point.
+    data = small_corpus_file(tmp_path)
+    space = tmp_path / "space.json"
+    space.write_text('{"gat_heads": [5]}', encoding="utf-8")
+    proc = run_cli("sweep", "--config", config_file(tmp_path), "--data", data,
+                   "--out", tmp_path / "s", "--budget", "2", "--space", space, "--jobs", "2")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: config field 'gat.heads': must be one of " \
+                          "(2, 3, 4, 6, 8)\n", proc.stderr
+
+
+def exit_policy_files(tmp_path):
+    """Valid inputs for every command plus one malformed input of each kind."""
+    files = {"missing": tmp_path / "missing.jsonl", "data": small_corpus_file(tmp_path),
+             "config": config_file(tmp_path), "space": tmp_path / "space.json",
+             "bad_corpus": tmp_path / "bad.jsonl", "empty_corpus": tmp_path / "empty.jsonl",
+             "bad_pred": tmp_path / "bad_preds.jsonl", "bad_map": tmp_path / "map.json"}
+    files["pred"], _ = write_prediction_files(tmp_path)
+    files["space"].write_text('{"batch_size": [8], "gat_out_dim": [96], "gat_heads": [2]}',
+                              encoding="utf-8")
+    files["bad_corpus"].write_text("{broken\n[1]\n", encoding="utf-8")
+    files["empty_corpus"].write_text("", encoding="utf-8")
+    files["bad_pred"].write_text('{"id": 5, "gold": "anger", "pred": "anger"}\n',
+                                 encoding="utf-8")
+    files["bad_map"].write_text('{"name": "m", "mapping": []}', encoding="utf-8")
+    (tmp_path / "file").mkdir()
+    files["states_config"] = truncated_states_config(tmp_path / "file", files["data"])
+    return files
+
+
+# command -> (arguments naming one missing input, arguments naming one malformed input)
+EXIT_POLICY_CASES = {
+    "ingest": (["--data", "missing"], ["--data", "bad_corpus"]),
+    "stats": (["--data", "missing"], ["--data", "empty_corpus"]),
+    "train": (["--config", "config", "--data", "missing", "--out", "out"],
+              ["--config", "states_config", "--data", "data", "--out", "out"]),
+    "eval": (["--pred", "missing"], ["--pred", "bad_pred"]),
+    "aggregate": (["--pred", "pred", "--map", "missing"], ["--pred", "pred", "--map", "bad_map"]),
+    "compare": (["--pred-a", "pred", "--pred-b", "missing"],
+                ["--pred-a", "pred", "--pred-b", "bad_pred"]),
+    "sweep": (["--config", "missing", "--data", "data", "--out", "out", "--budget", "1"],
+              ["--config", "states_config", "--data", "data", "--out", "out", "--budget", "1",
+               "--space", "space"]),
+    "export-graphs": (["--data", "missing"], ["--data", "bad_corpus"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXIT_POLICY_CASES))
+def test_exit_code_policy(tmp_path, capsys, command):
+    files = exit_policy_files(tmp_path)
+    files["out"] = tmp_path / "out"
+    missing, malformed = ([str(files.get(arg, arg)) for arg in args]
+                          for args in EXIT_POLICY_CASES[command])
+    assert main([command, *missing]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read or write {files['missing']}: " \
+                  "No such file or directory\n", err
+    assert main([command, *malformed]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    if lines[0] == "error: corpus validation failed:":
+        assert len(lines) == 3 and all(line.startswith("  line ") for line in lines[1:])
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @pytest.mark.parametrize("offset", ['"0"', "0.7", "true", "1e400", "null"])
