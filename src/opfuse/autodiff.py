@@ -93,31 +93,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # Arithmetic sugar.  Functional forms below do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap plain values as constant (non-gradient) tensors."""
@@ -316,15 +291,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _apply("mul", out, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        return (-g,)
-
-    return _apply("neg", -a.data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:

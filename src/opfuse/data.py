@@ -393,10 +393,17 @@ def default_label_map(name: str) -> LabelMap:
 
 
 def resolve_label_map(name_or_path: str) -> LabelMap:
-    """Accept a default map name or a path to a label-map JSON file."""
-    if name_or_path in DEFAULT_LABEL_MAPS:
-        return default_label_map(name_or_path)
-    return load_label_map(name_or_path)
+    """Accept a default map name or a path to a label-map JSON file.
+
+    A value that is neither an existing file nor path-like (no directory
+    separator, no ``.json`` suffix) is read as a default map name, so a
+    mistyped name is reported as an unknown name, not as a missing file.
+    """
+    path = Path(name_or_path)
+    if name_or_path not in DEFAULT_LABEL_MAPS and (
+            path.is_file() or path.name != name_or_path or path.suffix == ".json"):
+        return load_label_map(name_or_path)
+    return default_label_map(name_or_path)
 
 
 @dataclass

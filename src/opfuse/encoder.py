@@ -1,13 +1,15 @@
 """Text encoders behind a provider boundary.
 
-Two providers produce the same contract — token-level hidden states
-``(|T|, d)`` plus a pooled ``(1, d)`` sequence vector:
+Both providers have one entry point, ``encode_record(record)``, which
+returns the record's tokens and an ``EncoderOutput``: token-level hidden
+states ``(|T|, d)`` plus a pooled ``(1, d)`` sequence vector.
 
 * ``ToyEncoder``: trainable hashed-vocabulary embeddings, sinusoidal
   positions, and a small stack of self-attention blocks.
 * ``FileEncoder``: frozen per-record states exported from any external
   encoder, carried in an ``OPFUSE-ENC-1`` container together with the
-  exporting tokenizer's offsets.
+  exporting tokenizer's offsets and looked up by record id; each token's
+  surface form is cut from the record text at those offsets.
 
 All offsets are character offsets into the record text, the same space
 the annotation spans use.
@@ -50,10 +52,6 @@ class EncoderOutput:
     hidden: Tensor   # (|T|, d); |T| >= 1 even for empty input
     pooled: Tensor   # (1, d)
 
-    @property
-    def width(self) -> int:
-        return self.hidden.shape[1]
-
 
 def tokenize(text: str) -> TokenSequence:
     """Split into word/punctuation tokens with offsets into the original text."""
@@ -80,7 +78,7 @@ class ToyEncoder:
     """Small trainable transformer encoder over hashed token buckets."""
 
     def __init__(self, width: int = 64, layers: int = 2, heads: int = 4,
-                 vocab_buckets: int = 16384, rng: np.random.Generator | None = None):
+                 vocab_buckets: int = 16384, *, rng: np.random.Generator):
         if width % heads != 0:
             raise EncoderError(f"width {width} not divisible by heads {heads}")
         self.width = width
@@ -88,7 +86,6 @@ class ToyEncoder:
         self.heads = heads
         self.head_dim = width // heads
         self.vocab_buckets = vocab_buckets
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._params: dict[str, Tensor] = {}
         scale = 1.0 / np.sqrt(width)
         self._params["embedding"] = Tensor(
@@ -233,24 +230,17 @@ class FileEncoder:
     def parameters(self) -> dict[str, Tensor]:
         return {}
 
-    def load_precomputed(self, record_id: str) -> tuple[TokenSequence, EncoderOutput]:
-        stored = self._records.get(record_id)
+    def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
+        stored = self._records.get(record.id)
         if stored is None:
-            raise EncoderError(f"{self.path}: no stored states for record id {record_id!r}")
+            raise EncoderError(f"{self.path}: no stored states for record id {record.id!r}")
         if stored.hidden.shape[1] != self.width:
             raise EncoderError(
-                f"{self.path}: record {record_id!r} has width {stored.hidden.shape[1]}, "
+                f"{self.path}: record {record.id!r} has width {stored.hidden.shape[1]}, "
                 f"model configured for {self.width}")
-        seq = tuple(Token(text="", span=Span(start, end)) for start, end in stored.offsets)
-        output = EncoderOutput(hidden=Tensor(stored.hidden), pooled=Tensor(stored.pooled[None, :]))
-        return seq, output
-
-    def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
-        seq, output = self.load_precomputed(record.id)
-        # Surface forms are reconstructed from the record text so exports and
-        # live tokenization stay interchangeable downstream.
-        seq = tuple(
-            Token(text=record.text[t.span.start:t.span.end].lower(), span=t.span)
-            for t in seq
-        )
-        return seq, output
+        # Surface forms are rebuilt from the record text so exports and live
+        # tokenization stay interchangeable downstream.
+        seq = tuple(Token(text=record.text[start:end].lower(), span=Span(start, end))
+                    for start, end in stored.offsets)
+        return seq, EncoderOutput(hidden=Tensor(stored.hidden),
+                                  pooled=Tensor(stored.pooled[None, :]))

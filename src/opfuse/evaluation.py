@@ -64,15 +64,12 @@ def read_predictions(path: str | Path) -> list[Prediction]:
     return preds
 
 
-def write_predictions(path: str | Path, preds: Sequence[dict | Prediction]) -> None:
+def write_predictions(path: str | Path, preds: Sequence[Prediction]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in preds:
-            if isinstance(p, Prediction):
-                obj = {"id": p.id, "gold": p.gold, "pred": p.pred}
-                if p.logits is not None:
-                    obj["logits"] = list(p.logits)
-            else:
-                obj = p
+            obj = {"id": p.id, "gold": p.gold, "pred": p.pred}
+            if p.logits is not None:
+                obj["logits"] = list(p.logits)
             fh.write(json.dumps(obj))
             fh.write("\n")
 
@@ -182,26 +179,20 @@ def _score_classes(golds: list[str], preds: list[str], labels: Sequence[str],
                       excluded_labels=tuple(excluded))
 
 
-def f1_report(preds: Sequence[Prediction],
-              labels: Sequence[str] = EMOTIONS) -> EvalReport:
-    """Per-class precision/recall/F1 plus macro-F1 over gold-present classes."""
+def f1_report(preds: Sequence[Prediction]) -> EvalReport:
+    """Per-emotion precision/recall/F1 plus macro-F1 over gold-present classes."""
     if not preds:
         raise EvaluationError("cannot evaluate an empty prediction list")
-    golds = [p.gold for p in preds]
-    predicted = [p.pred for p in preds]
     for p in preds:
-        if p.gold not in labels:
+        if p.gold not in EMOTIONS:
             raise EvaluationError(f"record {p.id}: unknown gold label {p.gold!r}")
-        if p.pred not in labels:
+        if p.pred not in EMOTIONS:
             raise EvaluationError(f"record {p.id}: unknown predicted label {p.pred!r}")
-    return _score_classes(golds, predicted, labels)
+    return _score_classes([p.gold for p in preds], [p.pred for p in preds], EMOTIONS)
 
 
-def macro_f1(golds: Sequence[str], preds: Sequence[str],
-             labels: Sequence[str] = EMOTIONS) -> float:
-    pairs = [Prediction(id=str(i), gold=g, pred=p)
-             for i, (g, p) in enumerate(zip(golds, preds))]
-    return f1_report(pairs, labels).macro_f1
+def macro_f1(preds: Sequence[Prediction]) -> float:
+    return f1_report(preds).macro_f1
 
 
 def aggregate(preds: Sequence[Prediction],

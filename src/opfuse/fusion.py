@@ -32,14 +32,11 @@ class FusionParams:
     to ``d`` (bias-free so opinion-free zero vectors stay exactly zero).
     """
 
-    def __init__(self, fusion_type: str, d: int, graph_width: int,
-                 rng: np.random.Generator | None = None, prefix: str = "fusion"):
+    def __init__(self, fusion_type: str, d: int, graph_width: int, rng: np.random.Generator):
         if fusion_type not in FUSION_TYPES:
             raise ValueError(f"unknown fusion type {fusion_type!r}")
         self.fusion_type = fusion_type
         self.d = d
-        self.prefix = prefix
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.graph_projection = Tensor(
             np.sqrt(2.0 / (graph_width + d)) * rng.standard_normal((graph_width, d)),
             requires_grad=True)
@@ -52,10 +49,10 @@ class FusionParams:
             self.bias = Tensor(np.zeros((1, d)), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {f"{self.prefix}.graph_projection": self.graph_projection}
+        out = {"fusion.graph_projection": self.graph_projection}
         if self.weight is not None:
-            out[f"{self.prefix}.{self.fusion_type}.weight"] = self.weight
-            out[f"{self.prefix}.{self.fusion_type}.bias"] = self.bias
+            out[f"fusion.{self.fusion_type}.weight"] = self.weight
+            out[f"fusion.{self.fusion_type}.bias"] = self.bias
         return out
 
     def project_graph(self, graph_vec: Tensor) -> Tensor:
@@ -63,12 +60,12 @@ class FusionParams:
 
 
 def fuse(h_seq: Tensor, h_graph: Tensor, h_tokens: Tensor,
-         params: FusionParams, token_rows: Sequence[int] | None = None) -> Tensor:
+         params: FusionParams, token_rows: Sequence[int]) -> Tensor:
     """Combine (B, d) text and graph rows into the fused (B, d) rows.
 
     ``h_tokens`` stacks the token states of every record in the batch and
-    ``token_rows[t]`` names the record (row) token ``t`` belongs to; by
-    default every token belongs to row 0.  Only ``attn`` reads them.
+    ``token_rows[t]`` names the record (row of ``h_seq``) that token ``t``
+    belongs to.  Only ``attn`` reads them.
     """
     d = params.d
     if h_seq.data.ndim != 2 or h_seq.shape[1] != d or h_graph.shape != h_seq.shape:
@@ -85,8 +82,7 @@ def fuse(h_seq: Tensor, h_graph: Tensor, h_tokens: Tensor,
     # which are both keys and values; softmax and sum run per record.
     if h_tokens.shape[1] != d:
         raise ShapeError(f"token states width {h_tokens.shape[1]} != {d}")
-    owner = (np.zeros(h_tokens.shape[0], dtype=np.intp) if token_rows is None
-             else np.asarray(token_rows, dtype=np.intp))
+    owner = np.asarray(token_rows, dtype=np.intp)
     queries = ad.gather_rows(h_graph, owner)
     scores = ad.mul(ad.tsum(ad.mul(h_tokens, queries), axis=1, keepdims=True),
                     1.0 / np.sqrt(d))
@@ -104,16 +100,13 @@ def residual(h_seq: Tensor, h_fused: Tensor, alpha_res: float) -> Tensor:
 class ClassifierHead:
     """Affine map from the final representation to class logits."""
 
-    def __init__(self, d: int, n_classes: int, rng: np.random.Generator | None = None,
-                 prefix: str = "head"):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.prefix = prefix
+    def __init__(self, d: int, n_classes: int, rng: np.random.Generator):
         self.weight = Tensor(np.sqrt(1.0 / d) * rng.standard_normal((d, n_classes)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros((1, n_classes)), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {f"{self.prefix}.weight": self.weight, f"{self.prefix}.bias": self.bias}
+        return {"head.weight": self.weight, "head.bias": self.bias}
 
     def __call__(self, h: Tensor) -> Tensor:
         """Logits (B, C) for (B, d) rows.

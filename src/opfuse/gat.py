@@ -28,14 +28,13 @@ class GatParams:
     (heads, d_out, 1).
     """
 
-    def __init__(self, d_in: int, d_out: int, heads: int, leaky_slope: float = 0.2,
-                 rng: np.random.Generator | None = None, prefix: str = "gat"):
+    def __init__(self, d_in: int, d_out: int, heads: int, leaky_slope: float = 0.2, *,
+                 rng: np.random.Generator, prefix: str = "gat"):
         self.d_in = d_in
         self.d_out = d_out
         self.heads = heads
         self.leaky_slope = leaky_slope
         self.prefix = prefix
-        rng = rng if rng is not None else np.random.default_rng(0)
         scale = np.sqrt(2.0 / (d_in + d_out))
         e_dim = len(POLARITIES)
         self.theta_s = Tensor(scale * rng.standard_normal((heads, d_out, d_in)),

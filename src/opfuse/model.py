@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import EMOTIONS, Record, is_finite_number, load_json
 from .encoder import FileEncoder, ToyEncoder
+from .evaluation import Prediction
 from .fusion import FUSION_TYPES, ClassifierHead, FusionParams, fuse, residual
 from .gat import GatParams, aggregate_sentences, gat_layer, readout
 from .graphs import ROLES, GraphEmpty, PackedGraphs, build_subgraph
@@ -159,31 +160,24 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
+        """Build and validate a config; fields left out keep their dataclass defaults."""
+
+        def build(section_cls, data: dict, where: str):
+            unknown = set(data) - {spec.name for spec in fields(section_cls)}
+            if unknown:
+                raise ConfigError(where + sorted(unknown)[0], "unknown field")
+            values = dict(data)
+            for spec in fields(section_cls):
+                if spec.name in data and spec.default_factory is not MISSING:  # a section
+                    if not isinstance(data[spec.name], dict):
+                        raise ConfigError(where + spec.name, "must be an object")
+                    values[spec.name] = build(spec.default_factory, data[spec.name],
+                                              f"{where}{spec.name}.")
+            return section_cls(**values)
+
         if not isinstance(obj, dict):
             raise ConfigError(None, "config must be a JSON object")
-
-        def build(section_cls, key):
-            data = obj.get(key, {})
-            if not isinstance(data, dict):
-                raise ConfigError(key, "must be an object")
-            known = {f for f in section_cls.__dataclass_fields__}
-            unknown = set(data) - known
-            if unknown:
-                raise ConfigError(f"{key}.{sorted(unknown)[0]}", "unknown field")
-            return section_cls(**data)
-
-        known_top = {"architecture", "encoder", "gat", "fusion", "optimizer", "seed"}
-        unknown_top = set(obj) - known_top
-        if unknown_top:
-            raise ConfigError(sorted(unknown_top)[0], "unknown field")
-        config = cls(
-            architecture=obj.get("architecture", "fused"),
-            encoder=build(EncoderConfig, "encoder"),
-            gat=build(GatConfig, "gat"),
-            fusion=build(FusionConfig, "fusion"),
-            optimizer=build(OptimizerConfig, "optimizer"),
-            seed=obj.get("seed", 0),
-        )
+        config = build(cls, obj, "")
         config.validate()
         return config
 
@@ -276,11 +270,11 @@ class OpinionFusionModel:
             readouts = ad.zeros((0, self.graph_width))
         return aggregate_sentences(readouts, owners, len(records), self.graph_width)
 
-    def _logits(self, records: list[Record], force_text_only: bool = False) -> Tensor:
+    def _logits(self, records: list[Record]) -> Tensor:
         """Class logits (len(records), C); everything after the encoder runs once per call."""
         encoded = [self.encoder.encode_record(record) for record in records]
         h_seq = ad.concat([out.pooled for _, out in encoded])
-        if self.config.architecture == "text_only" or force_text_only:
+        if self.config.architecture == "text_only":
             return self.head(h_seq)
         tokens = ad.concat([out.hidden for _, out in encoded])
         token_rows = np.repeat(np.arange(len(records)),
@@ -291,24 +285,17 @@ class OpinionFusionModel:
         h_fused = fuse(h_seq, h_graph, tokens, self.fusion_params, token_rows)
         return self.head(residual(h_seq, h_fused, self.config.fusion.alpha_res))
 
-    def forward_record(self, record: Record, force_text_only: bool = False) -> Tensor:
-        """Class logits (1, C) for one record."""
-        return self._logits([record], force_text_only)
-
     def forward_batch(self, records: list[Record]) -> Tensor:
         return self._logits(records)
 
-    def predict(self, records: list[Record]) -> list[dict]:
+    def predict(self, records: list[Record]) -> list[Prediction]:
         """Greedy predictions without tape recording, one minibatch at a time."""
         out = []
         step = self.config.optimizer.batch_size
         for start in range(0, len(records), step):
             chunk = records[start:start + step]
             for record, logits in zip(chunk, self._logits(chunk).data):
-                out.append({
-                    "id": record.id,
-                    "gold": record.emotion,
-                    "pred": EMOTIONS[int(np.argmax(logits))],
-                    "logits": [float(x) for x in logits],
-                })
+                out.append(Prediction(id=record.id, gold=record.emotion,
+                                      pred=EMOTIONS[int(np.argmax(logits))],
+                                      logits=tuple(float(x) for x in logits)))
         return out

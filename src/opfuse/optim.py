@@ -8,19 +8,19 @@ from .autodiff import Gradients, Tensor
 
 
 class Adam:
-    """Adam with bias correction; β=(0.9, 0.999), ε=1e-8 by default.
+    """Adam with bias correction, β=(0.9, 0.999) and ε=1e-8.
 
     Parameters are updated strictly between training steps via
-    ``Tensor.replace_data``; moment state is keyed by parameter identity.
+    ``Tensor.replace_data``; moment state is keyed by parameter name.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._step = 0
         self._m = {name: np.zeros(p.shape) for name, p in self.params.items()}
         self._v = {name: np.zeros(p.shape) for name, p in self.params.items()}
@@ -28,15 +28,15 @@ class Adam:
     def step(self, grads: Gradients) -> None:
         self._step += 1
         t = self._step
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
         for name, param in self.params.items():
             g = grads.wrt(param)
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.EPS)
             param.replace_data(param.data - update)

@@ -11,7 +11,7 @@ import numpy as np
 from .autodiff import NumericsError, Tape, cross_entropy
 from .checkpoint import restore_into, save_checkpoint
 from .data import EMOTIONS, Corpus
-from .evaluation import macro_f1, write_predictions
+from .evaluation import Prediction, macro_f1, write_predictions
 from .model import ModelConfig, OpinionFusionModel
 from .optim import Adam
 
@@ -35,7 +35,7 @@ class TrainResult:
     log_rows: list[EpochStats]
     best_epoch: int
     best_dev_f1: float
-    dev_predictions: list[dict]
+    dev_predictions: list[Prediction]
 
     def log_csv(self) -> str:
         lines = ["epoch,loss,dev_macro_f1"]
@@ -103,9 +103,7 @@ def train_model(config: ModelConfig, corpus: Corpus,
             total_loss += loss.item() * len(batch)
         epoch_loss = total_loss / len(train_records)
 
-        dev_preds = model.predict(dev_records)
-        dev_f1 = macro_f1([p["gold"] for p in dev_preds],
-                          [p["pred"] for p in dev_preds])
+        dev_f1 = macro_f1(model.predict(dev_records))
         rows.append(EpochStats(epoch=epoch, loss=epoch_loss, dev_macro_f1=dev_f1))
         log.info("epoch %d: loss %.5f dev macro-F1 %.3f", epoch, epoch_loss, dev_f1)
 

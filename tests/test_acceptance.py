@@ -243,8 +243,7 @@ def test_acceptance_planted_signal():
         seed=3,
     )
     fused = train_model(fused_config, corpus)
-    fused_acc = float(np.mean([p["gold"] == p["pred"]
-                               for p in fused.dev_predictions]))
+    fused_acc = float(np.mean([p.gold == p.pred for p in fused.dev_predictions]))
 
     text_config = ModelConfig(
         architecture="text_only",
@@ -256,7 +255,7 @@ def test_acceptance_planted_signal():
     )
     baseline = train_model(text_config, corpus)
     base_best_acc = max(
-        float(np.mean([p["gold"] == p["pred"] for p in baseline.dev_predictions])),
+        float(np.mean([p.gold == p.pred for p in baseline.dev_predictions])),
         0.0)
 
     elapsed = time.time() - started

@@ -425,6 +425,14 @@ def test_malformed_label_maps_exit_2_with_one_line(tmp_path):
             assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
 
 
+def test_unknown_label_map_name_exits_2_with_one_line(tmp_path, capsys):
+    pred, _ = write_prediction_files(tmp_path)
+    for command in ("eval", "aggregate"):
+        assert main([command, "--pred", str(pred), "--map", "ekman7"]) == 2
+        assert capsys.readouterr().err == ("error: no default label map named 'ekman7'; "
+                                           "available: ekman6, valence3\n")
+
+
 def test_sweep_space_probes_exit_2_with_one_line(tmp_path):
     data = small_corpus_file(tmp_path)
     config = config_file(tmp_path)

@@ -176,7 +176,7 @@ def test_file_encoder_missing_id(tmp_path):
     write_encoder_states(path, [("r1", [(0, 5)], np.zeros((1, 8)), np.zeros(8))])
     enc = FileEncoder(path, width=8)
     with pytest.raises(EncoderError) as err:
-        enc.load_precomputed("xyz")
+        enc.encode_record(record(rid="xyz"))
     assert "xyz" in str(err.value)
 
 
@@ -185,7 +185,7 @@ def test_file_encoder_width_mismatch(tmp_path):
     write_encoder_states(path, [("r1", [(0, 5)], np.zeros((1, 768)), np.zeros(768))])
     enc = FileEncoder(path, width=64)
     with pytest.raises(EncoderError) as err:
-        enc.load_precomputed("r1")
+        enc.encode_record(record())
     assert "768" in str(err.value) and "64" in str(err.value)
 
 

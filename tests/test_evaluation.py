@@ -175,4 +175,4 @@ def test_corrupt_prediction_files_raise_only_evaluation_error(tmp_path_factory, 
 
 
 def test_macro_f1_helper():
-    assert macro_f1(["anger", "panic"], ["anger", "panic"]) == 100.0
+    assert macro_f1(preds_from([("anger", "anger"), ("panic", "panic")])) == 100.0

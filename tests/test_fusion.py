@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import opfuse.autodiff as ad
 from opfuse.autodiff import Tape, Tensor
+from opfuse.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from opfuse.data import Record, Span, OpinionAnnotation
 from opfuse.fusion import ClassifierHead, FusionParams, fuse, residual
 from opfuse.model import (EncoderConfig, FusionConfig, GatConfig, ModelConfig,
@@ -32,7 +33,7 @@ def test_gate_zero_weights_averages_inputs():
     params.bias.replace_data(np.zeros((1, D)))
     h_seq = vec([1.0, 2.0, 3.0, 4.0])
     h_graph = vec([5.0, 6.0, 7.0, 8.0])
-    out = fuse(h_seq, h_graph, Tensor(np.zeros((2, D))), params)
+    out = fuse(h_seq, h_graph, Tensor(np.zeros((2, D))), params, [0, 0])
     assert np.allclose(out.data, (h_seq.data + h_graph.data) / 2)
 
 
@@ -40,14 +41,15 @@ def test_cat_zero_weight_returns_bias():
     params = make_params("cat")
     params.weight.replace_data(np.zeros((2 * D, D)))
     params.bias.replace_data(np.array([[9.0, 8.0, 7.0, 6.0]]))
-    out = fuse(vec([1, 2, 3, 4]), vec([5, 6, 7, 8]), Tensor(np.zeros((2, D))), params)
+    out = fuse(vec([1, 2, 3, 4]), vec([5, 6, 7, 8]), Tensor(np.zeros((2, D))), params,
+               [0, 0])
     assert np.allclose(out.data, [[9.0, 8.0, 7.0, 6.0]])
 
 
 def test_attn_single_token_returns_that_token():
     params = make_params("attn")
     token = np.array([[0.5, -1.0, 2.0, 0.0]])
-    out = fuse(vec([1, 1, 1, 1]), vec([3, 0, 0, 0]), Tensor(token), params)
+    out = fuse(vec([1, 1, 1, 1]), vec([3, 0, 0, 0]), Tensor(token), params, [0])
     assert np.allclose(out.data, token)
 
 
@@ -56,7 +58,7 @@ def test_attn_is_convex_combination_of_tokens():
     rng = np.random.default_rng(3)
     tokens = rng.standard_normal((5, D))
     out = fuse(vec(rng.standard_normal(D)), vec(rng.standard_normal(D)),
-               Tensor(tokens), params).data.reshape(-1)
+               Tensor(tokens), params, [0] * 5).data.reshape(-1)
     lo = tokens.min(axis=0) - 1e-12
     hi = tokens.max(axis=0) + 1e-12
     assert ((out >= lo) & (out <= hi)).all()
@@ -174,13 +176,20 @@ def test_end_to_end_gradients_match_finite_differences(fusion_type, role_embeddi
         assert max_rel_err(analytic, numeric) < 1e-4, name
 
 
-def test_nesting_alpha_zero_matches_text_only_bit_exact():
+def test_nesting_alpha_zero_matches_text_only_bit_exact(tmp_path):
     records = tiny_records()
     fused = OpinionFusionModel(tiny_config("gate", alpha_res=0.0),
                                rng=np.random.default_rng(21))
+    ckpt_path = tmp_path / "nesting.ckpt"
+    save_checkpoint(ckpt_path, fused.parameters())
+    baseline = OpinionFusionModel(tiny_config("gate", architecture="text_only"),
+                                  rng=np.random.default_rng(99))
+    stored = load_checkpoint(ckpt_path)
+    baseline_params = baseline.parameters()
+    restore_into(baseline_params, {name: stored[name] for name in baseline_params})
     fused_logits = fused.forward_batch(records).data
     baseline_logits = np.concatenate(
-        [fused.forward_record(r, force_text_only=True).data for r in records], axis=0)
+        [baseline.forward_batch([r]).data for r in records], axis=0)
     assert fused_logits.tobytes() == baseline_logits.tobytes()
 
 
@@ -199,7 +208,7 @@ def test_opinion_free_record_flows_through():
     model = OpinionFusionModel(config, rng=np.random.default_rng(5))
     bare = Record(id="n", split="train", text="flat day nothing happening",
                   emotion="ambiguous")
-    logits = model.forward_record(bare)
+    logits = model.forward_batch([bare])
     assert logits.shape == (1, 12)
     # zero graph vector: fused branch sees exactly zeros for the graph side
     graph_vecs, flags = graph_vectors(model, [bare])
@@ -235,7 +244,7 @@ def test_forward_batch_matches_single_record_forward(fusion_type, depth):
     model = OpinionFusionModel(config, rng=np.random.default_rng(17))
     records = mixed_batch()
     batch = model.forward_batch(records).data
-    single = np.concatenate([model.forward_record(r).data for r in records], axis=0)
+    single = np.concatenate([model.forward_batch([r]).data for r in records], axis=0)
     assert np.max(np.abs(batch - single)) <= 1e-10 * np.max(np.abs(single))
     graph_vecs, flags = graph_vectors(model, records)
     assert flags == [False, True, False, True, False, True, False]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, load_corpus
+from opfuse.evaluation import read_predictions
 from opfuse.model import (ConfigError, EncoderConfig, FusionConfig, GatConfig, ModelConfig,
                           OpinionFusionModel, OptimizerConfig)
 from opfuse.sweep import (DEFAULT_SPACE, SweepError, apply_point, load_space, run_sweep,
@@ -93,8 +94,7 @@ def test_best_checkpoint_is_restored():
     result = train_model(quick_config(epochs=4, lr=5e-3), corpus)
     assert result.best_dev_f1 == max(r.dev_macro_f1 for r in result.log_rows)
     from opfuse.evaluation import macro_f1
-    restored = macro_f1([p["gold"] for p in result.dev_predictions],
-                        [p["pred"] for p in result.dev_predictions])
+    restored = macro_f1(result.dev_predictions)
     assert abs(restored - result.best_dev_f1) < 1e-12
 
 
@@ -109,6 +109,33 @@ def test_empty_train_split_errors():
     corpus = Corpus([opinion_record("d", "dev", "optimism", "positive")])
     with pytest.raises(TrainingError):
         train_model(quick_config(), corpus)
+
+
+def test_dev_predictions_round_trip_through_the_file(tmp_path):
+    out = tmp_path / "run"
+    result = train_model(quick_config(epochs=1), small_corpus(), out_dir=out)
+    assert read_predictions(out / "dev_predictions.jsonl") == result.dev_predictions
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"colour": 1}, "config field 'colour': unknown field"),
+    ({"seed": 1, "zeta": 2, "alpha": 3}, "config field 'alpha': unknown field"),
+    ({"gat": {"depht": 2}}, "config field 'gat.depht': unknown field"),
+    ({"fusion": []}, "config field 'fusion': must be an object"),
+    ({"encoder": None}, "config field 'encoder': must be an object"),
+    ({"architecture": 5}, "config field 'architecture': must be a string, got int"),
+    ({"optimizer": {"epochs": 0}}, "config field 'optimizer.epochs': must be >= 1"),
+])
+def test_config_errors_name_the_field(obj, message):
+    with pytest.raises(ConfigError) as err:
+        ModelConfig.from_json(obj)
+    assert str(err.value) == message
+
+
+def test_config_fields_left_out_keep_their_defaults():
+    config = ModelConfig.from_json({"gat": {"depth": 2}, "seed": 4})
+    assert config == ModelConfig(gat=GatConfig(depth=2), seed=4)
+    assert ModelConfig.from_json({}) == ModelConfig()
 
 
 def test_prediction_file_schema(tmp_path):
