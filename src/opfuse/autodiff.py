@@ -14,7 +14,8 @@ points:
 * ``gather_rows`` hands back a row-sparse gradient (indices plus rows);
   ``Tape.backward`` sums a tensor's row parts into one dense array only
   when that array is needed, so a table gathered by every record of a
-  batch is scattered once per batch.
+  batch is scattered once per batch.  ``Gradients.rows`` hands a table's
+  summed rows to the optimizer without building the dense array at all.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ class Tensor:
     """Immutable dense float64 array, optionally tracked for gradients.
 
     The value buffer is read-only after construction.  Parameter updates
-    between training steps go through :meth:`replace_data`, which installs
-    a fresh buffer; gradients recorded on an earlier tape are unaffected
-    because backward functions close over the arrays they need.
+    between training steps go through :meth:`replace_data` or
+    :meth:`replace_rows`, which install a fresh buffer; gradients recorded
+    on an earlier tape are unaffected because backward functions close over
+    the arrays they need, and a kept buffer keeps its values.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -83,6 +85,22 @@ class Tensor:
         if new.shape != self.data.shape:
             raise ShapeError(f"replace_data shape {new.shape} != existing {self.data.shape}")
         _check_finite("replace_data", new)
+        new.setflags(write=False)
+        object.__setattr__(self, "data", new)
+
+    def replace_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Install a copy of the buffer with ``rows`` set to ``values`` (optimizer use only).
+
+        The table is copied once and only the new rows are checked for
+        finiteness; on a failed check the old buffer stays installed.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (len(rows),) + self.data.shape[1:]:
+            raise ShapeError(f"replace_rows got values of shape {values.shape} "
+                             f"for {len(rows)} rows of {self.data.shape}")
+        _check_finite("replace_rows", values)
+        new = self.data.copy()
+        new[rows] = values
         new.setflags(write=False)
         object.__setattr__(self, "data", new)
 
@@ -155,15 +173,28 @@ class _Accumulator:
         # A first gradient may stay a view: later sums never write in place.
         self.dense = np.asarray(g, dtype=np.float64) if self.dense is None else self.dense + g
 
+    def _joined_parts(self) -> _RowGrad:
+        return _RowGrad(np.concatenate([p.idx for p in self.parts]),
+                        np.concatenate([p.rows for p in self.parts]))
+
     def value(self) -> np.ndarray:
         """The dense gradient; every row part is scattered in one pass."""
         if self.parts:
-            rows = _scatter_add_rows(np.concatenate([p.rows for p in self.parts]),
-                                     np.concatenate([p.idx for p in self.parts]),
-                                     self.tensor.shape[0])
+            idx, parts = self._joined_parts()
+            rows = _scatter_add_rows(parts, idx, self.tensor.shape[0])
             self.dense = rows if self.dense is None else self.dense + rows
             self.parts = []
         return self.dense
+
+    def unique_rows(self) -> _RowGrad:
+        """Sorted unique row indices of the row parts and each one's summed row.
+
+        The bincount over the inverse indices adds each cell's terms in the
+        same order as ``value`` does, so every sum has the same bits.
+        """
+        idx, parts = self._joined_parts()
+        unique, inverse = np.unique(idx, return_inverse=True)
+        return _RowGrad(unique, _scatter_add_rows(parts, inverse, unique.size))
 
 
 class Gradients:
@@ -180,6 +211,21 @@ class Gradients:
         if entry is None:
             return np.zeros(t.shape, dtype=np.float64)
         return entry.value()
+
+    def rows(self, t: Tensor) -> _RowGrad | None:
+        """``t``'s gradient as (sorted unique row indices, summed rows).
+
+        Only a gradient made of row parts alone has this form; for one with a
+        dense part this returns None, and ``wrt`` gives the gradient.  A
+        tensor the loss never touched has no rows.  Each row's bits equal the
+        same row of ``wrt(t)``, and no dense array is built.
+        """
+        entry = self._store.get(id(t))
+        if entry is None:
+            return _RowGrad(np.empty(0, dtype=np.intp), np.empty((0,) + t.shape[1:]))
+        if entry.dense is not None:
+            return None
+        return entry.unique_rows()
 
     def __contains__(self, t: Tensor) -> bool:
         return id(t) in self._store

@@ -33,14 +33,16 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray | Tensor]) ->
     arrays: list[tuple[str, np.ndarray]] = []
     for name, value in params.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-        arrays.append((name, np.ascontiguousarray(arr, dtype=np.float64)))
+        # No copy for a C-contiguous little-endian float64 array: its buffer
+        # is written as it is.
+        arrays.append((name, np.ascontiguousarray(arr, dtype="<f8")))
     manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps({"params": manifest}, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for _, arr in arrays:
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(memoryview(arr))
 
 
 def _is_dim(value) -> bool:

@@ -17,6 +17,7 @@ the annotation spans use.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import struct
@@ -66,11 +67,18 @@ def hash_bucket(token_text: str, buckets: int) -> int:
     return zlib.crc32(token_text.encode("utf-8")) % buckets
 
 
+@functools.lru_cache(maxsize=256)
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
+    """(length, width) position table, read-only and kept for the 256 latest shapes.
+
+    Each shape is computed in full rather than sliced from a longer table,
+    so a table's bits never depend on which lengths came before.
+    """
     pos = np.arange(length, dtype=np.float64)[:, None]
     dim = np.arange(width, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (2.0 * np.floor(dim / 2.0)) / width)
     enc = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+    enc.setflags(write=False)
     return enc
 
 

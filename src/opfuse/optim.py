@@ -7,11 +7,43 @@ import numpy as np
 from .autodiff import Gradients, Tensor
 
 
+class _TouchedRows:
+    """Adam moments of the rows of one table that ever had a gradient.
+
+    A row gets the next free slot the first time it has a gradient; ``m``
+    and ``v`` hold one row per slot.  The buffers have a slot for every row
+    of the table, but ``np.zeros`` maps its pages lazily, so only the
+    slots in use take memory.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.slot = np.full(shape[0], -1, dtype=np.intp)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+
+    def add_rows(self, idx: np.ndarray) -> None:
+        new = idx[self.slot[idx] < 0]
+        self.slot[new] = np.arange(self.rows.size, self.rows.size + new.size)
+        self.rows = np.concatenate([self.rows, new])
+
+
 class Adam:
     """Adam with bias correction, β=(0.9, 0.999) and ε=1e-8.
 
     Parameters are updated strictly between training steps via
-    ``Tensor.replace_data``; moment state is keyed by parameter name.
+    ``Tensor.replace_data`` or ``Tensor.replace_rows``; moment state is
+    keyed by parameter name.
+
+    A parameter whose gradients so far came as rows only (an embedding
+    table) is updated on the rows it ever had a gradient for, and on no
+    other.  Every such row is updated at every step, with gradient 0 when
+    the batch leaves it out, so its moments still decay.  A row never
+    touched has m = v = 0 and gradient 0, so dense Adam would move it by
+    exactly 0 / (0 + ε) = 0: the result is dense Adam bit for bit.  This is
+    not LazyAdam or ``SparseAdam``, which skip the decay of rows absent
+    from a batch.  The first dense gradient of a parameter moves its
+    moments into dense arrays for good.
     """
 
     BETA1 = 0.9
@@ -22,8 +54,9 @@ class Adam:
         self.params = dict(params)
         self.lr = float(lr)
         self._step = 0
-        self._m = {name: np.zeros(p.shape) for name, p in self.params.items()}
-        self._v = {name: np.zeros(p.shape) for name, p in self.params.items()}
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+        self._touched: dict[str, _TouchedRows] = {}
 
     def step(self, grads: Gradients) -> None:
         self._step += 1
@@ -31,12 +64,44 @@ class Adam:
         bc1 = 1.0 - self.BETA1 ** t
         bc2 = 1.0 - self.BETA2 ** t
         for name, param in self.params.items():
+            if name not in self._m:
+                part = grads.rows(param)
+                if part is not None:
+                    self._step_rows(name, param, part, bc1, bc2)
+                    continue
+                self._make_dense(name, param)
             g = grads.wrt(param)
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
-            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.EPS)
-            param.replace_data(param.data - update)
+            param.replace_data(param.data - self._update(self._m[name], self._v[name],
+                                                         g, bc1, bc2))
+
+    def _update(self, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                bc1: float, bc2: float) -> np.ndarray:
+        """Advance the moments in place and return the step to subtract."""
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * g
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * g * g
+        return (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.EPS)
+
+    def _step_rows(self, name: str, param: Tensor, part, bc1: float, bc2: float) -> None:
+        idx, summed = part
+        table = self._touched.get(name)
+        if table is None:
+            if not idx.size:
+                return
+            table = self._touched[name] = _TouchedRows(param.shape)
+        table.add_rows(idx)
+        count = table.rows.size
+        g = np.zeros((count,) + param.shape[1:])
+        g[table.slot[idx]] = summed
+        update = self._update(table.m[:count], table.v[:count], g, bc1, bc2)
+        param.replace_rows(table.rows, param.data[table.rows] - update)
+
+    def _make_dense(self, name: str, param: Tensor) -> None:
+        m, v = np.zeros(param.shape), np.zeros(param.shape)
+        table = self._touched.pop(name, None)
+        if table is not None:
+            count = table.rows.size
+            m[table.rows] = table.m[:count]
+            v[table.rows] = table.v[:count]
+        self._m[name], self._v[name] = m, v

@@ -110,7 +110,9 @@ def train_model(config: ModelConfig, corpus: Corpus,
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             best_epoch = epoch
-            best_state = {name: p.data.copy() for name, p in params.items()}
+            # Parameter buffers are read-only and every optimizer step
+            # installs fresh ones, so keeping them keeps this epoch's values.
+            best_state = {name: p.data for name, p in params.items()}
         elif epoch - best_epoch >= config.optimizer.patience:
             log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
             break

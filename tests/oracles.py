@@ -6,10 +6,13 @@ dense masked recomputation, and the marginal-homogeneity statistic is
 solved in exact rational arithmetic.  The self-attention reference runs
 one head at a time in plain numpy, and span pooling resolves a span against
 token offsets itself rather than reading the token indices a graph stores.
+Adam is replayed densely over every cell, and the checkpoint layout is
+rebuilt with a fresh float64 copy of every payload.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -133,3 +136,28 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
                 factor = a[r][col]
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+def dense_adam_reference(param: np.ndarray, m: np.ndarray, v: np.ndarray,
+                         grad: np.ndarray, step: int, lr: float):
+    """One step of textbook Adam (β=(0.9, 0.999), ε=1e-8) over every cell.
+
+    Returns the new (param, m, v) and leaves its inputs as they were; the
+    new param may hold non-finite cells, which the caller checks.
+    """
+    m = m * 0.9 + (1.0 - 0.9) * grad
+    v = v * 0.999 + (1.0 - 0.999) * grad * grad
+    update = (lr / (1.0 - 0.9 ** step)) * m / (np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+    return param - update, m, v
+
+
+def checkpoint_bytes_reference(params: dict[str, np.ndarray]) -> bytes:
+    """An ``OPFUSE-CKPT-1`` file: magic, JSON manifest, then float64 payloads.
+
+    Every payload is copied to a contiguous float64 array and then to
+    little-endian bytes, one copy at a time.
+    """
+    arrays = {name: np.ascontiguousarray(arr, dtype=np.float64) for name, arr in params.items()}
+    manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
+    return (b"OPFUSE-CKPT-1\n" + json.dumps({"params": manifest}, sort_keys=True).encode("utf-8")
+            + b"\n" + b"".join(arr.astype("<f8").tobytes() for arr in arrays.values()))

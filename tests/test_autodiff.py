@@ -390,3 +390,54 @@ def test_non_finite_row_in_sparse_gradient_is_rejected():
         loss = ad.tsum(ad.add(ad.mul(rows, 1e308), ad.mul(rows, 1e308)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         tape.backward(loss)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), w=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 20), min_size=1, max_size=5))
+def test_gradient_rows_sum_like_the_dense_scatter(n, w, seed, sizes):
+    rng = np.random.default_rng(seed)
+    table = Tensor(rng.standard_normal((n, w)), requires_grad=True)
+    gathers = [rng.integers(0, n, size=size) for size in sizes]
+    probes = [rng.standard_normal((size, w)) for size in sizes]
+    with Tape() as tape:
+        loss = ad.tsum(ad.mul(ad.gather_rows(table, gathers[0]), probes[0]))
+        for idx, probe in zip(gathers[1:], probes[1:]):
+            loss = ad.add(loss, ad.tsum(ad.mul(ad.gather_rows(table, idx), probe)))
+    grads = tape.backward(loss)
+    idx, rows = grads.rows(table)
+    # Backward meets the gathers in reverse, so their parts are summed in that order.
+    dense = ad._scatter_add_rows(np.concatenate(probes[::-1]), np.concatenate(gathers[::-1]), n)
+    assert idx.tolist() == sorted(set(np.concatenate(gathers).tolist()))
+    assert rows.tobytes() == dense[idx].tobytes()
+    assert grads.wrt(table).tobytes() == dense.tobytes()
+
+
+def test_gradient_rows_only_for_row_parts():
+    table = Tensor(np.ones((5, 2)), requires_grad=True)
+    other = Tensor(np.ones((5, 2)), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.add(ad.tsum(ad.gather_rows(table, [3, 1, 3])), ad.tsum(table))
+    grads = tape.backward(loss)
+    assert grads.rows(table) is None              # a dense part: read it with wrt
+    idx, rows = grads.rows(other)                 # never touched: no rows
+    assert idx.shape == (0,) and rows.shape == (0, 2)
+    with Tape() as tape:
+        loss = ad.tsum(ad.gather_rows(table, [3, 1, 3]))
+    idx, rows = tape.backward(loss).rows(table)
+    assert idx.tolist() == [1, 3] and rows.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+
+
+def test_replace_rows_installs_a_copy_and_checks_only_new_rows():
+    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    before = t.data
+    t.replace_rows(np.array([2, 0]), [[9.0, 9.0], [7.0, 7.0]])
+    assert t.data.tolist() == [[7.0, 7.0], [2.0, 3.0], [9.0, 9.0]]
+    assert before.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert not t.data.flags.writeable
+    installed = t.data
+    with pytest.raises(NonFiniteError):
+        t.replace_rows(np.array([1]), [[np.nan, 0.0]])
+    with pytest.raises(ShapeError):
+        t.replace_rows(np.array([1]), [[1.0, 2.0, 3.0]])
+    assert t.data is installed

@@ -75,6 +75,15 @@ def test_encode_matches_per_head_reference(heads):
     assert np.max(np.abs(out.pooled.data - x.mean(axis=0, keepdims=True))) < 1e-12
 
 
+def test_position_tables_are_cached_with_the_bits_of_a_fresh_computation():
+    shapes = [(12, 64), (1, 64), (40, 64), (12, 8), (7, 6), (12, 64), (3, 8)]
+    for length, width in shapes:
+        table = sinusoidal_positions(length, width)
+        assert table.tobytes() == sinusoidal_positions.__wrapped__(length, width).tobytes()
+        assert table.shape == (length, width) and not table.flags.writeable
+        assert sinusoidal_positions(length, width) is table
+
+
 def test_toy_encoder_output_shapes():
     enc = ToyEncoder(rng=np.random.default_rng(0))  # default config
     seq = tokenize("buy the dip now")

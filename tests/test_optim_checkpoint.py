@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfuse.autodiff as ad
-from opfuse.autodiff import Tape, Tensor
+from opfuse.autodiff import NonFiniteError, Tape, Tensor
 from opfuse.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                restore_into, save_checkpoint)
 from opfuse.model import ModelConfig, OpinionFusionModel
@@ -16,6 +16,7 @@ from opfuse.optim import Adam
 from opfuse.synthetic import make_planted_corpus
 
 from fuzzing import FIELD_VALUES
+from oracles import checkpoint_bytes_reference, dense_adam_reference
 
 
 def test_adam_minimizes_quadratic():
@@ -49,6 +50,115 @@ def test_adam_deterministic():
         return x.data.tobytes()
 
     assert run() == run()
+
+
+def row_part(table, idx, rows):
+    """A scalar whose backward hands ``rows`` to ``table``'s rows ``idx`` as they are."""
+    idx = np.asarray(idx, dtype=np.intp)
+
+    def backward(g):
+        return (ad._RowGrad(idx, np.asarray(rows, dtype=np.float64)),)
+
+    return ad.tsum(ad._apply("row_part", table.data[idx], (table,), backward))
+
+
+def adam_moments(opt, name, shape):
+    """Dense (m, v) of one parameter, whichever form the optimizer keeps them in."""
+    if name in opt._m:
+        return opt._m[name], opt._v[name]
+    m, v = np.zeros(shape), np.zeros(shape)
+    table = opt._touched.get(name)
+    if table is not None:
+        m[table.rows] = table.m[:table.rows.size]
+        v[table.rows] = table.v[:table.rows.size]
+    return m, v
+
+
+# A step gives the table row parts ("rows"), nothing ("none"), row parts
+# plus a dense part ("dense"), or row parts plus a row that sums to inf.
+STEP_KINDS = ("rows", "none", "dense", "overflow")
+
+
+def run_adam_against_reference(table_shape, steps, seed, lr=0.01):
+    """Step Adam and the dense reference side by side; compare bytes after each step.
+
+    A step of kind ``overflow`` sums two finite 1e308 rows to inf: both
+    sides then give a non-finite row, Adam raises and installs nothing, and
+    the sequence ends there.
+    """
+    rng = np.random.default_rng(seed)
+    n, w = table_shape
+    table = Tensor(rng.standard_normal((n, w)), requires_grad=True)
+    other = Tensor(rng.standard_normal(3), requires_grad=True)
+    opt = Adam({"table": table, "other": other}, lr=lr)
+    ref = {"table": (table.data, np.zeros((n, w)), np.zeros((n, w))),
+           "other": (other.data, np.zeros(3), np.zeros(3))}
+    for t, (kind, parts) in enumerate(steps, start=1):
+        with Tape() as tape:
+            loss = ad.tsum(ad.mul(other, rng.standard_normal(3)))
+            for idx in parts:
+                loss = ad.add(loss, row_part(table, idx, rng.standard_normal((len(idx), w))))
+            if kind == "dense":
+                loss = ad.add(loss, ad.tsum(ad.mul(table, rng.standard_normal((n, w)))))
+            if kind == "overflow":
+                row = int(rng.integers(n))
+                loss = ad.add(loss, row_part(table, [row, row], np.full((2, w), 1e308)))
+        with np.errstate(all="ignore"):
+            grads = tape.backward(loss)
+            if kind == "overflow":
+                with pytest.raises(NonFiniteError):
+                    opt.step(grads)
+            else:
+                opt.step(grads)
+            # Read after the step, so Adam met the gradient as backward left it.
+            new = {name: dense_adam_reference(*ref[name], grads.wrt(p), t, lr)
+                   for name, p in opt.params.items()}
+        if kind == "overflow":
+            assert not np.isfinite(new["table"][0]).all()
+            m, v = adam_moments(opt, "table", (n, w))
+            assert table.data.tobytes() == ref["table"][0].tobytes()
+            assert m.tobytes() == new["table"][1].tobytes()
+            assert v.tobytes() == new["table"][2].tobytes()
+            return
+        ref = new
+        for name, p in opt.params.items():
+            m, v = adam_moments(opt, name, p.shape)
+            assert p.data.tobytes() == ref[name][0].tobytes(), (t, name)
+            assert m.tobytes() == ref[name][1].tobytes(), (t, name)
+            assert v.tobytes() == ref[name][2].tobytes(), (t, name)
+
+
+@st.composite
+def adam_steps(draw):
+    n = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(STEP_KINDS), min_size=1, max_size=10)):
+        parts = [] if kind == "none" else draw(
+            st.lists(st.lists(index, min_size=1, max_size=6), max_size=3))
+        steps.append((kind, parts))
+    return (n, w), steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=adam_steps(), seed=st.integers(0, 2**32 - 1))
+def test_adam_is_byte_identical_to_dense_adam(case, seed):
+    run_adam_against_reference(*case, seed)
+
+
+def test_adam_fixed_sequence_is_byte_identical_to_dense_adam():
+    run_adam_against_reference((6, 3), [
+        ("rows", [[0, 0, 2], [2]]),     # repeated rows, in two parts
+        ("rows", [[4]]),                # row 4 is touched once and never again
+        ("none", []),                   # no gradient for the table at all
+        ("rows", [[0, 5, 5, 5]]),
+        ("none", []),
+        ("dense", [[1, 1]]),            # dense and row parts: the table goes dense
+        ("rows", [[3]]),
+        ("none", []),
+        ("overflow", []),
+    ], seed=7)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -195,3 +305,22 @@ def test_corrupt_checkpoints_raise_only_checkpoint_error(tmp_path_factory, data)
         load_checkpoint(path)
     except CheckpointError:
         pass
+
+
+def test_checkpoint_bytes_match_the_reference_layout(tmp_path):
+    rng = np.random.default_rng(5)
+    params = {
+        "table": Tensor(rng.standard_normal((7, 3)), requires_grad=True),
+        "strided": rng.standard_normal((4, 6))[:, ::2],
+        "fortran": np.asfortranarray(rng.standard_normal((3, 5))),
+        "big_endian": rng.standard_normal((2, 3)).astype(">f8"),
+        "float32": rng.standard_normal(4).astype(np.float32),
+        "ints": np.arange(5),
+        "empty": np.zeros((0, 4)),
+        "scalar": np.float64(2.5),
+    }
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    arrays = {name: value.data if isinstance(value, Tensor) else value
+              for name, value in params.items()}
+    assert path.read_bytes() == checkpoint_bytes_reference(arrays)

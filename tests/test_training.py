@@ -2,14 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opfuse.autodiff import Tape, cross_entropy
+from opfuse.checkpoint import restore_into
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, load_corpus
 from opfuse.evaluation import read_predictions
 from opfuse.model import (ConfigError, EncoderConfig, FusionConfig, GatConfig, ModelConfig,
                           OpinionFusionModel, OptimizerConfig)
+from opfuse.optim import Adam
 from opfuse.sweep import (DEFAULT_SPACE, SweepError, apply_point, load_space, run_sweep,
                           sweep_csv, trial_seed)
 from opfuse.synthetic import make_gate_favoring_setup, make_planted_corpus
@@ -96,6 +100,26 @@ def test_best_checkpoint_is_restored():
     from opfuse.evaluation import macro_f1
     restored = macro_f1(result.dev_predictions)
     assert abs(restored - result.best_dev_f1) < 1e-12
+
+
+def test_kept_parameter_buffers_survive_later_steps():
+    # train_model keeps the best epoch's p.data buffers rather than copies.
+    model = OpinionFusionModel(quick_config(), rng=np.random.default_rng(0))
+    params = model.parameters()
+    kept = {name: p.data for name, p in params.items()}
+    snapshot = {name: arr.tobytes() for name, arr in kept.items()}
+    optimizer = Adam(params, lr=1e-2)
+    records = small_corpus().split("train")
+    for _ in range(3):
+        with Tape() as tape:
+            loss = cross_entropy(model.forward_batch(records), [0] * len(records))
+        optimizer.step(tape.backward(loss))
+    assert all(not arr.flags.writeable for arr in kept.values())
+    assert {name: arr.tobytes() for name, arr in kept.items()} == snapshot
+    moved = [name for name, p in params.items() if p.data.tobytes() != snapshot[name]]
+    assert "encoder.embedding" in moved and len(moved) == len(params)
+    restore_into(params, kept)
+    assert {name: p.data.tobytes() for name, p in params.items()} == snapshot
 
 
 def test_early_stopping_on_plateau():
