@@ -174,6 +174,8 @@ class _Accumulator:
         self.dense = np.asarray(g, dtype=np.float64) if self.dense is None else self.dense + g
 
     def _joined_parts(self) -> _RowGrad:
+        if len(self.parts) == 1:
+            return self.parts[0]
         return _RowGrad(np.concatenate([p.idx for p in self.parts]),
                         np.concatenate([p.rows for p in self.parts]))
 
@@ -334,7 +336,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _apply("mul", out, (a, b), backward)
 
@@ -349,8 +352,9 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        return da, db
 
     return _apply("matmul", out, (a, b), backward)
 
@@ -448,6 +452,67 @@ def segment_softmax(a, segment_ids: Sequence[int], num_segments: int) -> Tensor:
         return (out * (g - inner),)
 
     return _apply("segment_softmax", out, (a,), backward)
+
+
+def edge_scores(src_proj, tgt_proj, edge_proj, attn, src: np.ndarray,
+                dst: np.ndarray | None, slope: float) -> Tensor:
+    """GATv2 edge scores ``a_kᵀ LeakyReLU(src_proj[src] + tgt_proj[dst] + edge_proj)``: (E, H).
+
+    ``src_proj`` and ``tgt_proj`` are (N, H·d) node rows, ``edge_proj`` is
+    (E, H·d) and ``attn`` is (H, d, 1); head ``k`` owns columns
+    ``k·d:(k+1)·d``.  With ``dst=None``, ``tgt_proj`` already holds one
+    (E, H·d) row per edge and gets a dense gradient.  The pre-activation is
+    one buffer built with in-place adds, and it is all the tape keeps: the
+    kink mask is made in backward only.  Backward hands one gradient buffer
+    to the source rows, the target rows and the edge projection, row-sparse
+    for a node table.
+    """
+    src_proj, tgt_proj, edge_proj, attn = (as_tensor(t) for t in
+                                           (src_proj, tgt_proj, edge_proj, attn))
+    if attn.data.ndim != 3 or attn.shape[2] != 1:
+        raise ShapeError(f"edge_scores needs an (H, d, 1) scorer, got {attn.shape}")
+    heads, d = attn.shape[:2]
+    n_edges, width = len(src), heads * d
+    n_dst = n_edges if dst is None else len(dst)
+    if (src_proj.data.ndim != 2 or src_proj.shape[1] != width
+            or tgt_proj.data.ndim != 2 or tgt_proj.shape[1] != width
+            or edge_proj.shape != (n_edges, width) or n_dst != n_edges
+            or (dst is None and tgt_proj.shape[0] != n_edges)):
+        raise ShapeError(f"edge_scores got node rows {src_proj.shape} and {tgt_proj.shape}, "
+                         f"edge rows {edge_proj.shape} and {len(src)}/{n_dst} endpoints "
+                         f"for width {width}")
+    src = np.asarray(src, dtype=np.intp)
+    ends = [(src, src_proj)]
+    if dst is not None:
+        dst = np.asarray(dst, dtype=np.intp)
+        ends.append((dst, tgt_proj))
+    for idx, rows in ends:
+        if n_edges and (idx.min() < 0 or idx.max() >= rows.shape[0]):
+            raise ShapeError(f"edge_scores endpoint out of range for {rows.shape[0]} rows")
+    pre = src_proj.data[src]
+    if dst is None:
+        pre += tgt_proj.data
+        act = np.empty_like(pre)
+    else:
+        act = tgt_proj.data[dst]
+        pre += act
+    pre += edge_proj.data
+    _check_finite("edge_scores", pre)
+    np.multiply(pre, slope, out=act)
+    np.maximum(act, pre, out=act)
+    out = np.einsum("ekj,kj->ek", act.reshape(n_edges, heads, d), attn.data[:, :, 0])
+
+    def backward(g):
+        # The kink mask times each edge's score gradient, built in one buffer:
+        # with ``pre`` it gives ``attn``'s gradient, with ``attn`` everyone else's.
+        gz = np.maximum(pre >= 0.0, slope).reshape(n_edges, heads, d)
+        gz *= g[:, :, None]
+        d_attn = np.einsum("ekj,ekj->kj", gz, pre.reshape(n_edges, heads, d))[:, :, None]
+        gz *= attn.data[:, :, 0]
+        gz = gz.reshape(n_edges, width)
+        return _RowGrad(src, gz), gz if dst is None else _RowGrad(dst, gz), gz, d_attn
+
+    return _apply("edge_scores", out, (src_proj, tgt_proj, edge_proj, attn), backward)
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:

@@ -34,8 +34,9 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray | Tensor]) ->
     for name, value in params.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value)
         # No copy for a C-contiguous little-endian float64 array: its buffer
-        # is written as it is.
-        arrays.append((name, np.ascontiguousarray(arr, dtype="<f8")))
+        # is written as it is.  (``ascontiguousarray`` would give a 0-d
+        # array a dimension.)
+        arrays.append((name, np.asarray(arr, dtype="<f8", order="C")))
     manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
     with open(path, "wb") as fh:
         fh.write(MAGIC)

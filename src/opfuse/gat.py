@@ -9,6 +9,23 @@ Coefficients are softmax-normalized over ``N(i) ∪ {i}`` where
 ``N(i) = {j | (i, j) ∈ E}``, and messages are ``h'_i = Σ_j α_ij Θ_t[k] h_j``.
 Head outputs are concatenated.  Each weight is one tensor with a leading
 head axis, so every array op runs all heads at once.
+
+The scores of every edge and head come from one primitive,
+``autodiff.edge_scores``: it adds the gathered source and target
+projections and the edge projection into one buffer in place, and the tape
+keeps only that pre-activation.
+
+The message sum runs on whichever per-edge rows are narrower.  Since
+
+    Σ_j α_ij Θ_t[k] h_j = Θ_t[k] Σ_j α_ij h_j   (per head k),
+
+a layer whose input is narrower than one head's output (``d_in < d_out``,
+as in the first layer of the README default, 64 < 96) weights and sums the
+``(edges, heads, d_in)`` input rows and applies each head's Θ_t once per
+node.  Otherwise, as in every deeper layer, whose input is ``heads · d_out``
+wide, it gathers the projected ``(edges, heads · d_out)`` target rows once,
+scores the edges on them and sums them as the messages.  The layer's shapes
+pick the path.
 """
 
 from __future__ import annotations
@@ -62,7 +79,8 @@ def gat_layer(graph: PackedGraphs, params: GatParams,
     Runs on the packed disjoint union as one edge list: every node's
     neighborhood is its out-edges in edge order followed by its self-loop,
     scores are normalized with a segment softmax per source node, and
-    messages are scatter-added back onto the source nodes.
+    messages are scatter-added back onto the source nodes (see the module
+    docstring for which rows are summed).
 
     When ``collect_attention`` is given, the per-node coefficient arrays are
     appended to it as (node, head, neighborhood weights) triples, head by head.
@@ -91,21 +109,32 @@ def gat_layer(graph: PackedGraphs, params: GatParams,
         ad.matmul(rows, ad.transpose(ad.reshape(theta, (width, theta.shape[2]))))
         for rows, theta in ((graph.features, params.theta_s),
                             (graph.features, params.theta_t), (attr, params.theta_e)))
-    messages = ad.gather_rows(tgt_proj, dst)
-    pre = ad.leaky_relu(
-        ad.add(ad.add(ad.gather_rows(src_proj, src), messages), edge_proj),
-        params.leaky_slope)
-    # Block-diagonal (heads * d_out, heads) scorer: column k holds a_k.
-    scorer = ad.mul(ad.reshape(params.attn, (width, 1)),
-                    np.kron(np.eye(heads), np.ones((d_out, 1))))
-    alpha = ad.segment_softmax(ad.matmul(pre, scorer), src, n_nodes)
+    # Each edge's rows, weighted per head and summed onto its source: the
+    # input rows when they are the narrower ones, else the projected ones,
+    # which are then gathered once for the scores and the messages alike.
+    narrow = params.d_in < d_out
+    if narrow:
+        scores = ad.edge_scores(src_proj, tgt_proj, edge_proj, params.attn, src, dst,
+                                params.leaky_slope)
+        rows, row_width = ad.gather_rows(graph.features, dst), params.d_in
+    else:
+        rows, row_width = ad.gather_rows(tgt_proj, dst), d_out
+        scores = ad.edge_scores(src_proj, rows, edge_proj, params.attn, src, None,
+                                params.leaky_slope)
+    alpha = ad.segment_softmax(scores, src, n_nodes)
     if collect_attention is not None:
         bounds = np.searchsorted(src, np.arange(n_nodes + 1))
         collect_attention.extend((i, k, alpha.data[bounds[i]:bounds[i + 1], k].copy())
                                  for k in range(heads) for i in range(n_nodes))
-    weighted = ad.mul(ad.reshape(messages, (n_edges, heads, d_out)),
+    weighted = ad.mul(ad.reshape(rows, (n_edges, -1, row_width)),
                       ad.reshape(alpha, (n_edges, heads, 1)))
-    return ad.segment_sum(ad.reshape(weighted, (n_edges, width)), src, n_nodes)
+    summed = ad.segment_sum(ad.reshape(weighted, (n_edges, heads * row_width)), src, n_nodes)
+    if not narrow:
+        return summed
+    # Θ_t[k] applied once per node: (heads, |V|, d_in) @ (heads, d_in, d_out).
+    per_head = ad.transpose(ad.reshape(summed, (n_nodes, heads, row_width)), (1, 0, 2))
+    projected = ad.matmul(per_head, ad.transpose(params.theta_t, (0, 2, 1)))
+    return ad.reshape(ad.transpose(projected, (1, 0, 2)), (n_nodes, width))
 
 
 def readout(node_feats: Tensor, graph: PackedGraphs) -> Tensor:

@@ -190,7 +190,8 @@ def test_gradient_accumulates_across_uses():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "transpose", "gather", "concat",
     "mean_axis", "sum_axis", "sigmoid", "softmax", "leaky", "reshape",
-    "matmul_leading_axis", "transpose_axes", "gather_nonleaf",
+    "matmul_leading_axis", "transpose_axes", "gather_nonleaf", "edge_scores",
+    "edge_scores_gathered",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2 ** 31))
@@ -222,6 +223,15 @@ def test_primitive_gradients_match_finite_differences(op_name):
         return ad.concat([ad.gather_rows(h, [2, 0, 2]), h, ad.gather_rows(h, [1, 1])])
 
     builders["gather_nonleaf"] = gather_nonleaf
+    # Five edges over three nodes, two heads of width 2; a node repeats as
+    # source and as target, so both row-sparse parts sum several rows.
+    e = Tensor(np.random.default_rng(2).standard_normal((5, 4)), requires_grad=True)
+    a = Tensor(np.random.default_rng(3).standard_normal((2, 2, 1)), requires_grad=True)
+    builders["edge_scores"] = lambda: ad.edge_scores(x, y, e, a, [0, 2, 1, 2, 0],
+                                                     [1, 1, 0, 2, 2], 0.2)
+    # The same edges with the target rows gathered beforehand: a dense gradient.
+    builders["edge_scores_gathered"] = lambda: ad.edge_scores(
+        x, ad.gather_rows(y, [1, 1, 0, 2, 2]), e, a, [0, 2, 1, 2, 0], None, 0.2)
 
     # Weighted sum makes the scalar sensitive to every output entry.
     probe = Tensor(rng.standard_normal(builders[op_name]().shape))
@@ -233,7 +243,9 @@ def test_primitive_gradients_match_finite_differences(op_name):
         loss = scalar()
     grads = tape.backward(loss)
 
-    for t in (x, y, z):
+    if op_name.startswith("edge_scores"):
+        assert all(t in grads for t in (x, y, e, a))
+    for t in (x, y, z, e, a):
         if t in grads:
             assert max_rel_err(grads.wrt(t), numeric_gradient(lambda: scalar().item(), t)) < TOL
 
@@ -271,6 +283,33 @@ def test_non_finite_forward_is_rejected():
     with np.errstate(over="ignore"):
         assert Tensor([1e308, 1e308]).shape == (2,)
         assert ad.mul(Tensor([[1e308], [1e308]]), 1.0).shape == (2, 1)
+
+
+def test_edge_scores_reject_a_non_finite_pre_activation():
+    edges = Tensor(np.zeros((3, 4)))
+    attn = Tensor(np.ones((2, 2, 1)))
+    for sign in (1.0, -1.0):
+        with np.errstate(over="ignore"):
+            # Finite node rows whose sum along an edge overflows.
+            nodes = Tensor(np.full((2, 4), sign * 1e308))
+            with pytest.raises(NonFiniteError, match="edge_scores"):
+                ad.edge_scores(nodes, nodes, edges, attn, [0, 1, 1], [1, 0, 1], 0.2)
+
+
+def test_edge_scores_match_the_unfused_primitives():
+    rng = np.random.default_rng(17)
+    src_proj, tgt_proj = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+    edge_proj, attn = rng.standard_normal((7, 6)), rng.standard_normal((3, 2, 1))
+    src, dst = np.array([0, 0, 1, 2, 3, 3, 3]), np.array([1, 2, 0, 2, 0, 1, 3])
+    pre = ad.leaky_relu(src_proj[src] + tgt_proj[dst] + edge_proj, 0.3).data
+    expected = np.stack([pre[:, 2 * k:2 * k + 2] @ attn[k, :, 0] for k in range(3)], axis=1)
+    out = ad.edge_scores(src_proj, tgt_proj, edge_proj, attn, src, dst, 0.3)
+    assert out.shape == (7, 3)
+    assert np.max(np.abs(out.data - expected)) < 1e-12
+    gathered = ad.edge_scores(src_proj, tgt_proj[dst], edge_proj, attn, src, None, 0.3)
+    assert gathered.data.tobytes() == out.data.tobytes()
+    with pytest.raises(ShapeError):
+        ad.edge_scores(src_proj, tgt_proj, edge_proj, attn, src, None, 0.3)
 
 
 def test_tensor_data_is_read_only():

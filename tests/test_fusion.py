@@ -250,6 +250,20 @@ def test_forward_batch_matches_single_record_forward(fusion_type, depth):
     assert flags == [False, True, False, True, False, True, False]
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_forward_batch_matches_single_record_forward_on_narrow_inputs(depth):
+    # GAT 16 wide over width-8 tokens: layer 0 sums its narrower input rows,
+    # layer 1 (32 wide in) its projected messages.
+    config = tiny_config("gate")
+    config.gat.out_dim, config.gat.depth, config.gat.role_embedding = 16, depth, True
+    model = OpinionFusionModel(config, rng=np.random.default_rng(18))
+    assert [layer.d_in < layer.d_out for layer in model.gat_layers] == [True, False][:depth]
+    records = mixed_batch()
+    batch = model.forward_batch(records).data
+    single = np.concatenate([model.forward_batch([r]).data for r in records], axis=0)
+    assert np.max(np.abs(batch - single)) <= 1e-10 * np.max(np.abs(single))
+
+
 def test_exactly_one_fusion_branch_is_parameterized():
     for fusion_type in ("cat", "gate"):
         params = make_params(fusion_type)

@@ -79,12 +79,12 @@ def test_attention_rows_sum_to_one():
             assert abs(alpha.sum() - 1.0) < 1e-9
 
 
-def test_matches_dense_oracle_on_200_random_graphs():
-    rng = np.random.default_rng(3)
-    for trial in range(200):
+def check_against_dense_oracle(rng, trials, d_in, d_out):
+    for trial in range(trials):
         heads = int(rng.integers(1, 4))
-        graph = random_graph(rng)
-        params = params_for(heads=heads, seed=int(rng.integers(1 << 30)))
+        graph = random_graph(rng, d_in=d_in)
+        params = params_for(d_in=d_in, d_out=d_out, heads=heads,
+                            seed=int(rng.integers(1 << 30)))
         out = gat_layer(graph, params).data
         ref = dense_gat_reference(
             graph.features.data, list(graph.edges), graph.edge_attr,
@@ -92,6 +92,17 @@ def test_matches_dense_oracle_on_200_random_graphs():
             list(params.theta_e.data), list(params.attn.data),
             params.leaky_slope)
         assert np.max(np.abs(out - ref)) < 1e-9, f"trial {trial}"
+
+
+def test_matches_dense_oracle_on_200_random_graphs():
+    # d_in >= d_out: the layer sums the projected messages.
+    check_against_dense_oracle(np.random.default_rng(3), 200, d_in=4, d_out=3)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(3, 5), (1, 2)])
+def test_narrow_aggregation_matches_dense_oracle(d_in, d_out):
+    # d_in < d_out: the layer sums the input rows and projects each node once.
+    check_against_dense_oracle(np.random.default_rng(15), 100, d_in=d_in, d_out=d_out)
 
 
 def test_packed_union_matches_dense_oracle_per_graph():
@@ -161,12 +172,12 @@ def test_width_mismatch_raises():
         gat_layer(graph, params_for(d_in=4))
 
 
-def test_gradients_reach_all_parameters_and_features():
+def check_gradients_reach_all_parameters_and_features(d_in, d_out):
     rng = np.random.default_rng(7)
-    graph = random_graph(rng, n_nodes=3, requires_grad=True)
+    graph = random_graph(rng, n_nodes=3, d_in=d_in, requires_grad=True)
     while not len(graph.edges):
-        graph = random_graph(rng, n_nodes=3, requires_grad=True)
-    params = params_for(heads=2, seed=8)
+        graph = random_graph(rng, n_nodes=3, d_in=d_in, requires_grad=True)
+    params = params_for(d_in=d_in, d_out=d_out, heads=2, seed=8)
     probe = Tensor(rng.standard_normal((3, params.out_width)))
 
     def forward():
@@ -183,6 +194,15 @@ def test_gradients_reach_all_parameters_and_features():
         analytic = grads.wrt(tensor)
         assert max_rel_err(analytic, numeric) < 1e-4, name
         assert np.abs(analytic).max() > 0, f"no gradient reached {name}"
+
+
+def test_gradients_reach_all_parameters_and_features():
+    check_gradients_reach_all_parameters_and_features(d_in=4, d_out=3)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(3, 5), (4, 4)])
+def test_gradients_reach_all_parameters_on_both_aggregation_paths(d_in, d_out):
+    check_gradients_reach_all_parameters_and_features(d_in=d_in, d_out=d_out)
 
 
 def test_readout_single_node_identity():

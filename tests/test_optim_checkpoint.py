@@ -324,3 +324,14 @@ def test_checkpoint_bytes_match_the_reference_layout(tmp_path):
     arrays = {name: value.data if isinstance(value, Tensor) else value
               for name, value in params.items()}
     assert path.read_bytes() == checkpoint_bytes_reference(arrays)
+
+
+def test_zero_dim_parameter_round_trips_through_a_checkpoint(tmp_path):
+    path = tmp_path / "scalar.ckpt"
+    save_checkpoint(path, {"s": np.float64(2.5), "t": Tensor(np.array(-1.25))})
+    stored = load_checkpoint(path)
+    assert stored["s"].shape == () and stored["t"].shape == ()
+    params = {"s": Tensor(0.0, requires_grad=True), "t": Tensor(0.0, requires_grad=True)}
+    restore_into(params, stored)
+    assert params["s"].data.shape == () and params["s"].item() == 2.5
+    assert params["t"].item() == -1.25
