@@ -104,10 +104,14 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             if size > left:
                 raise CheckpointError(f"{path}: truncated payload for {name}")
             left -= size
-            arr = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape)
+            # Read straight into the array through a flat view: a 0-d or
+            # zero-size array's own memoryview cannot be cast to bytes.
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != size:
+                raise CheckpointError(f"{path}: truncated payload for {name}")
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{path}: non-finite values in {name}")
-            out[name] = arr.copy()
+            out[name] = arr
         if left:
             raise CheckpointError(f"{path}: {left} bytes after the last payload")
     return _stack_legacy_heads(path, out)

@@ -59,9 +59,13 @@ def train_model(config: ModelConfig, corpus: Corpus,
                 out_dir: str | Path | None = None) -> TrainResult:
     """Train per the config; keeps the best-dev checkpoint.
 
-    With ``out_dir`` set, writes ``checkpoint.bin``, ``training_log.csv``
-    and ``dev_predictions.jsonl`` there.  Fixed config + seed reproduces
-    the log and prediction files byte for byte.
+    Dev is predicted once at the end of each epoch.  The returned model
+    holds the parameters of the epoch with the best dev macro-F1, and
+    ``dev_predictions`` are that epoch's predictions, kept from the end of
+    that epoch rather than made again after training.  With ``out_dir``
+    set, writes ``checkpoint.bin``, ``training_log.csv`` and
+    ``dev_predictions.jsonl`` there.  Fixed config + seed reproduces the
+    three files byte for byte.
     """
     config.validate()
     train_records = corpus.split("train")
@@ -81,6 +85,7 @@ def train_model(config: ModelConfig, corpus: Corpus,
     label_index = {label: i for i, label in enumerate(EMOTIONS)}
 
     best_state: dict[str, np.ndarray] | None = None
+    best_predictions: list[Prediction] = []
     best_f1 = -1.0
     best_epoch = -1
     rows: list[EpochStats] = []
@@ -103,7 +108,8 @@ def train_model(config: ModelConfig, corpus: Corpus,
             total_loss += loss.item() * len(batch)
         epoch_loss = total_loss / len(train_records)
 
-        dev_f1 = macro_f1(model.predict(dev_records))
+        dev_predictions = model.predict(dev_records)
+        dev_f1 = macro_f1(dev_predictions)
         rows.append(EpochStats(epoch=epoch, loss=epoch_loss, dev_macro_f1=dev_f1))
         log.info("epoch %d: loss %.5f dev macro-F1 %.3f", epoch, epoch_loss, dev_f1)
 
@@ -113,20 +119,22 @@ def train_model(config: ModelConfig, corpus: Corpus,
             # Parameter buffers are read-only and every optimizer step
             # installs fresh ones, so keeping them keeps this epoch's values.
             best_state = {name: p.data for name, p in params.items()}
+            best_predictions = dev_predictions
         elif epoch - best_epoch >= config.optimizer.patience:
             log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
             break
 
     assert best_state is not None
+    # Prediction takes no randomness, so the kept predictions are the ones
+    # the restored parameters would make.
     restore_into(params, best_state)
-    dev_predictions = model.predict(dev_records)
 
     result = TrainResult(model=model, log_rows=rows, best_epoch=best_epoch,
-                         best_dev_f1=best_f1, dev_predictions=dev_predictions)
+                         best_dev_f1=best_f1, dev_predictions=best_predictions)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / "checkpoint.bin", params)
         (out / "training_log.csv").write_text(result.log_csv(), encoding="utf-8")
-        write_predictions(out / "dev_predictions.jsonl", dev_predictions)
+        write_predictions(out / "dev_predictions.jsonl", best_predictions)
     return result

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` replaces each ``(owner, attribute)`` in its
 ``BOUNDARIES`` table at run time.  A refactor that renames or drops one
-(say ``opfuse.model.build_subgraph``), or that stops calling it, would
+(say ``opfuse.model.build_subgraph``), or a training loop that stops
+calling one (say ``model.predict`` or ``checkpoint.save``), would
 otherwise only show up as a failed ``--trace 1`` run.
 """
 
@@ -13,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import opfuse.data
+import opfuse.train
 from opfuse.autodiff import Tape, cross_entropy
-from opfuse.data import OpinionAnnotation, Record, Span
+from opfuse.data import Corpus, OpinionAnnotation, Record, Span, dump_corpus
 from opfuse.model import (EncoderConfig, FusionConfig, GatConfig, ModelConfig,
                           OpinionFusionModel, OptimizerConfig)
 
@@ -39,17 +42,25 @@ def test_traced_boundary_exists(owner, attr):
     assert callable(getattr(resolve(owner), attr, None)), f"{owner} has no {attr}"
 
 
-@pytest.mark.parametrize("fusion_type", ["gate", "attn"])
-def test_one_step_and_predict_hit_every_model_span(fusion_type):
-    config = ModelConfig(
+def small_config(fusion_type: str) -> ModelConfig:
+    return ModelConfig(
         encoder=EncoderConfig(width=8, layers=1, heads=2, vocab_buckets=32),
         gat=GatConfig(out_dim=4, heads=2), fusion=FusionConfig(type=fusion_type),
-        optimizer=OptimizerConfig(batch_size=8))
+        optimizer=OptimizerConfig(batch_size=8, epochs=1))
+
+
+def small_records(split: str, n: int = 3) -> list[Record]:
     text = "trader says market will crash soon"
     opinion = OpinionAnnotation(holder=Span(0, 6), sentiment_expression=Span(24, 29),
                                 target=Span(12, 18), polarity="negative")
-    records = [Record(id=f"r{i}", split="train", text=text, emotion="anxiety",
-                      opinions=(opinion,) * (i % 2)) for i in range(3)]
+    return [Record(id=f"{split}{i}", split=split, text=text, emotion="anxiety",
+                   opinions=(opinion,) * (i % 2)) for i in range(n)]
+
+
+@pytest.mark.parametrize("fusion_type", ["gate", "attn"])
+def test_one_step_and_predict_hit_every_model_span(fusion_type):
+    config = small_config(fusion_type)
+    records = small_records("train")
     tracer = tracing.Tracer()
     with tracer.installed():
         model = OpinionFusionModel(config, rng=np.random.default_rng(0))
@@ -61,3 +72,15 @@ def test_one_step_and_predict_hit_every_model_span(fusion_type):
     spans = [s for s in workloads.TRAIN_SPANS if s.split(".")[0] in MODEL_LAYERS]
     assert "fusion.fuse" in spans and "fusion.head" in spans
     assert [s for s in spans if not hits[s]] == []
+
+
+def test_one_epoch_of_training_hits_every_train_span(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    dump_corpus(Corpus(small_records("train") + small_records("dev", 2)), path)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        # Through the module attributes, which is where the tracer wraps them.
+        corpus = opfuse.data.load_corpus(path)
+        opfuse.train.train_model(small_config("gate"), corpus, out_dir=tmp_path / "run")
+    hits = tracer.hits()
+    assert [s for s in workloads.TRAIN_SPANS if not hits[s]] == []

@@ -1,6 +1,8 @@
 """Adam behavior and checkpoint round-trips."""
 
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfuse.autodiff as ad
+import opfuse.checkpoint
 from opfuse.autodiff import NonFiniteError, Tape, Tensor
 from opfuse.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                restore_into, save_checkpoint)
@@ -335,3 +338,25 @@ def test_zero_dim_parameter_round_trips_through_a_checkpoint(tmp_path):
     restore_into(params, stored)
     assert params["s"].data.shape == () and params["s"].item() == 2.5
     assert params["t"].item() == -1.25
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (0, 5), (3, 4)], ids=str)
+def test_load_round_trips_every_shape(tmp_path, shape):
+    path = tmp_path / "shape.ckpt"
+    value = np.arange(float(np.prod(shape))).reshape(shape) - 1.5
+    save_checkpoint(path, {"before": np.ones(2), "w": value, "after": np.full((1, 2), 7.0)})
+    loaded = load_checkpoint(path)
+    assert loaded["w"].shape == shape and loaded["w"].dtype == np.float64
+    assert loaded["w"].tobytes() == value.tobytes()
+    assert loaded["before"].tolist() == [1.0, 1.0] and loaded["after"].tolist() == [[7.0, 7.0]]
+
+
+def test_short_read_raises_checkpoint_error(tmp_path, monkeypatch):
+    # The file loses its last bytes between the size check and the read.
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(checkpoint_bytes([{"name": "w", "shape": [2, 3]}], np.ones(5).tobytes()))
+    real_fstat = os.fstat
+    monkeypatch.setattr(opfuse.checkpoint.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    with pytest.raises(CheckpointError, match="truncated payload for w"):
+        load_checkpoint(path)

@@ -122,6 +122,52 @@ def test_kept_parameter_buffers_survive_later_steps():
     assert {name: p.data.tobytes() for name, p in params.items()} == snapshot
 
 
+def count_predict_calls(monkeypatch) -> list[list]:
+    """Record every ``OpinionFusionModel.predict`` call's output, in order."""
+    calls = []
+    predict = OpinionFusionModel.predict
+
+    def counted(self, records):
+        calls.append(predict(self, records))
+        return calls[-1]
+
+    monkeypatch.setattr(OpinionFusionModel, "predict", counted)
+    return calls
+
+
+def prediction_bits(preds):
+    return [(p.id, p.pred, np.array(p.logits).tobytes()) for p in preds]
+
+
+def early_stop_config():
+    # Dev F1 peaks at epoch 3 of 6 and early stopping ends the run at epoch
+    # 5, so the returned model holds an older state than the last epoch's.
+    return quick_config(fusion_type="gate", epochs=6, lr=3e-2, patience=2, seed=1)
+
+
+def test_kept_dev_predictions_are_what_the_restored_model_predicts(monkeypatch):
+    corpus = small_corpus()
+    calls = count_predict_calls(monkeypatch)
+    result = train_model(early_stop_config(), corpus)
+    assert result.best_epoch == 3 and len(result.log_rows) == 5
+    assert prediction_bits(calls[-1]) != prediction_bits(result.dev_predictions)
+    oracle = result.model.predict(corpus.split("dev"))
+    assert prediction_bits(result.dev_predictions) == prediction_bits(oracle)
+
+
+@pytest.mark.parametrize("config, epochs_run", [
+    (early_stop_config(), 5),
+    (quick_config(epochs=3), 3),
+], ids=["early_stop", "every_epoch"])
+def test_dev_is_predicted_once_per_epoch(monkeypatch, config, epochs_run):
+    calls = count_predict_calls(monkeypatch)
+    result = train_model(config, small_corpus())
+    assert len(result.log_rows) == epochs_run
+    assert len(calls) == epochs_run
+    assert (prediction_bits(result.dev_predictions)
+            == prediction_bits(calls[result.best_epoch - 1]))
+
+
 def test_early_stopping_on_plateau():
     corpus = small_corpus()
     config = quick_config(epochs=30, patience=2, lr=1e-12)  # effectively frozen
