@@ -14,8 +14,9 @@ points:
 * ``gather_rows`` hands back a row-sparse gradient (indices plus rows);
   ``Tape.backward`` sums a tensor's row parts into one dense array only
   when that array is needed, so a table gathered by every record of a
-  batch is scattered once per batch.  ``Gradients.rows`` hands a table's
-  summed rows to the optimizer without building the dense array at all.
+  batch is scattered once per batch.  ``Gradients.rows`` hands every
+  gradient to the optimizer as touched rows: a table's summed rows, without
+  building the dense array at all, or every row of a dense gradient.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def replace_data(self, arr: np.ndarray) -> None:
-        """Install a new value buffer (optimizer / checkpoint-load use only)."""
+        """Install a new value buffer (checkpoint-load use only)."""
         new = np.array(arr, dtype=np.float64)
         if new.shape != self.data.shape:
             raise ShapeError(f"replace_data shape {new.shape} != existing {self.data.shape}")
@@ -148,7 +149,7 @@ def active_tape() -> "Tape | None":
 
 
 class _RowGrad(NamedTuple):
-    """Row-sparse gradient of a 2-D tensor: ``rows[m]`` adds into row ``idx[m]``."""
+    """Gradient by rows of the first axis: ``rows[m]`` adds into row ``idx[m]``."""
 
     idx: np.ndarray
     rows: np.ndarray
@@ -214,19 +215,19 @@ class Gradients:
             return np.zeros(t.shape, dtype=np.float64)
         return entry.value()
 
-    def rows(self, t: Tensor) -> _RowGrad | None:
+    def rows(self, t: Tensor) -> _RowGrad:
         """``t``'s gradient as (sorted unique row indices, summed rows).
 
-        Only a gradient made of row parts alone has this form; for one with a
-        dense part this returns None, and ``wrt`` gives the gradient.  A
-        tensor the loss never touched has no rows.  Each row's bits equal the
-        same row of ``wrt(t)``, and no dense array is built.
+        A tensor the loss never touched has no rows.  A gradient with a dense
+        part touches every row: it is ``(arange(n), wrt(t))``.  A gradient
+        made of row parts alone has the rows they name, and no dense array
+        is built.  Each row's bits equal the same row of ``wrt(t)``.
         """
         entry = self._store.get(id(t))
         if entry is None:
             return _RowGrad(np.empty(0, dtype=np.intp), np.empty((0,) + t.shape[1:]))
         if entry.dense is not None:
-            return None
+            return _RowGrad(np.arange(t.shape[0]), entry.value())
         return entry.unique_rows()
 
     def __contains__(self, t: Tensor) -> bool:

@@ -10,7 +10,7 @@ alone turns them into an exit code and a message on stderr:
   ``error: <message>`` when the error names no file.
 * 2: input was read but is invalid (config, corpus, predictions, label
   map, sweep space, encoder states, or a non-finite value during
-  training); one line ``error: <message>``.  A corpus lists every issue:
+  training or its dev predicts); one line ``error: <message>``.  A corpus lists every issue:
   ``error: corpus validation failed:`` and then one indented line per issue.
 
 ``aggregate`` is ``eval`` with a required ``--map`` and an optional
@@ -35,8 +35,8 @@ from .data import (CorpusError, LabelMapError, load_corpus, resolve_label_map,
 from .encoder import EncoderError, tokenize
 from .evaluation import (EvaluationError, aggregate, f1_report,
                          read_predictions, write_predictions)
-from .graphs import record_structures, structure_to_json
-from .model import ConfigError, ModelConfig
+from .graphs import structure_to_json
+from .model import ConfigError, ModelConfig, opinion_graphs
 from .stats import mcnemar, pair_predictions, stuart_maxwell
 from .sweep import SweepError, load_space, run_sweep, sweep_csv
 from .train import TrainingError, train_model
@@ -167,9 +167,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_graphs(args) -> int:
     corpus = load_corpus(args.data)
-    lines = [json.dumps(structure_to_json(record,
-                                          record_structures(record, tokenize(record.text))))
-             for record in corpus.records]
+    lines = []
+    for record in corpus.records:
+        graphs, _ = opinion_graphs([record], [tokenize(record.text)])
+        lines.append(json.dumps(structure_to_json(record, [g.structure for g in graphs])))
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 

@@ -50,7 +50,8 @@ TokenSequence = tuple[Token, ...]
 
 @dataclass
 class EncoderOutput:
-    hidden: Tensor   # (|T|, d); |T| >= 1 even for empty input
+    hidden: Tensor   # (|T|, d); |T| >= 1 from the toy encoder, which pads empty
+                     # input, while a state file may hold |T| = 0
     pooled: Tensor   # (1, d)
 
 
@@ -220,10 +221,13 @@ def read_encoder_states(path: str | Path) -> dict[str, StoredStates]:
             offsets = read(16 * n_tokens, f"offsets of {where}")
             hidden = read(n_tokens * width * 8, f"hidden states of {where}")
             pooled = read(width * 8, f"pooled vector of {where}")
-            records[rid] = StoredStates(
+            stored = StoredStates(
                 offsets=tuple(struct.iter_unpack("<qq", offsets)),
                 hidden=np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width).copy(),
                 pooled=np.frombuffer(pooled, dtype="<f8").copy())
+            if not (np.isfinite(stored.hidden).all() and np.isfinite(stored.pooled).all()):
+                raise EncoderError(f"{path}: non-finite states in {where}")
+            records[rid] = stored
     return records
 
 

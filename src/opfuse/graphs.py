@@ -203,17 +203,6 @@ def build_subgraph(record: Record, opinion: OpinionAnnotation,
     return OpinionGraph(structure=structure, edge_index=edge_index, edge_attr=edge_attr)
 
 
-def record_structures(record: Record, seq: TokenSequence) -> list[GraphStructure]:
-    """The structures of the record's opinions; GraphEmpty skips one with a warning."""
-    structures = []
-    for opinion in record.opinions:
-        try:
-            structures.append(build_structure(record, opinion, seq))
-        except GraphEmpty as exc:
-            log.warning("%s", exc)
-    return structures
-
-
 def structure_to_json(record: Record, structures: list[GraphStructure]) -> dict:
     """Inspection/export form of a record's sub-graphs."""
     return {

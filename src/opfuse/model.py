@@ -11,11 +11,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import EMOTIONS, Record, is_finite_number, load_json
-from .encoder import FileEncoder, ToyEncoder
+from .encoder import FileEncoder, TokenSequence, ToyEncoder
 from .evaluation import Prediction
 from .fusion import FUSION_TYPES, ClassifierHead, FusionParams, fuse, residual
 from .gat import GatParams, aggregate_sentences, gat_layer, readout
-from .graphs import ROLES, GraphEmpty, PackedGraphs, build_subgraph
+from .graphs import ROLES, GraphEmpty, OpinionGraph, PackedGraphs, build_subgraph
 
 log = logging.getLogger(__name__)
 
@@ -186,6 +186,25 @@ class ModelConfig:
         return cls.from_json(load_json(path, lambda message: ConfigError("file", message)))
 
 
+def opinion_graphs(records: list[Record],
+                   seqs: list[TokenSequence]) -> tuple[list[OpinionGraph], list[int]]:
+    """Every opinion graph of the records, and the index of each one's record.
+
+    ``seqs`` holds each record's tokens.  An opinion whose graph is empty
+    (``GraphEmpty``) is skipped with a warning.
+    """
+    graphs, owners = [], []
+    for index, (record, seq) in enumerate(zip(records, seqs)):
+        for opinion in record.opinions:
+            try:
+                graphs.append(build_subgraph(record, opinion, seq))
+            except GraphEmpty as exc:
+                log.warning("skipping opinion graph: %s", exc)
+                continue
+            owners.append(index)
+    return graphs, owners
+
+
 class OpinionFusionModel:
     """Encoder -> opinion sub-graphs -> GATv2 -> fusion -> classifier.
 
@@ -251,15 +270,7 @@ class OpinionFusionModel:
         rows, as ``PackedGraphs.pack`` reads them.  Every opinion graph of
         the batch goes through GAT as one packed union.
         """
-        graphs, owners = [], []
-        for index, (record, seq) in enumerate(zip(records, seqs)):
-            for opinion in record.opinions:
-                try:
-                    graphs.append(build_subgraph(record, opinion, seq))
-                except GraphEmpty as exc:
-                    log.warning("skipping opinion graph: %s", exc)
-                    continue
-                owners.append(index)
+        graphs, owners = opinion_graphs(records, seqs)
         if graphs:
             packed = PackedGraphs.pack(graphs, owners, tokens, pooled, token_rows,
                                        self.role_embedding)

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Gradients, Tensor
+from .autodiff import Gradients, ShapeError, Tensor
 
 
 class _TouchedRows:
-    """Adam moments of the rows of one table that ever had a gradient.
+    """Adam moments of the rows of one parameter that ever had a gradient.
 
-    A row gets the next free slot the first time it has a gradient; ``m``
-    and ``v`` hold one row per slot.  The buffers have a slot for every row
-    of the table, but ``np.zeros`` maps its pages lazily, so only the
-    slots in use take memory.
+    A row (the first axis) gets the next free slot the first time it has a
+    gradient; ``m`` and ``v`` hold one row per slot.  A dense gradient
+    touches every row, so a parameter with one holds every row in slot
+    order.  The buffers have a slot for every row, but ``np.zeros`` maps its
+    pages lazily, so only the slots in use take memory.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -32,18 +33,17 @@ class Adam:
     """Adam with bias correction, β=(0.9, 0.999) and ε=1e-8.
 
     Parameters are updated strictly between training steps via
-    ``Tensor.replace_data`` or ``Tensor.replace_rows``; moment state is
-    keyed by parameter name.
+    ``Tensor.replace_rows``; moment state is keyed by parameter name.
 
-    A parameter whose gradients so far came as rows only (an embedding
-    table) is updated on the rows it ever had a gradient for, and on no
-    other.  Every such row is updated at every step, with gradient 0 when
-    the batch leaves it out, so its moments still decay.  A row never
-    touched has m = v = 0 and gradient 0, so dense Adam would move it by
-    exactly 0 / (0 + ε) = 0: the result is dense Adam bit for bit.  This is
-    not LazyAdam or ``SparseAdam``, which skip the decay of rows absent
-    from a batch.  The first dense gradient of a parameter moves its
-    moments into dense arrays for good.
+    Every parameter is updated by one rule: on the rows it ever had a
+    gradient for, and on no other.  A dense gradient touches every row; a
+    row-sparse one (an embedding table) only the rows gathered.  Every
+    touched row is updated at every step, with gradient 0 when the batch
+    leaves it out, so its moments still decay.  A row never touched has
+    m = v = 0 and gradient 0, so dense Adam would move it by exactly
+    0 / (0 + ε) = 0: the result is dense Adam bit for bit.  This is not
+    LazyAdam or ``SparseAdam``, which skip the decay of rows absent from a
+    batch.
     """
 
     BETA1 = 0.9
@@ -51,11 +51,12 @@ class Adam:
     EPS = 1e-8
 
     def __init__(self, params: dict[str, Tensor], lr: float):
+        for name, param in params.items():
+            if not param.shape:
+                raise ShapeError(f"Adam needs parameters of 1 or more axes, {name!r} has none")
         self.params = dict(params)
         self.lr = float(lr)
         self._step = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
         self._touched: dict[str, _TouchedRows] = {}
 
     def step(self, grads: Gradients) -> None:
@@ -64,15 +65,7 @@ class Adam:
         bc1 = 1.0 - self.BETA1 ** t
         bc2 = 1.0 - self.BETA2 ** t
         for name, param in self.params.items():
-            if name not in self._m:
-                part = grads.rows(param)
-                if part is not None:
-                    self._step_rows(name, param, part, bc1, bc2)
-                    continue
-                self._make_dense(name, param)
-            g = grads.wrt(param)
-            param.replace_data(param.data - self._update(self._m[name], self._v[name],
-                                                         g, bc1, bc2))
+            self._step_rows(name, param, grads.rows(param), bc1, bc2)
 
     def _update(self, m: np.ndarray, v: np.ndarray, g: np.ndarray,
                 bc1: float, bc2: float) -> np.ndarray:
@@ -96,12 +89,3 @@ class Adam:
         g[table.slot[idx]] = summed
         update = self._update(table.m[:count], table.v[:count], g, bc1, bc2)
         param.replace_rows(table.rows, param.data[table.rows] - update)
-
-    def _make_dense(self, name: str, param: Tensor) -> None:
-        m, v = np.zeros(param.shape), np.zeros(param.shape)
-        table = self._touched.pop(name, None)
-        if table is not None:
-            count = table.rows.size
-            m[table.rows] = table.m[:count]
-            v[table.rows] = table.v[:count]
-        self._m[name], self._v[name] = m, v

@@ -108,7 +108,10 @@ def train_model(config: ModelConfig, corpus: Corpus,
             total_loss += loss.item() * len(batch)
         epoch_loss = total_loss / len(train_records)
 
-        dev_predictions = model.predict(dev_records)
+        try:
+            dev_predictions = model.predict(dev_records)
+        except NumericsError as exc:
+            raise TrainingError(f"epoch {epoch}, dev predict: {exc}") from exc
         dev_f1 = macro_f1(dev_predictions)
         rows.append(EpochStats(epoch=epoch, loss=epoch_loss, dev_macro_f1=dev_f1))
         log.info("epoch %d: loss %.5f dev macro-F1 %.3f", epoch, epoch_loss, dev_f1)

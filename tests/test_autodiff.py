@@ -455,18 +455,23 @@ def test_gradient_rows_sum_like_the_dense_scatter(n, w, seed, sizes):
     assert grads.wrt(table).tobytes() == dense.tobytes()
 
 
-def test_gradient_rows_only_for_row_parts():
-    table = Tensor(np.ones((5, 2)), requires_grad=True)
+def test_gradient_rows_of_a_dense_part_are_every_row():
+    table = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
     other = Tensor(np.ones((5, 2)), requires_grad=True)
+    bias = Tensor(np.ones((1, 3)), requires_grad=True)
     with Tape() as tape:
-        loss = ad.add(ad.tsum(ad.gather_rows(table, [3, 1, 3])), ad.tsum(table))
+        loss = ad.add(ad.tsum(ad.gather_rows(table, [3, 1, 3])), ad.tsum(ad.mul(table, table)))
+        loss = ad.add(loss, ad.tsum(ad.mul(bias, 0.5)))
     grads = tape.backward(loss)
-    assert grads.rows(table) is None              # a dense part: read it with wrt
+    for t in (table, bias):                       # mixed, then dense only
+        idx, rows = grads.rows(t)
+        assert idx.tolist() == list(range(t.shape[0]))
+        assert rows.tobytes() == grads.wrt(t).tobytes()
     idx, rows = grads.rows(other)                 # never touched: no rows
     assert idx.shape == (0,) and rows.shape == (0, 2)
     with Tape() as tape:
         loss = ad.tsum(ad.gather_rows(table, [3, 1, 3]))
-    idx, rows = tape.backward(loss).rows(table)
+    idx, rows = tape.backward(loss).rows(table)   # row parts only: the rows they name
     assert idx.tolist() == [1, 3] and rows.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
 

@@ -339,18 +339,28 @@ def test_train_config_probes_print_one_line_without_traceback(tmp_path):
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
-def truncated_states_config(tmp_path, data):
-    """A file-provider config whose encoder-state file lost its last bytes."""
+def states_config(tmp_path, data, bad_id=None, value=1.0):
+    """A file-provider config with all-ones states, but ``value`` in record ``bad_id``."""
     entries = []
     for record in load_corpus(data).records:
         offsets = [(t.span.start, t.span.end) for t in tokenize(record.text)]
-        entries.append((record.id, offsets, np.ones((len(offsets), 8)), np.ones(8)))
+        hidden = np.ones((len(offsets), 8))
+        if record.id == bad_id:
+            hidden[0, 0] = value
+        entries.append((record.id, offsets, hidden, np.ones(8)))
     states = tmp_path / "states.bin"
     write_encoder_states(states, entries)
-    states.write_bytes(states.read_bytes()[:-5])
     return config_file(tmp_path, encoder={"provider": "file", "width": 8,
                                           "states_path": str(states)},
                        gat={"out_dim": 96, "heads": 2, "depth": 1})
+
+
+def truncated_states_config(tmp_path, data):
+    """A file-provider config whose encoder-state file lost its last bytes."""
+    config = states_config(tmp_path, data)
+    states = tmp_path / "states.bin"
+    states.write_bytes(states.read_bytes()[:-5])
+    return config
 
 
 def test_train_truncated_encoder_states_exits_2(tmp_path, capsys):
@@ -375,6 +385,25 @@ def test_train_non_finite_update_exits_2_naming_epoch_and_batch(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: epoch 1, batch 1: "), proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("probe, message", [
+    ("learning_rate", "error: epoch 1, dev predict: matmul produced non-finite values"),
+    ("nan_dev_state", "error: {states}: non-finite states in record 'r11'"),
+    ("inf_train_state", "error: {states}: non-finite states in record 'r0'"),
+])
+def test_train_non_finite_probes_exit_2_with_one_line(tmp_path, probe, message):
+    data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
+    if probe == "learning_rate":
+        # Training survives the one step; the dev predict then overflows.
+        config = config_file(tmp_path, optimizer={"learning_rate": 1e100, "batch_size": 8,
+                                                  "epochs": 1, "patience": 5})
+    else:
+        bad_id, value = ("r11", np.nan) if probe == "nan_dev_state" else ("r0", np.inf)
+        config = states_config(tmp_path, data, bad_id, value)
+    proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == message.format(states=tmp_path / "states.bin") + "\n"
 
 
 @pytest.mark.parametrize("line, message", [

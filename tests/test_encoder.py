@@ -305,3 +305,16 @@ def test_corrupt_state_files_raise_only_encoder_error(tmp_path_factory, data):
         read_encoder_states(path)
     except EncoderError:
         pass
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["hidden", "pooled"])
+def test_non_finite_states_raise_encoder_error_naming_file_and_record(tmp_path, part, value):
+    entries = state_entries()
+    rid, offsets, hidden, pooled = entries[1]
+    (hidden if part == "hidden" else pooled)[0] = value
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, entries)
+    with pytest.raises(EncoderError) as err:
+        read_encoder_states(path)
+    assert str(err.value) == f"{path}: non-finite states in record 'r\u00e9'"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import opfuse.autodiff as ad
 import opfuse.checkpoint
-from opfuse.autodiff import NonFiniteError, Tape, Tensor
+from opfuse.autodiff import NonFiniteError, ShapeError, Tape, Tensor
 from opfuse.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                restore_into, save_checkpoint)
 from opfuse.model import ModelConfig, OpinionFusionModel
@@ -55,6 +55,11 @@ def test_adam_deterministic():
     assert run() == run()
 
 
+def test_adam_refuses_a_parameter_without_rows():
+    with pytest.raises(ShapeError, match="'s'"):
+        Adam({"s": Tensor(1.0, requires_grad=True)}, lr=0.1)
+
+
 def row_part(table, idx, rows):
     """A scalar whose backward hands ``rows`` to ``table``'s rows ``idx`` as they are."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -66,9 +71,7 @@ def row_part(table, idx, rows):
 
 
 def adam_moments(opt, name, shape):
-    """Dense (m, v) of one parameter, whichever form the optimizer keeps them in."""
-    if name in opt._m:
-        return opt._m[name], opt._v[name]
+    """Dense (m, v) of one parameter, laid out from the rows the optimizer keeps."""
     m, v = np.zeros(shape), np.zeros(shape)
     table = opt._touched.get(name)
     if table is not None:
@@ -93,12 +96,20 @@ def run_adam_against_reference(table_shape, steps, seed, lr=0.01):
     n, w = table_shape
     table = Tensor(rng.standard_normal((n, w)), requires_grad=True)
     other = Tensor(rng.standard_normal(3), requires_grad=True)
-    opt = Adam({"table": table, "other": other}, lr=lr)
-    ref = {"table": (table.data, np.zeros((n, w)), np.zeros((n, w))),
-           "other": (other.data, np.zeros(3), np.zeros(3))}
+    # A per-head (heads, d_out, d_in) weight, without a gradient on "none"
+    # steps, and a (1, d) bias, summed over a broadcast.
+    weight = Tensor(rng.standard_normal((2, 3, w)), requires_grad=True)
+    bias = Tensor(rng.standard_normal((1, w)), requires_grad=True)
+    opt = Adam({"table": table, "other": other, "weight": weight, "bias": bias}, lr=lr)
+    ref = {name: (p.data, np.zeros(p.shape), np.zeros(p.shape))
+           for name, p in opt.params.items()}
     for t, (kind, parts) in enumerate(steps, start=1):
         with Tape() as tape:
             loss = ad.tsum(ad.mul(other, rng.standard_normal(3)))
+            loss = ad.add(loss, ad.tsum(ad.mul(ad.add(rng.standard_normal((4, w)), bias),
+                                               rng.standard_normal((4, w)))))
+            if kind != "none":
+                loss = ad.add(loss, ad.tsum(ad.matmul(weight, rng.standard_normal((w, 2)))))
             for idx in parts:
                 loss = ad.add(loss, row_part(table, idx, rng.standard_normal((len(idx), w))))
             if kind == "dense":
@@ -157,7 +168,7 @@ def test_adam_fixed_sequence_is_byte_identical_to_dense_adam():
         ("none", []),                   # no gradient for the table at all
         ("rows", [[0, 5, 5, 5]]),
         ("none", []),
-        ("dense", [[1, 1]]),            # dense and row parts: the table goes dense
+        ("dense", [[1, 1]]),            # dense and row parts: every row is touched
         ("rows", [[3]]),
         ("none", []),
         ("overflow", []),
