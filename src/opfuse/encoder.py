@@ -216,6 +216,8 @@ def read_encoder_states(path: str | Path) -> dict[str, StoredStates]:
                 rid = read(rid_len, f"id of {where}").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise EncoderError(f"{path}: id of {where} is not UTF-8") from exc
+            if rid in records:
+                raise EncoderError(f"{path}: duplicate record id {rid!r}")
             where = f"record {rid!r}"
             width, n_tokens = struct.unpack("<qq", read(16, f"shape of {where}"))
             offsets = read(16 * n_tokens, f"offsets of {where}")

@@ -13,8 +13,12 @@ class _TouchedRows:
     A row (the first axis) gets the next free slot the first time it has a
     gradient; ``m`` and ``v`` hold one row per slot.  A dense gradient
     touches every row, so a parameter with one holds every row in slot
-    order.  The buffers have a slot for every row, but ``np.zeros`` maps its
-    pages lazily, so only the slots in use take memory.
+    order.  The buffers have a slot for every row.  ``np.zeros`` maps fresh
+    pages lazily, so on a fresh heap only the slots in use take memory; heap
+    that earlier work freed, which training keeps for reuse, is zeroed and
+    so resident at once.  Measured for the (16384, 64) embedding table: the
+    two buffers took 0.2 MB in a fresh process and 7.9 MB in one that had
+    trained before.
     """
 
     def __init__(self, shape: tuple[int, ...]):

@@ -339,15 +339,17 @@ def test_train_config_probes_print_one_line_without_traceback(tmp_path):
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
-def states_config(tmp_path, data, bad_id=None, value=1.0):
-    """A file-provider config with all-ones states, but ``value`` in record ``bad_id``."""
+def states_config(tmp_path, data, bad_id=None, value=1.0, repeat_id=None):
+    """A file-provider config with all-ones states, but ``value`` in record
+    ``bad_id``, and record ``repeat_id``'s states written twice."""
     entries = []
     for record in load_corpus(data).records:
         offsets = [(t.span.start, t.span.end) for t in tokenize(record.text)]
         hidden = np.ones((len(offsets), 8))
         if record.id == bad_id:
             hidden[0, 0] = value
-        entries.append((record.id, offsets, hidden, np.ones(8)))
+        entry = (record.id, offsets, hidden, np.ones(8))
+        entries += [entry, entry] if record.id == repeat_id else [entry]
     states = tmp_path / "states.bin"
     write_encoder_states(states, entries)
     return config_file(tmp_path, encoder={"provider": "file", "width": 8,
@@ -404,6 +406,14 @@ def test_train_non_finite_probes_exit_2_with_one_line(tmp_path, probe, message):
     proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == message.format(states=tmp_path / "states.bin") + "\n"
+
+
+def test_train_duplicate_state_id_exits_2_with_one_line(tmp_path):
+    data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
+    config = states_config(tmp_path, data, repeat_id="r3")
+    proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {tmp_path / 'states.bin'}: duplicate record id 'r3'\n"
 
 
 @pytest.mark.parametrize("line, message", [

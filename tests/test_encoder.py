@@ -318,3 +318,12 @@ def test_non_finite_states_raise_encoder_error_naming_file_and_record(tmp_path, 
     with pytest.raises(EncoderError) as err:
         read_encoder_states(path)
     assert str(err.value) == f"{path}: non-finite states in record 'r\u00e9'"
+
+
+def test_duplicate_record_id_raises_encoder_error_naming_file_and_id(tmp_path):
+    entries = state_entries()
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, entries + entries[1:])
+    with pytest.raises(EncoderError) as err:
+        read_encoder_states(path)
+    assert str(err.value) == f"{path}: duplicate record id 'r\u00e9'"

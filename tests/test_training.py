@@ -1,6 +1,7 @@
 """Training loop behavior, determinism, and the sweep harness."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from opfuse.autodiff import Tape, cross_entropy
 from opfuse.checkpoint import restore_into
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, load_corpus
+from opfuse.encoder import write_encoder_states
 from opfuse.evaluation import read_predictions
 from opfuse.model import (ConfigError, EncoderConfig, FusionConfig, GatConfig, ModelConfig,
                           OpinionFusionModel, OptimizerConfig)
@@ -179,6 +181,56 @@ def test_empty_train_split_errors():
     corpus = Corpus([opinion_record("d", "dev", "optimism", "positive")])
     with pytest.raises(TrainingError):
         train_model(quick_config(), corpus)
+
+
+def wide_frozen_setup(tmp_path):
+    """Frozen 64-wide states of records with 2 to 4 three-role opinions, and
+    a config for them with GAT 4x192, attn fusion and one batch of 64."""
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(14)]
+    text = " ".join(words)
+    ends = np.cumsum([len(w) + 1 for w in words]) - 1
+    offsets = [(int(end) - len(w), int(end)) for w, end in zip(words, ends)]
+    records, entries = [], []
+    for split, count in (("train", 64), ("dev", 8)):
+        for i in range(count):
+            rid = f"{split}{i}"
+            opinions = []
+            for _ in range(2 + i % 3):
+                a, b, c = (Span(*offsets[k]) for k in rng.choice(len(words), 3, replace=False))
+                opinions.append(OpinionAnnotation(sentiment_expression=a, holder=b, target=c,
+                                                  polarity=("positive", "negative")[i % 2]))
+            records.append(Record(id=rid, split=split, text=text,
+                                  emotion=("optimism", "anxiety")[i % 2],
+                                  opinions=tuple(opinions)))
+            hidden = rng.standard_normal((len(words), 64))
+            entries.append((rid, offsets, hidden, hidden.mean(axis=0)))
+    write_encoder_states(tmp_path / "states.bin", entries)
+    config = ModelConfig(
+        architecture="fused",
+        encoder=EncoderConfig(provider="file", width=64,
+                              states_path=str(tmp_path / "states.bin")),
+        gat=GatConfig(out_dim=192, heads=4, depth=1),
+        fusion=FusionConfig(type="attn", alpha_res=0.5),
+        optimizer=OptimizerConfig(learning_rate=1e-4, batch_size=64, epochs=1, patience=1))
+    return config, Corpus(records)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the freed-heap policy is set through glibc's mallopt")
+def test_training_again_reuses_freed_heap(tmp_path):
+    # A wide GAT step frees arrays of several MB.  Given back to the OS after
+    # each step, they are faulted in again by the next: about 11,600 minor
+    # faults for this one-step run.  Kept in the heap, a second run took 22
+    # to 138.
+    import resource  # POSIX only, as is glibc
+
+    config, corpus = wide_frozen_setup(tmp_path)
+    train_model(config, corpus)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_model(config, corpus)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 1000, faults
 
 
 def test_dev_predictions_round_trip_through_the_file(tmp_path):
