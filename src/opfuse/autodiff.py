@@ -455,41 +455,48 @@ def segment_softmax(a, segment_ids: Sequence[int], num_segments: int) -> Tensor:
     return _apply("segment_softmax", out, (a,), backward)
 
 
-def edge_scores(src_proj, tgt_proj, edge_proj, attn, src: np.ndarray,
-                dst: np.ndarray | None, slope: float) -> Tensor:
-    """GATv2 edge scores ``a_kᵀ LeakyReLU(src_proj[src] + tgt_proj[dst] + edge_proj)``: (E, H).
+def edge_scores(src_proj, tgt_proj, theta_e, attn, src: np.ndarray, dst: np.ndarray | None,
+                edge_type: np.ndarray, slope: float) -> Tensor:
+    """GATv2 edge scores ``a_kᵀ LeakyReLU(src_proj[src] + tgt_proj[dst] + Θe·e)``: (E, H).
 
-    ``src_proj`` and ``tgt_proj`` are (N, H·d) node rows, ``edge_proj`` is
-    (E, H·d) and ``attn`` is (H, d, 1); head ``k`` owns columns
-    ``k·d:(k+1)·d``.  With ``dst=None``, ``tgt_proj`` already holds one
-    (E, H·d) row per edge and gets a dense gradient.  The pre-activation is
-    one buffer built with in-place adds, and it is all the tape keeps: the
-    kink mask is made in backward only.  Backward hands one gradient buffer
-    to the source rows, the target rows and the edge projection, row-sparse
-    for a node table.
+    ``src_proj`` and ``tgt_proj`` are (N, H·d) node rows, ``theta_e`` is
+    (H, d, C) and ``attn`` is (H, d, 1); head ``k`` owns columns
+    ``k·d:(k+1)·d``.  Edge ``m``'s ``e`` is the one-hot vector of class
+    ``edge_type[m]``, or zero for type ``C``, so ``Θe·e`` is a column of Θe.
+    With ``dst=None``, ``tgt_proj`` already holds one (E, H·d) row per edge
+    and gets a dense gradient.  The pre-activation is one buffer built with
+    in-place adds, and it is all the tape keeps: the kink mask is made in
+    backward only.  Backward hands one gradient buffer to the source and the
+    target rows, row-sparse for a node table, and its product with the
+    one-hot rows to Θe.
     """
-    src_proj, tgt_proj, edge_proj, attn = (as_tensor(t) for t in
-                                           (src_proj, tgt_proj, edge_proj, attn))
+    src_proj, tgt_proj, theta_e, attn = (as_tensor(t) for t in
+                                         (src_proj, tgt_proj, theta_e, attn))
     if attn.data.ndim != 3 or attn.shape[2] != 1:
         raise ShapeError(f"edge_scores needs an (H, d, 1) scorer, got {attn.shape}")
     heads, d = attn.shape[:2]
+    src, edge_type = np.asarray(src, dtype=np.intp), np.asarray(edge_type, dtype=np.intp)
     n_edges, width = len(src), heads * d
     n_dst = n_edges if dst is None else len(dst)
     if (src_proj.data.ndim != 2 or src_proj.shape[1] != width
             or tgt_proj.data.ndim != 2 or tgt_proj.shape[1] != width
-            or edge_proj.shape != (n_edges, width) or n_dst != n_edges
+            or theta_e.data.ndim != 3 or theta_e.shape[:2] != (heads, d)
+            or n_dst != n_edges or edge_type.shape != (n_edges,)
             or (dst is None and tgt_proj.shape[0] != n_edges)):
         raise ShapeError(f"edge_scores got node rows {src_proj.shape} and {tgt_proj.shape}, "
-                         f"edge rows {edge_proj.shape} and {len(src)}/{n_dst} endpoints "
-                         f"for width {width}")
-    src = np.asarray(src, dtype=np.intp)
-    ends = [(src, src_proj)]
+                         f"edge weights {theta_e.shape} and {n_edges}/{n_dst} endpoints "
+                         f"and {edge_type.shape} edge types for width {width}")
+    n_types = theta_e.shape[2]
+    ends = [(src, src_proj.shape[0], "endpoint"), (edge_type, n_types + 1, "edge type")]
     if dst is not None:
         dst = np.asarray(dst, dtype=np.intp)
-        ends.append((dst, tgt_proj))
-    for idx, rows in ends:
-        if n_edges and (idx.min() < 0 or idx.max() >= rows.shape[0]):
-            raise ShapeError(f"edge_scores endpoint out of range for {rows.shape[0]} rows")
+        ends.append((dst, tgt_proj.shape[0], "endpoint"))
+    for idx, bound, what in ends:
+        if n_edges and (idx.min() < 0 or idx.max() >= bound):
+            raise ShapeError(f"edge_scores {what} outside [0, {bound})")
+    # Row c is Θe's column c across all heads; row C, the zero vector.
+    columns = np.zeros((n_types + 1, width))
+    columns[:n_types] = theta_e.data.transpose(2, 0, 1).reshape(n_types, width)
     pre = src_proj.data[src]
     if dst is None:
         pre += tgt_proj.data
@@ -497,7 +504,8 @@ def edge_scores(src_proj, tgt_proj, edge_proj, attn, src: np.ndarray,
     else:
         act = tgt_proj.data[dst]
         pre += act
-    pre += edge_proj.data
+    # The ids are checked, so ``clip`` never clips; it spares ``take`` a buffer.
+    pre += np.take(columns, edge_type, axis=0, out=act, mode="clip")
     _check_finite("edge_scores", pre)
     np.multiply(pre, slope, out=act)
     np.maximum(act, pre, out=act)
@@ -511,9 +519,11 @@ def edge_scores(src_proj, tgt_proj, edge_proj, attn, src: np.ndarray,
         d_attn = np.einsum("ekj,ekj->kj", gz, pre.reshape(n_edges, heads, d))[:, :, None]
         gz *= attn.data[:, :, 0]
         gz = gz.reshape(n_edges, width)
-        return _RowGrad(src, gz), gz if dst is None else _RowGrad(dst, gz), gz, d_attn
+        one_hot = (edge_type[:, None] == np.arange(n_types)).astype(np.float64)
+        d_theta = (one_hot.T @ gz).T.reshape(theta_e.shape)
+        return _RowGrad(src, gz), gz if dst is None else _RowGrad(dst, gz), d_theta, d_attn
 
-    return _apply("edge_scores", out, (src_proj, tgt_proj, edge_proj, attn), backward)
+    return _apply("edge_scores", out, (src_proj, tgt_proj, theta_e, attn), backward)
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:

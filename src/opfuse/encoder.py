@@ -2,17 +2,17 @@
 
 Both providers have one entry point, ``encode_record(record)``, which
 returns the record's tokens and an ``EncoderOutput``: token-level hidden
-states ``(|T|, d)`` plus a pooled ``(1, d)`` sequence vector.
+states ``(|T|, d)`` plus a pooled ``(1, d)`` sequence vector.  A token is
+just its ``(start, end)`` character offsets into the record text, the same
+space the annotation spans use.
 
-* ``ToyEncoder``: trainable hashed-vocabulary embeddings, sinusoidal
-  positions, and a small stack of self-attention blocks.
+* ``ToyEncoder``: trainable hashed-vocabulary embeddings (of each token's
+  lowercased text), sinusoidal positions, and a small stack of
+  self-attention blocks.
 * ``FileEncoder``: frozen per-record states exported from any external
   encoder, carried in an ``OPFUSE-ENC-1`` container together with the
-  exporting tokenizer's offsets and looked up by record id; each token's
-  surface form is cut from the record text at those offsets.
-
-All offsets are character offsets into the record text, the same space
-the annotation spans use.
+  exporting tokenizer's offsets and looked up by record id.  A zero-width
+  token, as tokenizers export ``[CLS]``, anchors no span.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Record, Span
+from .data import Record
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -39,13 +39,8 @@ class EncoderError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str        # lowercased surface form
-    span: Span       # offsets into the original text
-
-
-TokenSequence = tuple[Token, ...]
+# Each token's (start, end) character offsets into the record text.
+TokenSequence = tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -56,11 +51,8 @@ class EncoderOutput:
 
 
 def tokenize(text: str) -> TokenSequence:
-    """Split into word/punctuation tokens with offsets into the original text."""
-    return tuple(
-        Token(text=m.group(0).lower(), span=Span(m.start(), m.end()))
-        for m in _TOKEN_RE.finditer(text)
-    )
+    """Split into word/punctuation tokens: each one's offsets into ``text``."""
+    return tuple(m.span() for m in _TOKEN_RE.finditer(text))
 
 
 def hash_bucket(token_text: str, buckets: int) -> int:
@@ -119,8 +111,9 @@ class ToyEncoder:
     def parameters(self) -> dict[str, Tensor]:
         return {f"encoder.{name}": p for name, p in self._params.items()}
 
-    def encode(self, seq: TokenSequence) -> EncoderOutput:
-        buckets = [hash_bucket(tok.text, self.vocab_buckets) for tok in seq]
+    def encode(self, text: str, seq: TokenSequence) -> EncoderOutput:
+        buckets = [hash_bucket(text[start:end].lower(), self.vocab_buckets)
+                   for start, end in seq]
         if not buckets:
             buckets = [0]  # synthetic padding token for empty input
         x = ad.gather_rows(self._params["embedding"], buckets)
@@ -148,7 +141,7 @@ class ToyEncoder:
 
     def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
         seq = tokenize(record.text)
-        return seq, self.encode(seq)
+        return seq, self.encode(record.text, seq)
 
 
 ENC_MAGIC = b"OPFUSE-ENC-1\n"
@@ -185,7 +178,8 @@ def write_encoder_states(path: str | Path,
 
 @dataclass
 class StoredStates:
-    offsets: tuple[tuple[int, int], ...]
+    offsets: TokenSequence
+    text_end: int        # the largest end offset, so the least text length; 0 without tokens
     hidden: np.ndarray
     pooled: np.ndarray
 
@@ -220,11 +214,18 @@ def read_encoder_states(path: str | Path) -> dict[str, StoredStates]:
                 raise EncoderError(f"{path}: duplicate record id {rid!r}")
             where = f"record {rid!r}"
             width, n_tokens = struct.unpack("<qq", read(16, f"shape of {where}"))
-            offsets = read(16 * n_tokens, f"offsets of {where}")
+            offsets = tuple(struct.iter_unpack("<qq", read(16 * n_tokens,
+                                                           f"offsets of {where}")))
+            text_end = 0
+            for token, (start, end) in enumerate(offsets):
+                if start < 0 or end < start:
+                    raise EncoderError(f"{path}: token {token} of {where} has invalid "
+                                       f"offsets [{start}, {end})")
+                text_end = max(text_end, end)
             hidden = read(n_tokens * width * 8, f"hidden states of {where}")
             pooled = read(width * 8, f"pooled vector of {where}")
             stored = StoredStates(
-                offsets=tuple(struct.iter_unpack("<qq", offsets)),
+                offsets=offsets, text_end=text_end,
                 hidden=np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width).copy(),
                 pooled=np.frombuffer(pooled, dtype="<f8").copy())
             if not (np.isfinite(stored.hidden).all() and np.isfinite(stored.pooled).all()):
@@ -252,9 +253,9 @@ class FileEncoder:
             raise EncoderError(
                 f"{self.path}: record {record.id!r} has width {stored.hidden.shape[1]}, "
                 f"model configured for {self.width}")
-        # Surface forms are rebuilt from the record text so exports and live
-        # tokenization stay interchangeable downstream.
-        seq = tuple(Token(text=record.text[start:end].lower(), span=Span(start, end))
-                    for start, end in stored.offsets)
-        return seq, EncoderOutput(hidden=Tensor(stored.hidden),
-                                  pooled=Tensor(stored.pooled[None, :]))
+        if stored.text_end > len(record.text):
+            raise EncoderError(
+                f"{self.path}: record {record.id!r} has a token ending at offset "
+                f"{stored.text_end}, past the end of its {len(record.text)}-character text")
+        return stored.offsets, EncoderOutput(hidden=Tensor(stored.hidden),
+                                             pooled=Tensor(stored.pooled[None, :]))

@@ -4,7 +4,9 @@ Per head ``k``, the unnormalized score of node ``i`` attending to ``j`` is
 
     score_k(i, j) = a_kᵀ · LeakyReLU(Θ_s[k] h_i + Θ_t[k] h_j + Θ_e[k] e_ij)
 
-with the implicit self-loop ``j = i`` carrying a zero edge attribute.
+where ``e_ij`` is the one-hot vector of the edge's polarity id, so
+``Θ_e[k] e_ij`` is a column of ``Θ_e[k]``, and is zero for the implicit
+self-loop ``j = i``, whose id is ``len(POLARITIES)``.
 Coefficients are softmax-normalized over ``N(i) ∪ {i}`` where
 ``N(i) = {j | (i, j) ∈ E}``, and messages are ``h'_i = Σ_j α_ij Θ_t[k] h_j``.
 Head outputs are concatenated.  Each weight is one tensor with a leading
@@ -12,8 +14,8 @@ head axis, so every array op runs all heads at once.
 
 The scores of every edge and head come from one primitive,
 ``autodiff.edge_scores``: it adds the gathered source and target
-projections and the edge projection into one buffer in place, and the tape
-keeps only that pre-activation.
+projections and each edge's Θ_e column into one buffer in place, and the
+tape keeps only that pre-activation.
 
 The message sum runs on whichever per-edge rows are narrower.  Since
 
@@ -100,27 +102,26 @@ def gat_layer(graph: PackedGraphs, params: GatParams,
     order = np.argsort(src, kind="stable")
     src = src[order]
     dst = np.concatenate([graph.edges[:, 1], loops])[order]
-    attr = np.concatenate([graph.edge_attr,
-                           np.zeros((n_nodes, graph.edge_attr.shape[1]))])[order]
+    polarity = np.concatenate([graph.edge_polarity,
+                               np.full(n_nodes, len(POLARITIES), dtype=np.intp)])[order]
 
     heads, d_out, width, n_edges = params.heads, params.d_out, params.out_width, len(src)
-    # One (rows, heads * d_out) projection per weight, heads in concatenation order.
-    src_proj, tgt_proj, edge_proj = (
-        ad.matmul(rows, ad.transpose(ad.reshape(theta, (width, theta.shape[2]))))
-        for rows, theta in ((graph.features, params.theta_s),
-                            (graph.features, params.theta_t), (attr, params.theta_e)))
+    # One (|V|, heads * d_out) projection per weight, heads in concatenation order.
+    src_proj, tgt_proj = (
+        ad.matmul(graph.features, ad.transpose(ad.reshape(theta, (width, params.d_in))))
+        for theta in (params.theta_s, params.theta_t))
     # Each edge's rows, weighted per head and summed onto its source: the
     # input rows when they are the narrower ones, else the projected ones,
     # which are then gathered once for the scores and the messages alike.
     narrow = params.d_in < d_out
     if narrow:
-        scores = ad.edge_scores(src_proj, tgt_proj, edge_proj, params.attn, src, dst,
-                                params.leaky_slope)
+        scores = ad.edge_scores(src_proj, tgt_proj, params.theta_e, params.attn, src, dst,
+                                polarity, params.leaky_slope)
         rows, row_width = ad.gather_rows(graph.features, dst), params.d_in
     else:
         rows, row_width = ad.gather_rows(tgt_proj, dst), d_out
-        scores = ad.edge_scores(src_proj, rows, edge_proj, params.attn, src, None,
-                                params.leaky_slope)
+        scores = ad.edge_scores(src_proj, rows, params.theta_e, params.attn, src, None,
+                                polarity, params.leaky_slope)
     alpha = ad.segment_softmax(scores, src, n_nodes)
     if collect_attention is not None:
         bounds = np.searchsorted(src, np.arange(n_nodes + 1))

@@ -3,8 +3,8 @@
 Topology is a sentiment-centered star: holder, target and qualifier attach
 to the sentiment node; the aspect attaches to the target when present and
 to the sentiment node otherwise.  All edges are bidirectional and carry the
-opinion's polarity as a one-hot attribute; the implicit self-loop added by
-the attention layer carries a zero attribute instead.
+opinion's polarity as its index in ``POLARITIES``; the implicit self-loop
+added by the attention layer carries ``len(POLARITIES)``, for no attribute.
 
 ``build_subgraph`` resolves one opinion's spans to tokens, with no
 parameter involved; ``PackedGraphs.pack`` collates a minibatch's graphs
@@ -51,12 +51,6 @@ class GraphEmpty(Exception):
     """No span-backed node survived construction."""
 
 
-def polarity_one_hot(polarity: str) -> np.ndarray:
-    vec = np.zeros(len(POLARITIES))
-    vec[POLARITIES.index(polarity)] = 1.0
-    return vec
-
-
 @dataclass(frozen=True)
 class GraphNode:
     role: str
@@ -88,8 +82,8 @@ class OpinionGraph:
     """One opinion's structure and edge arrays; node features come at packing."""
 
     structure: GraphStructure
-    edge_index: np.ndarray  # (|E|, 2) node indices
-    edge_attr: np.ndarray   # (|E|, 3) polarity one-hots
+    edge_index: np.ndarray     # (|E|, 2) node indices
+    edge_polarity: np.ndarray  # (|E|,) polarity ids, indices into POLARITIES
 
     @property
     def num_nodes(self) -> int:
@@ -104,10 +98,10 @@ class PackedGraphs:
     offset to that block, and ``node_graph`` maps every node to ``g``.
     """
 
-    features: Tensor        # (sum |V|, d)
-    edges: np.ndarray       # (sum |E|, 2) node indices into the packed rows
-    edge_attr: np.ndarray   # (sum |E|, 3)
-    node_graph: np.ndarray  # (sum |V|,) owning graph of each node
+    features: Tensor           # (sum |V|, d)
+    edges: np.ndarray          # (sum |E|, 2) node indices into the packed rows
+    edge_polarity: np.ndarray  # (sum |E|,) polarity ids
+    node_graph: np.ndarray     # (sum |V|,) owning graph of each node
     num_graphs: int
 
     @property
@@ -145,7 +139,7 @@ class PackedGraphs:
         return cls(features=features,
                    edges=np.concatenate([graph.edge_index + offset
                                          for graph, offset in zip(graphs, offsets)]),
-                   edge_attr=np.concatenate([graph.edge_attr for graph in graphs]),
+                   edge_polarity=np.concatenate([graph.edge_polarity for graph in graphs]),
                    node_graph=np.repeat(np.arange(len(graphs)), sizes),
                    num_graphs=len(graphs))
 
@@ -154,7 +148,9 @@ def build_structure(record: Record, opinion: OpinionAnnotation,
                     seq: TokenSequence) -> GraphStructure:
     """Resolve spans to token indices and derive the edge topology.
 
-    Nodes whose span overlaps no token are dropped with a warning.  A
+    A span holds token ``(start, end)`` when the two share a character, the
+    rule of ``Span.overlaps``; a zero-width token shares none.  Nodes whose
+    span overlaps no token are dropped with a warning.  A
     missing or unresolvable sentiment span falls back to a pooled-sequence
     node so the hub always exists; GraphEmpty is raised only when no
     span-backed node survives at all.
@@ -164,7 +160,9 @@ def build_structure(record: Record, opinion: OpinionAnnotation,
         span = getattr(opinion, field)
         if span is None:
             continue
-        indices = tuple(i for i, tok in enumerate(seq) if tok.span.overlaps(span))
+        lo, hi = span.start, span.end
+        indices = tuple(i for i, (start, end) in enumerate(seq)
+                        if start < hi and lo < end and start < end)
         if not indices:
             log.warning("record %s: %s span [%d, %d) overlaps no token; node dropped",
                         record.id, role, span.start, span.end)
@@ -196,11 +194,11 @@ def build_structure(record: Record, opinion: OpinionAnnotation,
 
 def build_subgraph(record: Record, opinion: OpinionAnnotation,
                    seq: TokenSequence) -> OpinionGraph:
-    """The opinion's structure with its edge list and per-edge polarity one-hots."""
+    """The opinion's structure with its edge list and per-edge polarity ids."""
     structure = build_structure(record, opinion, seq)
     edge_index = np.array(structure.edges, dtype=np.intp).reshape(-1, 2)
-    edge_attr = np.tile(polarity_one_hot(structure.polarity), (len(edge_index), 1))
-    return OpinionGraph(structure=structure, edge_index=edge_index, edge_attr=edge_attr)
+    polarity = POLARITIES.index(structure.polarity)
+    return OpinionGraph(structure, edge_index, np.full(len(edge_index), polarity, np.intp))
 
 
 def structure_to_json(record: Record, structures: list[GraphStructure]) -> dict:

@@ -6,6 +6,8 @@ dense masked recomputation, and the marginal-homogeneity statistic is
 solved in exact rational arithmetic.  The self-attention reference runs
 one head at a time in plain numpy, and span pooling resolves a span against
 token offsets itself rather than reading the token indices a graph stores.
+The GATv2 edge scores are recomputed with polarity as one-hot rows and
+their projection as a matrix product, with numpy's own gradient formulas.
 Adam is replayed densely over every cell, and the checkpoint layout is
 rebuilt with a fresh float64 copy of every payload.
 """
@@ -18,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from opfuse.autodiff import Tensor
+from opfuse.data import Span
 
 
 def numeric_gradient(f, param: Tensor, eps: float = 1e-5) -> np.ndarray:
@@ -51,8 +54,13 @@ class NoTokenOverlap(Exception):
 
 
 def span_pool(output, seq, span) -> Tensor:
-    """(1, d) mean hidden state over all tokens whose character range meets the span."""
-    indices = [i for i, tok in enumerate(seq) if tok.span.overlaps(span)]
+    """(1, d) mean hidden state over all tokens whose character range meets the span.
+
+    ``seq`` holds each token's (start, end) offsets; a zero-width token has
+    no character, so it meets no span.
+    """
+    indices = [i for i, (start, end) in enumerate(seq)
+               if start < end and Span(start, end).overlaps(span)]
     if not indices:
         raise NoTokenOverlap(f"span [{span.start}, {span.end}) overlaps no token")
     return Tensor(output.hidden.data[indices].mean(axis=0, keepdims=True))
@@ -66,22 +74,24 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def dense_gat_reference(features: np.ndarray, edges: list[tuple[int, int]],
-                        edge_attr: np.ndarray, theta_s: list[np.ndarray],
+                        edge_polarity: np.ndarray, theta_s: list[np.ndarray],
                         theta_t: list[np.ndarray], theta_e: list[np.ndarray],
                         attn: list[np.ndarray], slope: float) -> np.ndarray:
     """O(|V|^2) masked-attention recomputation of one GATv2 layer.
 
     Builds the full score matrix per head, masks non-neighbors with -inf,
     softmax-normalizes each row over N(i) ∪ {i}, and mixes the transformed
-    target features.  Neighborhoods follow the out-edge convention.
+    target features.  Neighborhoods follow the out-edge convention.  Edge
+    ``m`` carries the one-hot vector of polarity ``edge_polarity[m]``;
+    self-loops carry zeros.
     """
     n = features.shape[0]
     heads = len(theta_s)
     mask = np.eye(n, dtype=bool)
-    attr = np.zeros((n, n, edge_attr.shape[1] if edge_attr.size else 3))
-    for (src, dst), vec in zip(edges, edge_attr):
+    attr = np.zeros((n, n, theta_e[0].shape[1]))
+    for (src, dst), polarity in zip(edges, edge_polarity):
         mask[src, dst] = True
-        attr[src, dst] = vec
+        attr[src, dst, polarity] = 1.0
     outputs = []
     for k in range(heads):
         s = features @ theta_s[k].T          # (n, d_out)
@@ -96,6 +106,43 @@ def dense_gat_reference(features: np.ndarray, edges: list[tuple[int, int]],
         alpha = ex / ex.sum(axis=1, keepdims=True)
         outputs.append(alpha @ t)
     return np.concatenate(outputs, axis=1)
+
+
+def one_hot_edge_scores(src_proj: np.ndarray, tgt_proj: np.ndarray, theta_e: np.ndarray,
+                        attn: np.ndarray, src: np.ndarray, dst: np.ndarray | None,
+                        edge_type: np.ndarray, slope: float, g: np.ndarray):
+    """GATv2 edge scores with each edge's attribute a one-hot row, and their gradients.
+
+    Edge type ``c < C`` (``theta_e`` is (H, d, C)) becomes the one-hot row
+    of class ``c`` and type ``C`` a zero row; the (E, C) rows are projected
+    into an (E, H·d) edge term as ``attr @ Θeᵀ``.  Returns the (E, H) scores
+    and, for the upstream gradient ``g``, the gradients of ``src_proj``,
+    ``tgt_proj`` (per edge when ``dst`` is None), ``theta_e`` and ``attn``.
+    """
+    heads, d, n_types = theta_e.shape
+    n_edges, width = len(src), heads * d
+    attr = np.zeros((n_edges, n_types))
+    for row, kind in zip(attr, edge_type):
+        if kind < n_types:
+            row[kind] = 1.0
+    edge_proj = attr @ theta_e.reshape(width, n_types).T
+    pre = src_proj[src] + (tgt_proj if dst is None else tgt_proj[dst]) + edge_proj
+    act = np.maximum(pre * slope, pre).reshape(n_edges, heads, d)
+    scores = np.einsum("ekj,kj->ek", act, attn[:, :, 0])
+
+    slope_of_pre = np.where(pre >= 0.0, 1.0, slope).reshape(n_edges, heads, d)
+    d_pre_unscaled = slope_of_pre * g[:, :, None]
+    d_attn = np.einsum("ekj,ekj->kj", d_pre_unscaled, pre.reshape(n_edges, heads, d))
+    d_pre = (d_pre_unscaled * attn[:, :, 0]).reshape(n_edges, width)
+    d_src = np.zeros_like(src_proj)
+    np.add.at(d_src, src, d_pre)
+    if dst is None:
+        d_tgt = d_pre
+    else:
+        d_tgt = np.zeros_like(tgt_proj)
+        np.add.at(d_tgt, dst, d_pre)
+    d_theta = (attr.T @ d_pre).T.reshape(theta_e.shape)
+    return scores, d_src, d_tgt, d_theta, d_attn[:, :, None]
 
 
 def self_attention_reference(x: np.ndarray, wq: list[np.ndarray], wk: list[np.ndarray],

@@ -72,10 +72,10 @@ def grad_config(fusion_type):
     )
 
 
-def manual_graph(features, edges, edge_attr, requires_grad=False):
+def manual_graph(features, edges, edge_polarity, requires_grad=False):
     return PackedGraphs(features=Tensor(features, requires_grad=requires_grad),
                         edges=np.asarray(edges, dtype=np.intp).reshape(-1, 2),
-                        edge_attr=np.asarray(edge_attr, dtype=np.float64),
+                        edge_polarity=np.asarray(edge_polarity, dtype=np.intp),
                         node_graph=np.zeros(len(features), dtype=np.intp), num_graphs=1)
 
 
@@ -85,10 +85,8 @@ def random_graph(rng, d_in=4, requires_grad=False):
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     rng.shuffle(pairs)
     edges = pairs[:int(rng.integers(0, len(pairs) + 1))] if pairs else []
-    attr = np.zeros((len(edges), 3))
-    for row in attr:
-        row[rng.integers(3)] = 1.0
-    return manual_graph(features, edges, attr, requires_grad=requires_grad)
+    polarity = [rng.integers(3) for _ in edges]
+    return manual_graph(features, edges, polarity, requires_grad=requires_grad)
 
 
 def test_acceptance_gradient_suite():
@@ -137,7 +135,7 @@ def test_acceptance_gradient_suite():
     gat_rng = np.random.default_rng(19)
     graph = manual_graph(gat_rng.standard_normal((3, 4)),
                          [(0, 1), (1, 0), (2, 0), (0, 2)],
-                         np.tile([0.0, 1.0, 0.0], (4, 1)), requires_grad=True)
+                         [1] * 4, requires_grad=True)
     params = GatParams(4, 3, 2, rng=np.random.default_rng(119))
     probe = Tensor(gat_rng.standard_normal((3, params.out_width)))
 
@@ -188,7 +186,7 @@ def test_acceptance_gat_oracle():
         attention = []
         out = gat_layer(graph, params, collect_attention=attention).data
         ref = dense_gat_reference(
-            graph.features.data, list(graph.edges), graph.edge_attr,
+            graph.features.data, list(graph.edges), graph.edge_polarity,
             list(params.theta_s.data), list(params.theta_t.data),
             list(params.theta_e.data), list(params.attn.data),
             params.leaky_slope)

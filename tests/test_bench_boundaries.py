@@ -18,6 +18,7 @@ import opfuse.data
 import opfuse.train
 from opfuse.autodiff import Tape, cross_entropy
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, dump_corpus
+from opfuse.encoder import tokenize, write_encoder_states
 from opfuse.model import (EncoderConfig, FusionConfig, GatConfig, ModelConfig,
                           OpinionFusionModel, OptimizerConfig)
 
@@ -84,3 +85,63 @@ def test_one_epoch_of_training_hits_every_train_span(tmp_path):
         opfuse.train.train_model(small_config("gate"), corpus, out_dir=tmp_path / "run")
     hits = tracer.hits()
     assert [s for s in workloads.TRAIN_SPANS if not hits[s]] == []
+
+
+def frozen_records() -> list[Record]:
+    """Train and dev records mixing a full opinion, one without a sentiment span
+    (a pooled fallback node), one whose holder span lies on whitespace (the
+    node is dropped) and none at all."""
+    texts = ("trader says market will crash soon", "i'm short $TSLA , big dump soon")
+    full = OpinionAnnotation(holder=Span(0, 6), sentiment_expression=Span(24, 29),
+                             target=Span(12, 18), polarity="negative")
+    no_sentiment = OpinionAnnotation(holder=Span(0, 6), target=Span(12, 18),
+                                     polarity="neutral")
+    holder_on_space = OpinionAnnotation(holder=Span(6, 7), sentiment_expression=Span(24, 29),
+                                        polarity="positive")
+    patterns = ((full,), (no_sentiment, full), (holder_on_space,), ())
+    return [Record(id=f"{split}{i}", split=split, text=texts[i % 2], emotion="anxiety",
+                   opinions=patterns[i % 4])
+            for split, n in (("train", 8), ("dev", 4)) for i in range(n)]
+
+
+def test_one_epoch_on_the_file_provider_counts_tokens_and_nodes(tmp_path):
+    records = frozen_records()
+    rng = np.random.default_rng(0)
+    entries = []
+    for record in records:
+        offsets = tokenize(record.text)
+        hidden = rng.standard_normal((len(offsets), 8))
+        entries.append((record.id, offsets, hidden, hidden.mean(axis=0)))
+    write_encoder_states(tmp_path / "states.bin", entries)
+    config = ModelConfig(
+        encoder=EncoderConfig(provider="file", width=8,
+                              states_path=str(tmp_path / "states.bin")),
+        gat=GatConfig(out_dim=96, heads=2), fusion=FusionConfig(type="attn"),
+        optimizer=OptimizerConfig(batch_size=8, epochs=1))
+    path = tmp_path / "corpus.jsonl"
+    dump_corpus(Corpus(records), path)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        corpus = opfuse.data.load_corpus(path)
+        opfuse.train.train_model(config, corpus, out_dir=tmp_path / "run")
+    hits = tracer.hits()
+    assert [s for s in ("encoder.read_states", "encoder.encode", "graphs.build")
+            if not hits[s]] == []
+
+    # One epoch encodes every train record once and predicts dev once.  A
+    # role is a node when its span covers a non-space character; a missing
+    # or uncovered sentiment span becomes the pooled fallback node.
+    def covers(record, span):
+        return span is not None and record.text[span.start:span.end].strip() != ""
+
+    roles = ("holder", "target", "qualifier", "aspect_term")
+    nodes = fallbacks = 0
+    for record in records:
+        for opinion in record.opinions:
+            nodes += 1 + sum(covers(record, getattr(opinion, role)) for role in roles)
+            fallbacks += not covers(record, opinion.sentiment_expression)
+    counts = tracer.counts["setup"]
+    assert (nodes, fallbacks) == (30, 3)
+    assert counts["encoder.tokens"] == sum(len(offsets) for _, offsets, *_ in entries)
+    assert counts["graphs.nodes"] == nodes
+    assert counts["graphs.fallback_nodes"] == fallbacks

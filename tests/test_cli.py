@@ -12,8 +12,9 @@ import pytest
 from opfuse.cli import main
 from opfuse.data import (EMOTIONS, Corpus, OpinionAnnotation, Record, Span, dump_corpus,
                          load_corpus)
-from opfuse.encoder import tokenize, write_encoder_states
+from opfuse.encoder import FileEncoder, tokenize, write_encoder_states
 from opfuse.evaluation import Prediction, write_predictions
+from opfuse.model import opinion_graphs
 from opfuse.synthetic import make_reference_corpus
 
 
@@ -339,12 +340,14 @@ def test_train_config_probes_print_one_line_without_traceback(tmp_path):
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
-def states_config(tmp_path, data, bad_id=None, value=1.0, repeat_id=None):
+def states_config(tmp_path, data, bad_id=None, value=1.0, repeat_id=None,
+                  offsets_of=lambda record: tokenize(record.text)):
     """A file-provider config with all-ones states, but ``value`` in record
-    ``bad_id``, and record ``repeat_id``'s states written twice."""
+    ``bad_id``, and record ``repeat_id``'s states written twice; each
+    record's token offsets are ``offsets_of(record)``."""
     entries = []
     for record in load_corpus(data).records:
-        offsets = [(t.span.start, t.span.end) for t in tokenize(record.text)]
+        offsets = offsets_of(record)
         hidden = np.ones((len(offsets), 8))
         if record.id == bad_id:
             hidden[0, 0] = value
@@ -406,6 +409,50 @@ def test_train_non_finite_probes_exit_2_with_one_line(tmp_path, probe, message):
     proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == message.format(states=tmp_path / "states.bin") + "\n"
+
+
+@pytest.mark.parametrize("offsets, message", [
+    ((-1, 2), "token 1 of record 'r0' has invalid offsets [-1, 2)"),
+    ((5, 3), "token 1 of record 'r0' has invalid offsets [5, 3)"),
+    ((30, 40), "record 'r0' has a token ending at offset 40, past the end of its "
+               "34-character text"),
+])
+def test_train_bad_token_offsets_exit_2_with_one_line(tmp_path, offsets, message):
+    data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
+
+    def offsets_of(record):
+        seq = list(tokenize(record.text))
+        if record.id == "r0":
+            seq[1] = offsets
+        return seq
+
+    config = states_config(tmp_path, data, offsets_of=offsets_of)
+    proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {tmp_path / 'states.bin'}: {message}\n"
+
+
+def test_train_with_zero_width_special_tokens(tmp_path):
+    """``(0, 0)`` and end-of-text tokens, as tokenizers export ``[CLS]`` and
+    ``[SEP]``, train and hold no node's tokens."""
+    data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
+    config = states_config(tmp_path, data, offsets_of=lambda record: (
+        ((0, 0),) + tokenize(record.text) + ((len(record.text), len(record.text)),)))
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "checkpoint.bin").exists()
+    records = load_corpus(data).records
+    frozen = FileEncoder(tmp_path / "states.bin", width=8)
+    for record in records:
+        seq = frozen.encode_record(record)[0]
+        graphs, _ = opinion_graphs([record], [seq])
+        indices = [i for g in graphs for node in g.structure.nodes for i in node.token_indices]
+        assert indices and 0 not in indices and len(seq) - 1 not in indices
+        # The same nodes as live tokenization, each token one further on.
+        live, _ = opinion_graphs([record], [tokenize(record.text)])
+        assert indices == [i + 1 for g in live for node in g.structure.nodes
+                           for i in node.token_indices]
 
 
 def test_train_duplicate_state_id_exits_2_with_one_line(tmp_path):

@@ -21,10 +21,10 @@ from oracles import (NoTokenOverlap, max_rel_err, numeric_gradient,
 
 
 def test_tokenize_words_and_punctuation():
-    seq = tokenize("go Long at $190")
-    assert [t.text for t in seq] == ["go", "long", "at", "$", "190"]
-    assert [(t.span.start, t.span.end) for t in seq] == [
-        (0, 2), (3, 7), (8, 10), (11, 12), (12, 15)]
+    text = "go Long at $190"
+    seq = tokenize(text)
+    assert [text[start:end] for start, end in seq] == ["go", "Long", "at", "$", "190"]
+    assert seq == ((0, 2), (3, 7), (8, 10), (11, 12), (12, 15))
 
 
 def test_tokenize_empty():
@@ -33,19 +33,19 @@ def test_tokenize_empty():
 
 def test_tokenize_offsets_round_trip():
     text = "Tesla I'll buy back in and go Long at $190"
-    for tok in tokenize(text):
-        assert text[tok.span.start:tok.span.end].lower() == tok.text
+    assert [text[start:end] for start, end in tokenize(text)] == [
+        "Tesla", "I", "'", "ll", "buy", "back", "in", "and", "go", "Long", "at", "$", "190"]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.text(min_size=0, max_size=40))
 def test_tokenize_round_trip_property(text):
     seq = tokenize(text)
-    for tok in seq:
-        assert text[tok.span.start:tok.span.end].lower() == tok.text
-    spans = [t.span for t in seq]
-    for a, b in zip(spans, spans[1:]):
-        assert a.end <= b.start  # ordered, non-overlapping
+    for start, end in seq:
+        assert 0 <= start < end <= len(text)
+        assert not any(ch.isspace() for ch in text[start:end])
+    for (_, end), (start, _) in zip(seq, seq[1:]):
+        assert end <= start  # ordered, non-overlapping
 
 
 def make_encoder(**kw):
@@ -55,12 +55,17 @@ def make_encoder(**kw):
     return ToyEncoder(**defaults)
 
 
+def encode_text(enc, text):
+    return enc.encode(text, tokenize(text))
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_encode_matches_per_head_reference(heads):
     enc = make_encoder(heads=heads, rng=np.random.default_rng(heads))
     p = {name.removeprefix("encoder."): t.data for name, t in enc.parameters().items()}
-    seq = tokenize("short the dip , buy the rip ?")
-    buckets = [hash_bucket(tok.text, enc.vocab_buckets) for tok in seq]
+    text = "short the dip , buy the rip ?"
+    seq = tokenize(text)
+    buckets = [hash_bucket(text[start:end].lower(), enc.vocab_buckets) for start, end in seq]
     x = p["embedding"][buckets] + sinusoidal_positions(len(seq), enc.width)
     for layer in range(enc.layers):
         w = {name: p[f"block{layer}.{name}"] for name in ("wq", "wk", "wv", "wo")}
@@ -70,7 +75,7 @@ def test_encode_matches_per_head_reference(heads):
         h = x @ p[f"block{layer}.ffn_w1"] + p[f"block{layer}.ffn_b1"]
         h = np.where(h >= 0, h, 0.2 * h)
         x = x + h @ p[f"block{layer}.ffn_w2"] + p[f"block{layer}.ffn_b2"]
-    out = enc.encode(seq)
+    out = enc.encode(text, seq)
     assert np.max(np.abs(out.hidden.data - x)) < 1e-12
     assert np.max(np.abs(out.pooled.data - x.mean(axis=0, keepdims=True))) < 1e-12
 
@@ -86,39 +91,43 @@ def test_position_tables_are_cached_with_the_bits_of_a_fresh_computation():
 
 def test_toy_encoder_output_shapes():
     enc = ToyEncoder(rng=np.random.default_rng(0))  # default config
-    seq = tokenize("buy the dip now")
-    out = enc.encode(seq)
+    out = encode_text(enc, "buy the dip now")
     assert out.hidden.shape == (4, 64)
     assert out.pooled.shape == (1, 64)
 
 
 def test_toy_encoder_empty_text_uses_padding_token():
     enc = make_encoder()
-    out = enc.encode(())
+    out = enc.encode("", ())
     assert out.hidden.shape == (1, 16)
     assert out.pooled.shape == (1, 16)
 
 
 def test_toy_encoder_position_sensitivity():
     enc = make_encoder()
-    a = enc.encode(tokenize("alpha beta")).pooled.data
-    b = enc.encode(tokenize("beta alpha")).pooled.data
+    a = encode_text(enc, "alpha beta").pooled.data
+    b = encode_text(enc, "beta alpha").pooled.data
     assert not np.allclose(a, b)
 
 
 def test_toy_encoder_deterministic():
-    a = make_encoder().encode(tokenize("same seed same output")).hidden.data
-    b = make_encoder().encode(tokenize("same seed same output")).hidden.data
+    a = encode_text(make_encoder(), "same seed same output").hidden.data
+    b = encode_text(make_encoder(), "same seed same output").hidden.data
     assert np.array_equal(a, b)
+
+
+def test_toy_encoder_hashes_lowercased_surface_forms():
+    enc = make_encoder()
+    assert (encode_text(enc, "Buy THE dip").hidden.data.tobytes()
+            == encode_text(enc, "buy the dip").hidden.data.tobytes())
 
 
 def test_toy_encoder_embedding_gradient_matches_finite_differences():
     enc = make_encoder(width=8, layers=1, heads=2, vocab_buckets=6)
-    seq = tokenize("aa bb aa")
     head_w = Tensor(np.random.default_rng(1).standard_normal((8, 4)))
 
     def forward():
-        out = enc.encode(seq)
+        out = encode_text(enc, "aa bb aa")
         logits = ad.matmul(out.pooled, head_w)
         return ad.cross_entropy(logits, [2])
 
@@ -133,16 +142,16 @@ def test_toy_encoder_embedding_gradient_matches_finite_differences():
 def test_span_pool_single_token():
     enc = make_encoder()
     seq = tokenize("alpha beta gamma")
-    out = enc.encode(seq)
-    pooled = span_pool(out, seq, seq[1].span)
+    out = enc.encode("alpha beta gamma", seq)
+    pooled = span_pool(out, seq, Span(*seq[1]))
     assert np.allclose(pooled.data, out.hidden.data[1:2])
 
 
 def test_span_pool_two_tokens_mean():
     enc = make_encoder()
     seq = tokenize("alpha beta gamma")
-    out = enc.encode(seq)
-    span = Span(seq[0].span.start, seq[1].span.end)
+    out = enc.encode("alpha beta gamma", seq)
+    span = Span(seq[0][0], seq[1][1])
     pooled = span_pool(out, seq, span)
     assert np.allclose(pooled.data, out.hidden.data[0:2].mean(axis=0, keepdims=True))
 
@@ -204,7 +213,7 @@ def test_file_encoder_states_are_frozen(tmp_path):
     enc = FileEncoder(path, width=4)
     seq, out = enc.encode_record(record())
     assert not out.hidden.requires_grad and not out.pooled.requires_grad
-    assert seq[0].text == "tesla"
+    assert seq == ((0, 5),)
 
 
 def test_provider_substitutability(tmp_path):
@@ -214,15 +223,13 @@ def test_provider_substitutability(tmp_path):
     rec = record("Tesla I'll buy back in")
     seq, out = enc.encode_record(rec)
     path = tmp_path / "states.bin"
-    write_encoder_states(
-        path, [(rec.id, [(t.span.start, t.span.end) for t in seq],
-                out.hidden.data, out.pooled.data.reshape(-1))])
+    write_encoder_states(path, [(rec.id, seq, out.hidden.data, out.pooled.data.reshape(-1))])
     file_enc = FileEncoder(path, width=16)
     seq2, out2 = file_enc.encode_record(rec)
-    assert [t.text for t in seq2] == [t.text for t in seq]
+    assert seq2 == seq
     assert np.array_equal(out2.hidden.data, out.hidden.data)
     assert np.array_equal(out2.pooled.data, out.pooled.data)
-    span = Span(seq[0].span.start, seq[0].span.end)
+    span = Span(*seq[0])
     assert np.array_equal(span_pool(out, seq, span).data,
                           span_pool(out2, seq2, span).data)
 
@@ -327,3 +334,34 @@ def test_duplicate_record_id_raises_encoder_error_naming_file_and_id(tmp_path):
     with pytest.raises(EncoderError) as err:
         read_encoder_states(path)
     assert str(err.value) == f"{path}: duplicate record id 'r\u00e9'"
+
+
+@pytest.mark.parametrize("bad", [(-1, 3), (4, 2), (-5, -9)])
+def test_negative_or_reversed_offsets_raise_encoder_error_naming_file_and_record(tmp_path,
+                                                                                 bad):
+    entries = state_entries()
+    entries[0] = ("r1", [(0, 5), bad], *entries[0][2:])
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, entries)
+    with pytest.raises(EncoderError) as err:
+        read_encoder_states(path)
+    assert str(err.value) == (f"{path}: token 1 of record 'r1' has invalid offsets "
+                              f"[{bad[0]}, {bad[1]})")
+
+
+def test_zero_width_tokens_are_read_and_served(tmp_path):
+    path = tmp_path / "states.bin"
+    offsets = [(0, 0), (0, 5), (6, 8), (9, 12), (12, 12)]   # [CLS] ... [SEP]
+    write_encoder_states(path, [("r1", offsets, np.ones((5, 4)), np.ones(4))])
+    seq, out = FileEncoder(path, width=4).encode_record(record())
+    assert seq == tuple(offsets) and out.hidden.shape == (5, 4)
+
+
+def test_offset_past_the_text_raises_encoder_error_naming_file_and_record(tmp_path):
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, [("r1", [(0, 5), (6, 13)], np.ones((2, 4)), np.ones(4))])
+    enc = FileEncoder(path, width=4)
+    with pytest.raises(EncoderError) as err:
+        enc.encode_record(record())   # "Tesla up big" has 12 characters
+    assert str(err.value) == (f"{path}: record 'r1' has a token ending at offset 13, "
+                              "past the end of its 12-character text")

@@ -5,17 +5,18 @@ import pytest
 
 import opfuse.autodiff as ad
 from opfuse.autodiff import ShapeError, Tape, Tensor
+from opfuse.data import POLARITIES
 from opfuse.gat import GatParams, aggregate_sentences, gat_layer, readout
 from opfuse.graphs import GraphEmpty, PackedGraphs
 
 from oracles import dense_gat_reference, max_rel_err, numeric_gradient
 
 
-def manual_graph(features, edges, edge_attr, requires_grad=False):
-    """A one-graph pack of the given node features, edge list and edge attributes."""
+def manual_graph(features, edges, edge_polarity, requires_grad=False):
+    """A one-graph pack of the given node features, edge list and edge polarity ids."""
     return PackedGraphs(features=Tensor(features, requires_grad=requires_grad),
                         edges=np.asarray(edges, dtype=np.intp).reshape(-1, 2),
-                        edge_attr=np.asarray(edge_attr, dtype=np.float64),
+                        edge_polarity=np.asarray(edge_polarity, dtype=np.intp),
                         node_graph=np.zeros(len(features), dtype=np.intp), num_graphs=1)
 
 
@@ -25,7 +26,7 @@ def union(graphs):
     offsets = np.cumsum([0] + sizes[:-1])
     return PackedGraphs(features=Tensor(np.concatenate([g.features.data for g in graphs])),
                         edges=np.concatenate([g.edges + off for g, off in zip(graphs, offsets)]),
-                        edge_attr=np.concatenate([g.edge_attr for g in graphs]),
+                        edge_polarity=np.concatenate([g.edge_polarity for g in graphs]),
                         node_graph=np.repeat(np.arange(len(graphs)), sizes),
                         num_graphs=len(graphs))
 
@@ -37,10 +38,8 @@ def random_graph(rng, n_nodes=None, d_in=4, requires_grad=False):
     rng.shuffle(pairs)
     n_edges = int(rng.integers(0, len(pairs) + 1)) if pairs else 0
     edges = pairs[:n_edges]
-    attr = np.zeros((len(edges), 3))
-    for row in attr:
-        row[rng.integers(3)] = 1.0
-    return manual_graph(features, edges, attr, requires_grad=requires_grad)
+    polarity = [rng.integers(3) for _ in edges]
+    return manual_graph(features, edges, polarity, requires_grad=requires_grad)
 
 
 def params_for(d_in=4, d_out=3, heads=2, seed=0):
@@ -50,7 +49,7 @@ def params_for(d_in=4, d_out=3, heads=2, seed=0):
 
 def test_single_node_output_is_target_transform():
     rng = np.random.default_rng(1)
-    graph = manual_graph(rng.standard_normal((1, 4)), [], np.zeros((0, 3)))
+    graph = manual_graph(rng.standard_normal((1, 4)), [], [])
     params = params_for(heads=2)
     out = gat_layer(graph, params)
     expected = np.concatenate(
@@ -60,7 +59,8 @@ def test_single_node_output_is_target_transform():
 
 def test_symmetric_two_node_graph_attention_half():
     features = np.tile([[1.0, -0.5, 2.0, 0.3]], (2, 1))
-    graph = manual_graph(features, [(0, 1), (1, 0)], np.zeros((2, 3)))
+    # Both edges without an attribute, like the self-loops.
+    graph = manual_graph(features, [(0, 1), (1, 0)], [len(POLARITIES)] * 2)
     params = params_for(heads=2)
     attention = []
     gat_layer(graph, params, collect_attention=attention)
@@ -87,7 +87,7 @@ def check_against_dense_oracle(rng, trials, d_in, d_out):
                             seed=int(rng.integers(1 << 30)))
         out = gat_layer(graph, params).data
         ref = dense_gat_reference(
-            graph.features.data, list(graph.edges), graph.edge_attr,
+            graph.features.data, list(graph.edges), graph.edge_polarity,
             list(params.theta_s.data), list(params.theta_t.data),
             list(params.theta_e.data), list(params.attn.data),
             params.leaky_slope)
@@ -116,7 +116,7 @@ def test_packed_union_matches_dense_oracle_per_graph():
         start = 0
         for graph in graphs:
             ref = dense_gat_reference(
-                graph.features.data, list(graph.edges), graph.edge_attr,
+                graph.features.data, list(graph.edges), graph.edge_polarity,
                 list(params.theta_s.data), list(params.theta_t.data),
                 list(params.theta_e.data), list(params.attn.data),
                 params.leaky_slope)
@@ -148,7 +148,7 @@ def test_permutation_equivariance():
         features_p = graph.features.data[inv]
         # permuted node i corresponds to original node inv[i]
         edges_p = [(int(perm[src]), int(perm[dst])) for src, dst in graph.edges]
-        graph_p = manual_graph(features_p, edges_p, graph.edge_attr)
+        graph_p = manual_graph(features_p, edges_p, graph.edge_polarity)
         out = gat_layer(graph, params).data
         out_p = gat_layer(graph_p, params).data
         assert np.allclose(out_p, out[inv], atol=1e-12)
@@ -158,8 +158,7 @@ def test_polarity_sensitivity():
     rng = np.random.default_rng(5)
     features = rng.standard_normal((3, 4))
     edges = [(1, 0), (0, 1), (2, 0), (0, 2)]
-    pos = np.tile([1.0, 0.0, 0.0], (4, 1))
-    neg = np.tile([0.0, 1.0, 0.0], (4, 1))
+    pos, neg = [0] * 4, [1] * 4
     params = params_for(heads=2, seed=6)
     out_pos = gat_layer(manual_graph(features, edges, pos), params).data
     out_neg = gat_layer(manual_graph(features, edges, neg), params).data
@@ -167,7 +166,7 @@ def test_polarity_sensitivity():
 
 
 def test_width_mismatch_raises():
-    graph = manual_graph(np.zeros((2, 5)), [(0, 1), (1, 0)], np.zeros((2, 3)))
+    graph = manual_graph(np.zeros((2, 5)), [(0, 1), (1, 0)], [0, 0])
     with pytest.raises(ShapeError):
         gat_layer(graph, params_for(d_in=4))
 
@@ -255,7 +254,7 @@ def test_aggregate_routes_by_mapping():
 
 
 def test_empty_graph_readout_raises():
-    empty = manual_graph(np.zeros((0, 4)), [], np.zeros((0, 3)))
+    empty = manual_graph(np.zeros((0, 4)), [], [])
     with pytest.raises(GraphEmpty):
         gat_layer(empty, params_for())
     with pytest.raises(GraphEmpty):

@@ -7,11 +7,14 @@ import pytest
 
 import opfuse.autodiff as ad
 from opfuse.autodiff import Tensor
-from opfuse.data import OpinionAnnotation, Record, Span, load_corpus
-from opfuse.encoder import EncoderOutput, ToyEncoder, tokenize
+from opfuse.data import POLARITIES, OpinionAnnotation, Record, Span, load_corpus
+from opfuse.encoder import (EncoderOutput, FileEncoder, ToyEncoder, tokenize,
+                            write_encoder_states)
 from opfuse.graphs import (ROLES, GraphEmpty, PackedGraphs, build_structure, build_subgraph,
-                           polarity_one_hot, structure_to_json)
+                           structure_to_json)
 import opfuse.graphs as graphs_mod
+from opfuse.model import opinion_graphs
+from opfuse.synthetic import make_planted_corpus
 
 from oracles import span_pool
 
@@ -35,7 +38,7 @@ def pack_one(rec, opinion, enc, seq, role_embedding=None):
 
 def span_over(seq, lo, hi):
     """Character span covering tokens lo..hi-1."""
-    return Span(seq[lo].span.start, seq[hi - 1].span.end)
+    return Span(seq[lo][0], seq[hi - 1][1])
 
 
 def test_full_opinion_five_nodes_eight_edges():
@@ -89,9 +92,7 @@ def test_holder_target_sentiment_example():
     assert graph.num_nodes == 3
     assert graph.edge_index.tolist() == [list(e) for e in graph.structure.edges]
     assert len(graph.edge_index) == 4
-    assert graph.edge_attr.shape == (4, 3)
-    assert np.array_equal(graph.edge_attr,
-                          np.tile([1.0, 0.0, 0.0], (4, 1)))
+    assert graph.edge_polarity.tolist() == [0] * 4   # POLARITIES[0] == "positive"
 
 
 def test_aspect_attaches_to_sentiment_without_target():
@@ -247,13 +248,62 @@ def test_packed_node_features_match_span_pool_oracle(with_roles):
     assert packed.node_graph.tolist() == np.repeat(np.arange(len(graphs)), sizes).tolist()
     assert packed.edges.tolist() == [[src + off, dst + off] for g, off in zip(graphs, offsets)
                                      for src, dst in g.structure.edges]
-    assert np.array_equal(packed.edge_attr, np.concatenate([g.edge_attr for g in graphs]))
+    assert packed.edge_polarity.tolist() == [
+        POLARITIES.index(g.structure.polarity) for g in graphs for _ in g.structure.edges]
 
 
-def test_polarity_one_hot():
-    assert polarity_one_hot("positive").tolist() == [1.0, 0.0, 0.0]
-    assert polarity_one_hot("negative").tolist() == [0.0, 1.0, 0.0]
-    assert polarity_one_hot("neutral").tolist() == [0.0, 0.0, 1.0]
+def test_edge_polarity_ids():
+    text = "he says tesla will pump"
+    rec = Record(id="r", split="train", text=text, emotion="optimism")
+    seq = tokenize(text)
+    assert POLARITIES == ("positive", "negative", "neutral")
+    for index, polarity in enumerate(POLARITIES):
+        opinion = OpinionAnnotation(holder=span_over(seq, 0, 1),
+                                    sentiment_expression=span_over(seq, 4, 5),
+                                    target=span_over(seq, 2, 3), polarity=polarity)
+        graph = build_subgraph(rec, opinion, seq)
+        assert graph.edge_polarity.dtype == np.intp
+        assert graph.edge_polarity.tolist() == [index] * 4
+
+
+def test_zero_width_tokens_anchor_no_span():
+    text = "buy the dip"
+    rec = Record(id="r", split="train", text=text, emotion="optimism")
+    # [CLS] at 0, an empty token inside "the", [SEP] at the end.
+    seq = ((0, 0), (0, 3), (5, 5), (4, 7), (8, 11), (11, 11))
+    opinion = OpinionAnnotation(holder=Span(0, 3), sentiment_expression=Span(4, 11),
+                                polarity="positive")
+    s = build_structure(rec, opinion, seq)
+    assert [(n.role, n.token_indices) for n in s.nodes] == [
+        ("holder", (1,)), ("sentiment", (3, 4))]
+    with pytest.raises(GraphEmpty):
+        build_structure(rec, OpinionAnnotation(holder=Span(4, 7)), ((0, 0), (5, 5)))
+
+
+@pytest.mark.parametrize("corpus", ["planted", "export"])
+def test_file_and_toy_providers_are_interchangeable(tmp_path, corpus):
+    """A state file written from ``tokenize`` offsets gives the toy encoder's
+    tokens, so every record gets the same sub-graph structures."""
+    records = (make_planted_corpus(n_train=24, n_dev=8, n_test=8, seed=5).records
+               if corpus == "planted" else load_corpus(EXPORT_CORPUS).records)
+    rng = np.random.default_rng(6)
+    entries = []
+    for record in records:
+        offsets = tokenize(record.text)
+        hidden = rng.standard_normal((len(offsets), 8))
+        entries.append((record.id, offsets, hidden, hidden.sum(axis=0)))
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, entries)
+    toy = ToyEncoder(width=8, layers=1, heads=2, vocab_buckets=64,
+                     rng=np.random.default_rng(7))
+    frozen = FileEncoder(path, width=8)
+    for record in records:
+        seqs = [encoder.encode_record(record)[0] for encoder in (toy, frozen)]
+        assert seqs[0] == seqs[1], record.id
+        exports = [structure_to_json(record, [g.structure for g in
+                                              opinion_graphs([record], [seq])[0]])
+                   for seq in seqs]
+        assert exports[0] == exports[1], record.id
 
 
 def test_structure_export_shape():
