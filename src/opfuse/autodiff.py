@@ -89,19 +89,25 @@ class Tensor:
         new.setflags(write=False)
         object.__setattr__(self, "data", new)
 
-    def replace_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+    def replace_rows(self, rows: np.ndarray | None, values: np.ndarray) -> None:
         """Install a copy of the buffer with ``rows`` set to ``values`` (optimizer use only).
 
         The table is copied once and only the new rows are checked for
         finiteness; on a failed check the old buffer stays installed.
+        ``rows=None`` stands for every row in order: ``values`` itself then
+        becomes the buffer, with no copy, so the caller must not write to it.
         """
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != (len(rows),) + self.data.shape[1:]:
+        n_rows = self.data.shape[0] if rows is None else len(rows)
+        if values.shape != (n_rows,) + self.data.shape[1:]:
             raise ShapeError(f"replace_rows got values of shape {values.shape} "
-                             f"for {len(rows)} rows of {self.data.shape}")
+                             f"for {n_rows} rows of {self.data.shape}")
         _check_finite("replace_rows", values)
-        new = self.data.copy()
-        new[rows] = values
+        if rows is None:
+            new = values
+        else:
+            new = self.data.copy()
+            new[rows] = values
         new.setflags(write=False)
         object.__setattr__(self, "data", new)
 

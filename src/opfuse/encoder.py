@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NonFiniteError, Tensor
 from .data import Record
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -147,41 +147,55 @@ class ToyEncoder:
 ENC_MAGIC = b"OPFUSE-ENC-1\n"
 
 
+def _text_end(path, where: str, offsets) -> int:
+    """The largest end offset (0 without tokens); raises for a negative or reversed one."""
+    text_end = 0
+    for token, (start, end) in enumerate(offsets):
+        if start < 0 or end < start:
+            raise EncoderError(f"{path}: token {token} of {where} has invalid "
+                               f"offsets [{start}, {end})")
+        text_end = max(text_end, end)
+    return text_end
+
+
 def write_encoder_states(path: str | Path,
                          entries: Sequence[tuple[str, Sequence[tuple[int, int]],
                                                  np.ndarray, np.ndarray]]) -> None:
     """Write per-record hidden states exported from an external encoder.
 
     Each entry is (record id, token offsets, hidden (T, d), pooled (d,) or (1, d)).
+    Every entry is checked before the file is opened: offsets are refused
+    as ``read_encoder_states`` refuses them.
     """
+    for rid, offsets, hidden, pooled in entries:
+        n_tokens, width = np.shape(hidden)
+        if len(offsets) != n_tokens:
+            raise EncoderError(
+                f"record {rid!r}: {len(offsets)} offsets for {n_tokens} hidden rows")
+        if np.size(pooled) != width:
+            raise EncoderError(f"record {rid!r}: pooled width {np.size(pooled)} != {width}")
+        _text_end(path, f"record {rid!r}", offsets)
     with open(path, "wb") as fh:
         fh.write(ENC_MAGIC)
         fh.write(struct.pack("<q", len(entries)))
         for rid, offsets, hidden, pooled in entries:
             hidden = np.ascontiguousarray(hidden, dtype="<f8")
-            pooled = np.ascontiguousarray(pooled, dtype="<f8").reshape(-1)
-            n_tokens, width = hidden.shape
-            if len(offsets) != n_tokens:
-                raise EncoderError(
-                    f"record {rid!r}: {len(offsets)} offsets for {n_tokens} hidden rows")
-            if pooled.shape[0] != width:
-                raise EncoderError(f"record {rid!r}: pooled width {pooled.shape[0]} != {width}")
             rid_bytes = rid.encode("utf-8")
             fh.write(struct.pack("<q", len(rid_bytes)))
             fh.write(rid_bytes)
-            fh.write(struct.pack("<qq", width, n_tokens))
+            fh.write(struct.pack("<qq", hidden.shape[1], hidden.shape[0]))
             for start, end in offsets:
                 fh.write(struct.pack("<qq", start, end))
             fh.write(hidden.tobytes())
-            fh.write(pooled.tobytes())
+            fh.write(np.ascontiguousarray(pooled, dtype="<f8").tobytes())
 
 
 @dataclass
 class StoredStates:
     offsets: TokenSequence
     text_end: int        # the largest end offset, so the least text length; 0 without tokens
-    hidden: np.ndarray
-    pooled: np.ndarray
+    hidden: Tensor       # (|T|, d), read-only, served as it is on every call
+    pooled: Tensor       # (1, d), likewise
 
 
 def read_encoder_states(path: str | Path) -> dict[str, StoredStates]:
@@ -216,21 +230,18 @@ def read_encoder_states(path: str | Path) -> dict[str, StoredStates]:
             width, n_tokens = struct.unpack("<qq", read(16, f"shape of {where}"))
             offsets = tuple(struct.iter_unpack("<qq", read(16 * n_tokens,
                                                            f"offsets of {where}")))
-            text_end = 0
-            for token, (start, end) in enumerate(offsets):
-                if start < 0 or end < start:
-                    raise EncoderError(f"{path}: token {token} of {where} has invalid "
-                                       f"offsets [{start}, {end})")
-                text_end = max(text_end, end)
+            text_end = _text_end(path, where, offsets)
             hidden = read(n_tokens * width * 8, f"hidden states of {where}")
             pooled = read(width * 8, f"pooled vector of {where}")
-            stored = StoredStates(
-                offsets=offsets, text_end=text_end,
-                hidden=np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width).copy(),
-                pooled=np.frombuffer(pooled, dtype="<f8").copy())
-            if not (np.isfinite(stored.hidden).all() and np.isfinite(stored.pooled).all()):
-                raise EncoderError(f"{path}: non-finite states in {where}")
-            records[rid] = stored
+            hidden = np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width)
+            pooled = np.frombuffer(pooled, dtype="<f8").reshape(1, width)
+            try:
+                # Each Tensor copies its array out of the file buffer once and checks it.
+                hidden, pooled = Tensor(hidden), Tensor(pooled)
+            except NonFiniteError as exc:
+                raise EncoderError(f"{path}: non-finite states in {where}") from exc
+            records[rid] = StoredStates(offsets=offsets, text_end=text_end,
+                                        hidden=hidden, pooled=pooled)
     return records
 
 
@@ -257,5 +268,4 @@ class FileEncoder:
             raise EncoderError(
                 f"{self.path}: record {record.id!r} has a token ending at offset "
                 f"{stored.text_end}, past the end of its {len(record.text)}-character text")
-        return stored.offsets, EncoderOutput(hidden=Tensor(stored.hidden),
-                                             pooled=Tensor(stored.pooled[None, :]))
+        return stored.offsets, EncoderOutput(hidden=stored.hidden, pooled=stored.pooled)

@@ -28,6 +28,19 @@ node.  Otherwise, as in every deeper layer, whose input is ``heads · d_out``
 wide, it gathers the projected ``(edges, heads · d_out)`` target rows once,
 scores the edges on them and sums them as the messages.  The layer's shapes
 pick the path.
+
+The last layer feeds only ``readout``, which sums each graph's nodes, and a
+message is linear in its attention weights, so per head
+
+    Σ_{i∈g} h'_i = Σ_{j∈g} β_j Θ_t[k] h_j,   β_j = Σ_i α_ij,
+
+where ``β_j`` is the attention mass node ``j`` receives.  That layer builds
+no per-edge message: it sums α onto the targets into β and returns each
+node's share of the readout, the same narrower rows weighted by β.  A narrow
+layer returns ``β_j h_j`` per head, ``(|V|, heads · d_in)``, and ``readout``
+applies each head's Θ_t once per pooled graph row; a wide one returns
+``β_j Θ_t[k] h_j``, ``(|V|, heads · d_out)``.  Deeper models run every layer
+before the last on the per-node path above.
 """
 
 from __future__ import annotations
@@ -74,8 +87,21 @@ class GatParams:
                 for name in ("theta_s", "theta_t", "theta_e", "attn")}
 
 
+def _project_heads(rows: Tensor, params: GatParams) -> Tensor:
+    """Each head's Θ_t on its block of (M, heads · d_in) rows: (M, heads · d_out).
+
+    One (heads, M, d_in) @ (heads, d_in, d_out) product, heads in
+    concatenation order.
+    """
+    n_rows = rows.shape[0]
+    per_head = ad.transpose(ad.reshape(rows, (n_rows, params.heads, params.d_in)), (1, 0, 2))
+    projected = ad.matmul(per_head, ad.transpose(params.theta_t, (0, 2, 1)))
+    return ad.reshape(ad.transpose(projected, (1, 0, 2)), (n_rows, params.out_width))
+
+
 def gat_layer(graph: PackedGraphs, params: GatParams,
-              collect_attention: list | None = None) -> Tensor:
+              collect_attention: list | None = None, *,
+              readout_shares: bool = False) -> Tensor:
     """One round of attention message passing; returns (|V|, heads * d_out).
 
     Runs on the packed disjoint union as one edge list: every node's
@@ -83,6 +109,12 @@ def gat_layer(graph: PackedGraphs, params: GatParams,
     scores are normalized with a segment softmax per source node, and
     messages are scatter-added back onto the source nodes (see the module
     docstring for which rows are summed).
+
+    With ``readout_shares``, for the last layer, it returns each node's
+    share of its graph's readout instead: its narrower rows weighted by the
+    attention mass it receives, (|V|, heads * d_in) for a narrow layer.
+    ``readout(shares, graph, params)`` equals
+    ``readout(gat_layer(graph, params), graph)``.
 
     When ``collect_attention`` is given, the per-node coefficient arrays are
     appended to it as (node, head, neighborhood weights) triples, head by head.
@@ -105,21 +137,23 @@ def gat_layer(graph: PackedGraphs, params: GatParams,
     polarity = np.concatenate([graph.edge_polarity,
                                np.full(n_nodes, len(POLARITIES), dtype=np.intp)])[order]
 
-    heads, d_out, width, n_edges = params.heads, params.d_out, params.out_width, len(src)
+    heads, d_out, n_edges = params.heads, params.d_out, len(src)
     # One (|V|, heads * d_out) projection per weight, heads in concatenation order.
     src_proj, tgt_proj = (
-        ad.matmul(graph.features, ad.transpose(ad.reshape(theta, (width, params.d_in))))
+        ad.matmul(graph.features,
+                  ad.transpose(ad.reshape(theta, (params.out_width, params.d_in))))
         for theta in (params.theta_s, params.theta_t))
-    # Each edge's rows, weighted per head and summed onto its source: the
-    # input rows when they are the narrower ones, else the projected ones,
-    # which are then gathered once for the scores and the messages alike.
+    # The rows weighted per head and summed: the input rows when they are
+    # the narrower ones, else the projected ones.  Projected messages are
+    # gathered once per edge, for the scores and the messages alike; with no
+    # message to build, ``edge_scores`` gathers the target rows itself.
     narrow = params.d_in < d_out
-    if narrow:
+    node_rows, row_width = (graph.features, params.d_in) if narrow else (tgt_proj, d_out)
+    if narrow or readout_shares:
         scores = ad.edge_scores(src_proj, tgt_proj, params.theta_e, params.attn, src, dst,
                                 polarity, params.leaky_slope)
-        rows, row_width = ad.gather_rows(graph.features, dst), params.d_in
     else:
-        rows, row_width = ad.gather_rows(tgt_proj, dst), d_out
+        rows = ad.gather_rows(tgt_proj, dst)
         scores = ad.edge_scores(src_proj, rows, params.theta_e, params.attn, src, None,
                                 polarity, params.leaky_slope)
     alpha = ad.segment_softmax(scores, src, n_nodes)
@@ -127,22 +161,37 @@ def gat_layer(graph: PackedGraphs, params: GatParams,
         bounds = np.searchsorted(src, np.arange(n_nodes + 1))
         collect_attention.extend((i, k, alpha.data[bounds[i]:bounds[i + 1], k].copy())
                                  for k in range(heads) for i in range(n_nodes))
+    if readout_shares:
+        # β_j per head: the attention mass node j receives, (|V|, heads).
+        mass = ad.segment_sum(alpha, dst, n_nodes)
+        shares = ad.mul(ad.reshape(node_rows, (n_nodes, -1, row_width)),
+                        ad.reshape(mass, (n_nodes, heads, 1)))
+        return ad.reshape(shares, (n_nodes, heads * row_width))
+    if narrow:
+        rows = ad.gather_rows(node_rows, dst)
     weighted = ad.mul(ad.reshape(rows, (n_edges, -1, row_width)),
                       ad.reshape(alpha, (n_edges, heads, 1)))
     summed = ad.segment_sum(ad.reshape(weighted, (n_edges, heads * row_width)), src, n_nodes)
-    if not narrow:
-        return summed
-    # Θ_t[k] applied once per node: (heads, |V|, d_in) @ (heads, d_in, d_out).
-    per_head = ad.transpose(ad.reshape(summed, (n_nodes, heads, row_width)), (1, 0, 2))
-    projected = ad.matmul(per_head, ad.transpose(params.theta_t, (0, 2, 1)))
-    return ad.reshape(ad.transpose(projected, (1, 0, 2)), (n_nodes, width))
+    return _project_heads(summed, params) if narrow else summed
 
 
-def readout(node_feats: Tensor, graph: PackedGraphs) -> Tensor:
-    """Sum-pool node vectors into one (num_graphs, width) row per graph."""
+def readout(node_feats: Tensor, graph: PackedGraphs,
+            last: GatParams | None = None) -> Tensor:
+    """Sum-pool node vectors into one (num_graphs, width) row per graph.
+
+    With ``last``, ``node_feats`` are that layer's readout shares
+    (``gat_layer(..., readout_shares=True)``); a narrow layer's pooled
+    (heads · d_in) rows then get each head's Θ_t here, once per graph.
+    """
     if graph.num_nodes == 0:
         raise GraphEmpty("readout on an empty graph")
-    return ad.segment_sum(node_feats, graph.node_graph, graph.num_graphs)
+    pooled = ad.segment_sum(node_feats, graph.node_graph, graph.num_graphs)
+    if last is None or last.d_in >= last.d_out:
+        return pooled
+    if node_feats.shape[1] != last.heads * last.d_in:
+        raise ShapeError(f"readout shares have width {node_feats.shape[1]}, "
+                         f"layer expects {last.heads * last.d_in}")
+    return _project_heads(pooled, last)
 
 
 def aggregate_sentences(readouts: Tensor, mapping: list[int],

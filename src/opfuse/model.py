@@ -263,23 +263,25 @@ class OpinionFusionModel:
         return params
 
     def graph_vectors(self, records: list[Record], seqs: list, tokens: Tensor,
-                      pooled: Tensor, token_rows: np.ndarray) -> tuple[Tensor, list[bool]]:
-        """Aggregated opinion vectors (len(records), graph_width), plus no-opinion flags.
+                      pooled: Tensor, token_rows: np.ndarray) -> Tensor:
+        """Aggregated opinion vectors (len(records), graph_width); zero rows without one.
 
         ``seqs`` holds each record's tokens and the rest the batch's encoder
         rows, as ``PackedGraphs.pack`` reads them.  Every opinion graph of
-        the batch goes through GAT as one packed union.
+        the batch goes through GAT as one packed union; the last layer hands
+        ``readout`` its readout shares, not per-node states.
         """
         graphs, owners = opinion_graphs(records, seqs)
         if graphs:
             packed = PackedGraphs.pack(graphs, owners, tokens, pooled, token_rows,
                                        self.role_embedding)
-            for layer in self.gat_layers:
+            *inner, last = self.gat_layers
+            for layer in inner:
                 packed = replace(packed, features=gat_layer(packed, layer))
-            readouts = readout(packed.features, packed)
+            readouts = readout(gat_layer(packed, last, readout_shares=True), packed, last)
         else:
             readouts = ad.zeros((0, self.graph_width))
-        return aggregate_sentences(readouts, owners, len(records), self.graph_width)
+        return aggregate_sentences(readouts, owners, len(records), self.graph_width)[0]
 
     def _logits(self, records: list[Record]) -> Tensor:
         """Class logits (len(records), C); everything after the encoder runs once per call."""
@@ -290,8 +292,8 @@ class OpinionFusionModel:
         tokens = ad.concat([out.hidden for _, out in encoded])
         token_rows = np.repeat(np.arange(len(records)),
                                [out.hidden.shape[0] for _, out in encoded])
-        graph_vecs, _ = self.graph_vectors(records, [seq for seq, _ in encoded],
-                                           tokens, h_seq, token_rows)
+        graph_vecs = self.graph_vectors(records, [seq for seq, _ in encoded],
+                                        tokens, h_seq, token_rows)
         h_graph = self.fusion_params.project_graph(graph_vecs)
         h_fused = fuse(h_seq, h_graph, tokens, self.fusion_params, token_rows)
         return self.head(residual(h_seq, h_fused, self.config.fusion.alpha_res))

@@ -26,18 +26,27 @@ class _TouchedRows:
         self.rows = np.empty(0, dtype=np.intp)
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        # Every row is touched and row r sits in slot r, as after a dense
+        # first gradient: the slots are then the parameter's own rows.
+        self.in_order = False
 
     def add_rows(self, idx: np.ndarray) -> None:
         new = idx[self.slot[idx] < 0]
+        if not new.size:
+            return
         self.slot[new] = np.arange(self.rows.size, self.rows.size + new.size)
         self.rows = np.concatenate([self.rows, new])
+        self.in_order = np.array_equal(self.rows, np.arange(self.slot.size))
 
 
 class Adam:
     """Adam with bias correction, β=(0.9, 0.999) and ε=1e-8.
 
     Parameters are updated strictly between training steps via
-    ``Tensor.replace_rows``; moment state is keyed by parameter name.
+    ``Tensor.replace_rows``; moment state is keyed by parameter name.  A
+    parameter whose every row is touched in row order (any parameter with a
+    dense gradient) is stepped on its buffers as they are: no scatter of the
+    gradient, no gather of the rows and no copy of the table.
 
     Every parameter is updated by one rule: on the rows it ever had a
     gradient for, and on no other.  A dense gradient touches every row; a
@@ -89,7 +98,13 @@ class Adam:
             table = self._touched[name] = _TouchedRows(param.shape)
         table.add_rows(idx)
         count = table.rows.size
-        g = np.zeros((count,) + param.shape[1:])
-        g[table.slot[idx]] = summed
+        if table.in_order and idx.size == count:
+            g = summed  # sorted unique indices of every row: already in slot order
+        else:
+            g = np.zeros((count,) + param.shape[1:])
+            g[table.slot[idx]] = summed
         update = self._update(table.m[:count], table.v[:count], g, bc1, bc2)
-        param.replace_rows(table.rows, param.data[table.rows] - update)
+        if table.in_order:
+            param.replace_rows(None, param.data - update)
+        else:
+            param.replace_rows(table.rows, param.data[table.rows] - update)

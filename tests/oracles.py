@@ -9,12 +9,15 @@ token offsets itself rather than reading the token indices a graph stores.
 The GATv2 edge scores are recomputed with polarity as one-hot rows and
 their projection as a matrix product, with numpy's own gradient formulas.
 Adam is replayed densely over every cell, and the checkpoint layout is
-rebuilt with a fresh float64 copy of every payload.
+rebuilt with a fresh float64 copy of every payload.  Encoder-state files are
+written field by field with no check at all, so a test can write what the
+reader must refuse.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -216,3 +219,23 @@ def checkpoint_bytes_reference(params: dict[str, np.ndarray]) -> bytes:
     manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
     return (b"OPFUSE-CKPT-1\n" + json.dumps({"params": manifest}, sort_keys=True).encode("utf-8")
             + b"\n" + b"".join(arr.astype("<f8").tobytes() for arr in arrays.values()))
+
+
+def raw_encoder_states(path, entries) -> None:
+    """An ``OPFUSE-ENC-1`` file of (id, offsets, hidden, pooled) entries, unchecked.
+
+    Magic, the int64 record count, then per record: the id's byte length
+    and UTF-8 bytes, int64 width and token count, each token's int64
+    (start, end), and the little-endian float64 hidden rows and pooled row.
+    """
+    out = [b"OPFUSE-ENC-1\n", struct.pack("<q", len(entries))]
+    for rid, offsets, hidden, pooled in entries:
+        hidden = np.asarray(hidden, dtype=np.float64)
+        rid_bytes = rid.encode("utf-8")
+        out += [struct.pack("<q", len(rid_bytes)), rid_bytes,
+                struct.pack("<qq", hidden.shape[1], hidden.shape[0])]
+        out += [struct.pack("<qq", start, end) for start, end in offsets]
+        out += [hidden.astype("<f8").tobytes(),
+                np.asarray(pooled, dtype=np.float64).astype("<f8").tobytes()]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(out))

@@ -561,3 +561,15 @@ def test_replace_rows_installs_a_copy_and_checks_only_new_rows():
     with pytest.raises(ShapeError):
         t.replace_rows(np.array([1]), [[1.0, 2.0, 3.0]])
     assert t.data is installed
+def test_replace_rows_of_every_row_installs_the_values_themselves():
+    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    values = np.full((3, 2), 4.0)
+    t.replace_rows(None, values)
+    assert t.data is values and not values.flags.writeable
+    with pytest.raises(NonFiniteError):
+        t.replace_rows(None, np.full((3, 2), np.inf))
+    with pytest.raises(ShapeError):
+        t.replace_rows(None, np.zeros((2, 2)))
+    assert t.data is values
+
+

@@ -75,6 +75,22 @@ def test_one_step_and_predict_hit_every_model_span(fusion_type):
     assert [s for s in spans if not hits[s]] == []
 
 
+def test_a_depth_2_forward_runs_two_gat_layers_and_one_readout():
+    """The last layer's readout shares still pass through ``gat_layer`` and
+    then ``readout``, so the ``gat.layer``/``gat.readout`` spans and the
+    ``gat.layer_calls`` count read one per layer and one per forward."""
+    config = small_config("gate")
+    config.gat.depth = 2
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        model = OpinionFusionModel(config, rng=np.random.default_rng(0))
+        tracer.run = "forward"
+        model.forward_batch(small_records("train"))
+    hits = tracer.hits()
+    assert (hits["gat.layer"], hits["gat.readout"]) == (2, 1)
+    assert tracer.metrics(["forward"])["gat.layer_calls"] == 2
+
+
 def test_one_epoch_of_training_hits_every_train_span(tmp_path):
     path = tmp_path / "corpus.jsonl"
     dump_corpus(Corpus(small_records("train") + small_records("dev", 2)), path)

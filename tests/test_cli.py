@@ -17,6 +17,8 @@ from opfuse.evaluation import Prediction, write_predictions
 from opfuse.model import opinion_graphs
 from opfuse.synthetic import make_reference_corpus
 
+from oracles import raw_encoder_states
+
 
 @pytest.fixture(scope="module")
 def reference_corpus_path(tmp_path_factory):
@@ -341,10 +343,11 @@ def test_train_config_probes_print_one_line_without_traceback(tmp_path):
 
 
 def states_config(tmp_path, data, bad_id=None, value=1.0, repeat_id=None,
-                  offsets_of=lambda record: tokenize(record.text)):
+                  offsets_of=lambda record: tokenize(record.text), write=write_encoder_states):
     """A file-provider config with all-ones states, but ``value`` in record
     ``bad_id``, and record ``repeat_id``'s states written twice; each
-    record's token offsets are ``offsets_of(record)``."""
+    record's token offsets are ``offsets_of(record)``, and ``write`` writes
+    the file."""
     entries = []
     for record in load_corpus(data).records:
         offsets = offsets_of(record)
@@ -354,7 +357,7 @@ def states_config(tmp_path, data, bad_id=None, value=1.0, repeat_id=None,
         entry = (record.id, offsets, hidden, np.ones(8))
         entries += [entry, entry] if record.id == repeat_id else [entry]
     states = tmp_path / "states.bin"
-    write_encoder_states(states, entries)
+    write(states, entries)
     return config_file(tmp_path, encoder={"provider": "file", "width": 8,
                                           "states_path": str(states)},
                        gat={"out_dim": 96, "heads": 2, "depth": 1})
@@ -426,7 +429,8 @@ def test_train_bad_token_offsets_exit_2_with_one_line(tmp_path, offsets, message
             seq[1] = offsets
         return seq
 
-    config = states_config(tmp_path, data, offsets_of=offsets_of)
+    # Unchecked bytes: the writer itself refuses the first two probes.
+    config = states_config(tmp_path, data, offsets_of=offsets_of, write=raw_encoder_states)
     proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -16,7 +16,7 @@ from opfuse.encoder import (ENC_MAGIC, EncoderError, EncoderOutput, FileEncoder,
 
 from fuzzing import mutate
 
-from oracles import (NoTokenOverlap, max_rel_err, numeric_gradient,
+from oracles import (NoTokenOverlap, max_rel_err, numeric_gradient, raw_encoder_states,
                      self_attention_reference, span_pool)
 
 
@@ -185,8 +185,31 @@ def test_state_file_round_trip_bit_exact(tmp_path):
     write_encoder_states(path, [("r1", [(0, 5), (6, 8), (9, 12)], hidden, pooled)])
     stored = read_encoder_states(path)["r1"]
     assert stored.offsets == ((0, 5), (6, 8), (9, 12))
-    assert stored.hidden.tobytes() == hidden.tobytes()
-    assert stored.pooled.tobytes() == pooled.tobytes()
+    assert stored.hidden.shape == (3, 8) and stored.pooled.shape == (1, 8)
+    assert stored.hidden.data.tobytes() == hidden.tobytes()
+    assert stored.pooled.data.tobytes() == pooled.tobytes()
+
+
+def test_writer_bytes_match_the_raw_layout(tmp_path):
+    entries = state_entries()
+    write_encoder_states(tmp_path / "states.bin", entries)
+    raw_encoder_states(tmp_path / "raw.bin", entries)
+    assert (tmp_path / "states.bin").read_bytes() == (tmp_path / "raw.bin").read_bytes()
+
+
+def test_file_encoder_serves_the_states_it_read_once(tmp_path):
+    rng = np.random.default_rng(9)
+    hidden, pooled = rng.standard_normal((3, 8)), rng.standard_normal(8)
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, [("r1", [(0, 5), (6, 8), (9, 12)], hidden, pooled)])
+    enc = FileEncoder(path, width=8)
+    _, first = enc.encode_record(record())
+    _, second = enc.encode_record(record())
+    assert first.hidden.data is second.hidden.data
+    assert first.pooled.data is second.pooled.data
+    assert not first.hidden.data.flags.writeable and not first.pooled.data.flags.writeable
+    assert first.hidden.data.tobytes() == hidden.tobytes()
+    assert first.pooled.shape == (1, 8) and first.pooled.data.tobytes() == pooled.tobytes()
 
 
 def test_file_encoder_missing_id(tmp_path):
@@ -342,11 +365,23 @@ def test_negative_or_reversed_offsets_raise_encoder_error_naming_file_and_record
     entries = state_entries()
     entries[0] = ("r1", [(0, 5), bad], *entries[0][2:])
     path = tmp_path / "states.bin"
-    write_encoder_states(path, entries)
+    raw_encoder_states(path, entries)
     with pytest.raises(EncoderError) as err:
         read_encoder_states(path)
     assert str(err.value) == (f"{path}: token 1 of record 'r1' has invalid offsets "
                               f"[{bad[0]}, {bad[1]})")
+
+
+@pytest.mark.parametrize("bad", [(-1, 3), (4, 2), (-5, -9)])
+def test_writer_refuses_negative_or_reversed_offsets_before_writing(tmp_path, bad):
+    entries = state_entries()
+    entries[1] = (entries[1][0], [bad], *entries[1][2:])
+    path = tmp_path / "states.bin"
+    with pytest.raises(EncoderError) as err:
+        write_encoder_states(path, entries)
+    assert str(err.value) == (f"{path}: token 0 of record 'r\u00e9' has invalid offsets "
+                              f"[{bad[0]}, {bad[1]})")
+    assert not path.exists()
 
 
 def test_zero_width_tokens_are_read_and_served(tmp_path):

@@ -1,5 +1,7 @@
 """Fusion strategies, residual, classifier head, and the nesting property."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from opfuse.autodiff import Tape, Tensor
 from opfuse.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from opfuse.data import Record, Span, OpinionAnnotation
 from opfuse.fusion import ClassifierHead, FusionParams, fuse, residual
+from opfuse.gat import gat_layer, readout
+from opfuse.graphs import PackedGraphs
 from opfuse.model import (EncoderConfig, FusionConfig, GatConfig, ModelConfig,
-                          OpinionFusionModel, OptimizerConfig)
+                          OpinionFusionModel, OptimizerConfig, opinion_graphs)
 
 from oracles import max_rel_err, numeric_gradient
 
@@ -194,7 +198,7 @@ def test_nesting_alpha_zero_matches_text_only_bit_exact(tmp_path):
 
 
 def graph_vectors(model, records):
-    """The model's graph vectors and no-opinion flags for ``records``."""
+    """The model's graph vectors for ``records``."""
     encoded = [model.encoder.encode_record(r) for r in records]
     token_rows = np.repeat(np.arange(len(records)),
                            [out.hidden.shape[0] for _, out in encoded])
@@ -211,10 +215,8 @@ def test_opinion_free_record_flows_through():
     logits = model.forward_batch([bare])
     assert logits.shape == (1, 12)
     # zero graph vector: fused branch sees exactly zeros for the graph side
-    graph_vecs, flags = graph_vectors(model, [bare])
-    graph_vec, flag = graph_vecs.data[0:1], flags[0]
-    assert flag is True
-    assert np.array_equal(graph_vec, np.zeros((1, model.graph_width)))
+    graph_vecs = graph_vectors(model, [bare])
+    assert np.array_equal(graph_vecs.data, np.zeros((1, model.graph_width)))
 
 
 def mixed_batch():
@@ -246,8 +248,10 @@ def test_forward_batch_matches_single_record_forward(fusion_type, depth):
     batch = model.forward_batch(records).data
     single = np.concatenate([model.forward_batch([r]).data for r in records], axis=0)
     assert np.max(np.abs(batch - single)) <= 1e-10 * np.max(np.abs(single))
-    graph_vecs, flags = graph_vectors(model, records)
-    assert flags == [False, True, False, True, False, True, False]
+    # Exactly the records without an anchored opinion get a zero graph vector.
+    graph_vecs = graph_vectors(model, records)
+    assert [not row.any() for row in graph_vecs.data] == [False, True, False, True,
+                                                           False, True, False]
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -262,6 +266,55 @@ def test_forward_batch_matches_single_record_forward_on_narrow_inputs(depth):
     batch = model.forward_batch(records).data
     single = np.concatenate([model.forward_batch([r]).data for r in records], axis=0)
     assert np.max(np.abs(batch - single)) <= 1e-10 * np.max(np.abs(single))
+
+
+def graph_readouts(model, records, readout_shares):
+    """Each opinion graph's readout after every GAT layer: the last layer run
+    for its readout shares, or per node as every earlier layer is."""
+    encoded = [model.encoder.encode_record(r) for r in records]
+    graphs, owners = opinion_graphs(records, [seq for seq, _ in encoded])
+    token_rows = np.repeat(np.arange(len(records)),
+                           [out.hidden.shape[0] for _, out in encoded])
+    packed = PackedGraphs.pack(graphs, owners, ad.concat([out.hidden for _, out in encoded]),
+                               ad.concat([out.pooled for _, out in encoded]), token_rows,
+                               model.role_embedding)
+    *inner, last = model.gat_layers
+    for layer in inner:
+        packed = replace(packed, features=gat_layer(packed, layer))
+    if readout_shares:
+        return readout(gat_layer(packed, last, readout_shares=True), packed, last), graphs
+    return readout(gat_layer(packed, last), packed), graphs
+
+
+@pytest.mark.parametrize("role_embedding", [False, True], ids=["roles-off", "roles-on"])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("out_dim", [16, 4], ids=["narrow-first", "wide"])
+def test_last_layer_readout_shares_match_the_per_node_path(out_dim, depth, role_embedding):
+    config = tiny_config("gate")
+    config.gat.out_dim, config.gat.depth, config.gat.role_embedding = (out_dim, depth,
+                                                                        role_embedding)
+    model = OpinionFusionModel(config, rng=np.random.default_rng(19))
+    # Width-8 tokens: a 16-wide layer 0 is narrow, every 4-wide layer and
+    # every deeper layer wide.
+    assert ([layer.d_in < layer.d_out for layer in model.gat_layers]
+            == [out_dim > 8, False][:depth])
+    records = mixed_batch()
+    probe = np.random.default_rng(20).standard_normal((6, model.graph_width))
+    results = []
+    for shares in (True, False):
+        with Tape() as tape:
+            pooled, graphs = graph_readouts(model, records, shares)
+            loss = ad.tsum(ad.mul(pooled, probe))
+        results.append((pooled.data, tape.backward(loss)))
+    # One-node graphs (a self-loop only) and pooled fallback nodes are in the batch.
+    assert len(graphs) == 6 and min(g.num_nodes for g in graphs) == 1
+    assert any(node.span is None for g in graphs for node in g.structure.nodes)
+    (ours, our_grads), (ref, ref_grads) = results
+    assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for name, param in model.parameters().items():
+        if name.startswith(("gat.", "role_embedding", "encoder.")):
+            ours, ref = our_grads.wrt(param), ref_grads.wrt(param)
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 def test_exactly_one_fusion_branch_is_parameterized():

@@ -1,5 +1,7 @@
 """GATv2 layer against trivial cases and a dense masked-attention oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,45 @@ def test_packed_readout_sums_each_graph():
     assert np.allclose(out, [feats.data[0:2].sum(0), feats.data[2], feats.data[3:6].sum(0)])
 
 
+def readout_both_ways(packed, params):
+    """Readout of the last layer's shares, and of its per-node states."""
+    shares = gat_layer(packed, params, readout_shares=True)
+    return readout(shares, packed, params), readout(gat_layer(packed, params), packed)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(3, 5), (1, 2), (4, 3), (4, 4)],
+                         ids=["narrow", "narrow-1", "wide", "square"])
+def test_readout_shares_match_the_per_node_readout(d_in, d_out):
+    rng = np.random.default_rng(16)
+    for trial in range(40):
+        # One-node graphs among them: a self-loop is their only edge.
+        graphs = [random_graph(rng, d_in=d_in) for _ in range(int(rng.integers(1, 7)))]
+        packed = union(graphs)
+        packed = replace(packed, features=Tensor(packed.features.data, requires_grad=True))
+        params = params_for(d_in=d_in, d_out=d_out, heads=int(rng.integers(1, 4)),
+                            seed=int(rng.integers(1 << 30)))
+        probe = rng.standard_normal((packed.num_graphs, params.out_width))
+        grads = []
+        for pooled in readout_both_ways(packed, params):
+            with Tape() as tape:
+                loss = ad.tsum(ad.mul(pooled, probe))
+            grads.append(tape.backward(loss))
+        ours, ref = readout_both_ways(packed, params)
+        assert ours.shape == ref.shape == (packed.num_graphs, params.out_width)
+        assert np.max(np.abs(ours.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data)), trial
+        for name, t in {"features": packed.features, **params.parameters()}.items():
+            ours, ref = grads[0].wrt(t), grads[1].wrt(t)
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref)), (trial, name)
+
+
+def test_readout_refuses_shares_of_the_wrong_width():
+    rng = np.random.default_rng(17)
+    graph = random_graph(rng, n_nodes=3, d_in=3)
+    params = params_for(d_in=3, d_out=5)
+    with pytest.raises(ShapeError):
+        readout(gat_layer(graph, params), graph, params)
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -259,3 +300,7 @@ def test_empty_graph_readout_raises():
         gat_layer(empty, params_for())
     with pytest.raises(GraphEmpty):
         readout(empty.features, empty)
+    with pytest.raises(GraphEmpty):
+        gat_layer(empty, params_for(), readout_shares=True)
+    with pytest.raises(GraphEmpty):
+        readout(empty.features, empty, params_for())

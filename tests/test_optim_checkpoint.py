@@ -175,6 +175,33 @@ def test_adam_fixed_sequence_is_byte_identical_to_dense_adam():
     ], seed=7)
 
 
+def test_a_table_touched_in_row_order_is_stepped_on_its_own_rows():
+    """Every row touched with row r in slot r (a dense gradient, or rows that
+    came in order) updates the parameter as a whole; rows first touched out
+    of order keep their slots.  Both give dense Adam's bytes."""
+    rng = np.random.default_rng(3)
+    dense = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    shuffled = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    opt = Adam({"dense": dense, "shuffled": shuffled}, lr=0.1)
+    ref = {name: (p.data, np.zeros(p.shape), np.zeros(p.shape))
+           for name, p in opt.params.items()}
+    for t, rows in enumerate(([2], [0, 1], [1]), start=1):
+        with Tape() as tape:
+            loss = ad.add(ad.tsum(ad.mul(dense, rng.standard_normal((4, 2)))),
+                          row_part(shuffled, rows, rng.standard_normal((len(rows), 2))))
+        grads = tape.backward(loss)
+        opt.step(grads)
+        ref = {name: dense_adam_reference(*ref[name], grads.wrt(p), t, 0.1)
+               for name, p in opt.params.items()}
+        for name, p in opt.params.items():
+            m, v = adam_moments(opt, name, p.shape)
+            assert (p.data.tobytes(), m.tobytes(), v.tobytes()) == tuple(
+                arr.tobytes() for arr in ref[name]), (t, name)
+    assert opt._touched["dense"].in_order
+    assert opt._touched["shuffled"].rows.tolist() == [2, 0, 1]
+    assert not opt._touched["shuffled"].in_order
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     params = {
