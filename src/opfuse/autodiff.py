@@ -11,6 +11,14 @@ points:
   as a node; ``Tape.backward`` replays the node list once in reverse.
 * Any non-finite value produced by a primitive raises ``NonFiniteError``
   immediately instead of propagating NaN/Inf.
+* ``attention_block`` and ``ffn_block`` are the toy encoder's two residual
+  blocks, each one tape node where the composed primitives would record
+  twelve and six.  They run the composed path's numpy ops in its order, so
+  outputs and gradients keep its bits, and they keep its finiteness rule:
+  every intermediate is checked in forward and a failure names the
+  primitive that would have made it (``matmul produced non-finite
+  values``); every intermediate gradient is checked in backward.
+  ``project_heads`` is GAT's per-head projection as one node, likewise.
 * ``gather_rows`` hands back a row-sparse gradient (indices plus rows);
   ``Tape.backward`` sums a tensor's row parts into one dense array only
   when that array is needed, so a table gathered by every record of a
@@ -530,6 +538,130 @@ def edge_scores(src_proj, tgt_proj, theta_e, attn, src: np.ndarray, dst: np.ndar
         return _RowGrad(src, gz), gz if dst is None else _RowGrad(dst, gz), d_theta, d_attn
 
     return _apply("edge_scores", out, (src_proj, tgt_proj, theta_e, attn), backward)
+
+
+def project_heads(rows, theta) -> Tensor:
+    """Head ``k``'s ``theta[k]`` on its block of rows: (M, H·d_in) -> (M, H·d_out).
+
+    ``theta`` is (H, d_out, d_in); head ``k`` reads columns ``k·d_in:(k+1)·d_in``
+    and writes columns ``k·d_out:(k+1)·d_out``.  One (H, M, d_in) @
+    (H, d_in, d_out) product on views of both operands, with the bits of the
+    reshapes, transposes and matmul it stands for; only the product can fail
+    the finiteness check, under the name ``matmul``.
+    """
+    rows, theta = as_tensor(rows), as_tensor(theta)
+    if (theta.data.ndim != 3 or rows.data.ndim != 2
+            or rows.shape[1] != theta.shape[0] * theta.shape[2]):
+        raise ShapeError(f"project_heads got rows {rows.shape} for head weights {theta.shape}")
+    n_rows = rows.shape[0]
+    heads, d_out, _ = theta.shape
+    per_head = rows.data.reshape(n_rows, heads, -1).transpose(1, 0, 2)
+    weights = theta.data.transpose(0, 2, 1)
+    out = (per_head @ weights).transpose(1, 0, 2).reshape(n_rows, heads * d_out)
+
+    def backward(g):
+        _check_finite("backward", g)
+        g_heads = g.reshape(n_rows, heads, d_out).transpose(1, 0, 2)
+        d_rows = (g_heads @ np.swapaxes(weights, -1, -2)).transpose(1, 0, 2)
+        d_theta = (np.swapaxes(per_head, -1, -2) @ g_heads).transpose(0, 2, 1)
+        return d_rows.reshape(rows.shape), d_theta
+
+    return _apply("matmul", out, (rows, theta), backward)
+
+
+def _checked(name: str, arr: np.ndarray) -> np.ndarray:
+    _check_finite(name, arr)
+    return arr
+
+
+def attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
+    """Residual multi-head self-attention ``x + merge(softmax(q·kᵀ·scale)·v) @ wo``: (T, W).
+
+    ``wq``, ``wk`` and ``wv`` are (H, W, d_h), so ``q = x @ wq`` is (H, T, d_h);
+    ``wo`` is (H·d_h, W), and head ``k`` fills columns ``k·d_h:(k+1)·d_h`` of
+    the merged rows.  One tape node for twelve composed primitives: the three
+    projections, the transposed keys, the score product, its scale, the
+    softmax, the value mix, the head merge (a transpose and a reshape), the
+    output projection and the residual add.  Each numpy op runs as those
+    primitives run it, in their order and on the same layouts, so every output
+    and gradient keeps their bits.  Every product is checked for finiteness
+    under the name of the primitive that made it (``matmul``, ``mul``,
+    ``softmax``, ``add``); a transpose or reshape only moves values already
+    checked.  Backward checks every intermediate gradient and adds into
+    ``x``'s gradient in the tape's order: the residual, then the v, k and q
+    terms.  The tape keeps q, k, v, the probabilities and the merged rows.
+    """
+    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
+    if (x.data.ndim != 2 or x.shape[0] == 0 or wq.data.ndim != 3
+            or wq.shape[1] != x.shape[1] or wk.shape != wq.shape or wv.shape != wq.shape
+            or wo.shape != (wq.shape[0] * wq.shape[2], x.shape[1])):
+        raise ShapeError(f"attention_block got rows {x.shape} for projections {wq.shape}, "
+                         f"{wk.shape}, {wv.shape} and output weights {wo.shape}")
+    q, k, v = (_checked("matmul", x.data @ w.data) for w in (wq, wk, wv))
+    scores = _checked("mul", _checked("matmul", q @ k.transpose(0, 2, 1)) * scale)
+    shifted = scores - scores.max(axis=2, keepdims=True)
+    ex = np.exp(shifted)
+    probs = _checked("softmax", ex / ex.sum(axis=2, keepdims=True))
+    heads = _checked("matmul", probs @ v)
+    merged = heads.transpose(1, 0, 2).reshape(x.shape[0], wo.shape[0])
+    out = x.data + _checked("matmul", merged @ wo.data)
+
+    def backward(g):
+        _check_finite("backward", g)
+        d_merged = _checked("backward", g @ np.swapaxes(wo.data, -1, -2))
+        d_wo = np.swapaxes(merged, -1, -2) @ g
+        d_heads = d_merged.reshape(heads.shape[1], heads.shape[0], -1).transpose(1, 0, 2)
+        d_probs = _checked("backward", d_heads @ np.swapaxes(v, -1, -2))
+        d_v = _checked("backward", np.swapaxes(probs, -1, -2) @ d_heads)
+        inner = (d_probs * probs).sum(axis=2, keepdims=True)
+        d_scaled = _checked("backward", probs * (d_probs - inner))
+        d_scores = _checked("backward", d_scaled * scale)
+        d_q = _checked("backward", d_scores @ k)
+        d_k = _checked("backward", np.swapaxes(q, -1, -2) @ d_scores).transpose(0, 2, 1)
+        d_x, d_w = g, []
+        for d_proj, w in ((d_v, wv), (d_k, wk), (d_q, wq)):
+            d_x = d_x + _checked("backward", _unbroadcast(d_proj @ np.swapaxes(w.data, -1, -2),
+                                                         x.shape))
+            d_w.append(np.swapaxes(x.data, -1, -2) @ d_proj)
+        d_wv, d_wk, d_wq = d_w
+        return d_x, d_wq, d_wk, d_wv, d_wo
+
+    return _apply("add", out, (x, wq, wk, wv, wo), backward)
+
+
+def ffn_block(x, w1, b1, w2, b2, slope: float) -> Tensor:
+    """Residual feed-forward block ``x + (leaky(x·w1 + b1)·w2 + b2)``: (T, W).
+
+    One tape node for six composed primitives (two matmuls, three adds and
+    ``leaky_relu``), run as they run them, so every output and gradient keeps
+    their bits.  Every intermediate is checked for finiteness under the name
+    of the primitive that made it, and backward checks every intermediate
+    gradient and adds into ``x``'s gradient the residual first, then the
+    ``w1`` term.  The tape keeps ``x``, the activation and its kink mask.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if not 0.0 < slope < 1.0:
+        raise ShapeError(f"leaky_relu slope must lie in (0, 1), got {slope}")
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w1.shape[0] != x.shape[1]
+            or b1.shape != (1, w1.shape[1]) or w2.shape != (w1.shape[1], x.shape[1])
+            or b2.shape != (1, x.shape[1])):
+        raise ShapeError(f"ffn_block got rows {x.shape} for weights {w1.shape} and "
+                         f"{w2.shape} and biases {b1.shape} and {b2.shape}")
+    hidden = _checked("add", _checked("matmul", x.data @ w1.data) + b1.data)
+    positive = hidden >= 0.0
+    act = _checked("leaky_relu", np.maximum(hidden, slope * hidden))
+    out = x.data + _checked("add", _checked("matmul", act @ w2.data) + b2.data)
+
+    def backward(g):
+        _check_finite("backward", g)
+        d_act = _checked("backward", g @ np.swapaxes(w2.data, -1, -2))
+        d_w2 = np.swapaxes(act, -1, -2) @ g
+        d_hidden = _checked("backward", d_act * np.maximum(positive, slope))
+        d_x = g + _checked("backward", d_hidden @ np.swapaxes(w1.data, -1, -2))
+        d_w1 = np.swapaxes(x.data, -1, -2) @ d_hidden
+        return (d_x, d_w1, _unbroadcast(d_hidden, b1.shape), d_w2, _unbroadcast(g, b2.shape))
+
+    return _apply("add", out, (x, w1, b1, w2, b2), backward)
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:

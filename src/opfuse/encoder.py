@@ -8,7 +8,10 @@ space the annotation spans use.
 
 * ``ToyEncoder``: trainable hashed-vocabulary embeddings (of each token's
   lowercased text), sinusoidal positions, and a small stack of
-  self-attention blocks.
+  self-attention blocks.  Each block is two tape nodes,
+  ``autodiff.attention_block`` and ``autodiff.ffn_block``, with the bits
+  and the finiteness checks of the primitives they stand for: a non-finite
+  intermediate still raises under the name of the op that made it.
 * ``FileEncoder``: frozen per-record states exported from any external
   encoder, carried in an ``OPFUSE-ENC-1`` container together with the
   exporting tokenizer's offsets and looked up by record id.  A zero-width
@@ -118,26 +121,15 @@ class ToyEncoder:
             buckets = [0]  # synthetic padding token for empty input
         x = ad.gather_rows(self._params["embedding"], buckets)
         x = ad.add(x, sinusoidal_positions(len(buckets), self.width))
+        scale = 1.0 / np.sqrt(self.head_dim)
         for layer in range(self.layers):
-            x = ad.add(x, self._attention(layer, x))
-            x = ad.add(x, self._ffn(layer, x))
+            wq, wk, wv, wo, w1, b1, w2, b2 = (
+                self._params[f"block{layer}.{name}"]
+                for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"))
+            x = ad.attention_block(x, wq, wk, wv, wo, scale)
+            x = ad.ffn_block(x, w1, b1, w2, b2, 0.2)
         pooled = ad.tmean(x, axis=0, keepdims=True)
         return EncoderOutput(hidden=x, pooled=pooled)
-
-    def _attention(self, layer: int, x: Tensor) -> Tensor:
-        q, k, v = (ad.matmul(x, self._params[f"block{layer}.{name}"])
-                   for name in ("wq", "wk", "wv"))
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(self.head_dim))
-        heads = ad.matmul(ad.softmax(scores, axis=2), v)  # (heads, |T|, head_dim)
-        merged = ad.reshape(ad.transpose(heads, (1, 0, 2)), (x.shape[0], self.width))
-        return ad.matmul(merged, self._params[f"block{layer}.wo"])
-
-    def _ffn(self, layer: int, x: Tensor) -> Tensor:
-        h = ad.add(ad.matmul(x, self._params[f"block{layer}.ffn_w1"]),
-                   self._params[f"block{layer}.ffn_b1"])
-        h = ad.leaky_relu(h, 0.2)
-        return ad.add(ad.matmul(h, self._params[f"block{layer}.ffn_w2"]),
-                      self._params[f"block{layer}.ffn_b2"])
 
     def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
         seq = tokenize(record.text)
@@ -164,9 +156,11 @@ def write_encoder_states(path: str | Path,
     """Write per-record hidden states exported from an external encoder.
 
     Each entry is (record id, token offsets, hidden (T, d), pooled (d,) or (1, d)).
-    Every entry is checked before the file is opened: offsets are refused
-    as ``read_encoder_states`` refuses them.
+    Every entry is checked before the file is opened: a repeated record id,
+    bad offsets and a non-finite hidden or pooled value are refused with the
+    messages ``read_encoder_states`` gives for them.
     """
+    seen = set()
     for rid, offsets, hidden, pooled in entries:
         n_tokens, width = np.shape(hidden)
         if len(offsets) != n_tokens:
@@ -174,7 +168,12 @@ def write_encoder_states(path: str | Path,
                 f"record {rid!r}: {len(offsets)} offsets for {n_tokens} hidden rows")
         if np.size(pooled) != width:
             raise EncoderError(f"record {rid!r}: pooled width {np.size(pooled)} != {width}")
+        if rid in seen:
+            raise EncoderError(f"{path}: duplicate record id {rid!r}")
+        seen.add(rid)
         _text_end(path, f"record {rid!r}", offsets)
+        if not (np.isfinite(hidden).all() and np.isfinite(pooled).all()):
+            raise EncoderError(f"{path}: non-finite states in record {rid!r}")
     with open(path, "wb") as fh:
         fh.write(ENC_MAGIC)
         fh.write(struct.pack("<q", len(entries)))

@@ -87,18 +87,6 @@ class GatParams:
                 for name in ("theta_s", "theta_t", "theta_e", "attn")}
 
 
-def _project_heads(rows: Tensor, params: GatParams) -> Tensor:
-    """Each head's Θ_t on its block of (M, heads · d_in) rows: (M, heads · d_out).
-
-    One (heads, M, d_in) @ (heads, d_in, d_out) product, heads in
-    concatenation order.
-    """
-    n_rows = rows.shape[0]
-    per_head = ad.transpose(ad.reshape(rows, (n_rows, params.heads, params.d_in)), (1, 0, 2))
-    projected = ad.matmul(per_head, ad.transpose(params.theta_t, (0, 2, 1)))
-    return ad.reshape(ad.transpose(projected, (1, 0, 2)), (n_rows, params.out_width))
-
-
 def gat_layer(graph: PackedGraphs, params: GatParams,
               collect_attention: list | None = None, *,
               readout_shares: bool = False) -> Tensor:
@@ -172,7 +160,7 @@ def gat_layer(graph: PackedGraphs, params: GatParams,
     weighted = ad.mul(ad.reshape(rows, (n_edges, -1, row_width)),
                       ad.reshape(alpha, (n_edges, heads, 1)))
     summed = ad.segment_sum(ad.reshape(weighted, (n_edges, heads * row_width)), src, n_nodes)
-    return _project_heads(summed, params) if narrow else summed
+    return ad.project_heads(summed, params.theta_t) if narrow else summed
 
 
 def readout(node_feats: Tensor, graph: PackedGraphs,
@@ -188,10 +176,7 @@ def readout(node_feats: Tensor, graph: PackedGraphs,
     pooled = ad.segment_sum(node_feats, graph.node_graph, graph.num_graphs)
     if last is None or last.d_in >= last.d_out:
         return pooled
-    if node_feats.shape[1] != last.heads * last.d_in:
-        raise ShapeError(f"readout shares have width {node_feats.shape[1]}, "
-                         f"layer expects {last.heads * last.d_in}")
-    return _project_heads(pooled, last)
+    return ad.project_heads(pooled, last.theta_t)
 
 
 def aggregate_sentences(readouts: Tensor, mapping: list[int],

@@ -8,6 +8,9 @@ one head at a time in plain numpy, and span pooling resolves a span against
 token offsets itself rather than reading the token indices a graph stores.
 The GATv2 edge scores are recomputed with polarity as one-hot rows and
 their projection as a matrix product, with numpy's own gradient formulas.
+The toy encoder's attention and feed-forward blocks and GAT's per-head
+projection are composed from the separate primitives, one tape node per
+array op, as the fused primitives must reproduce bit for bit.
 Adam is replayed densely over every cell, and the checkpoint layout is
 rebuilt with a fresh float64 copy of every payload.  Encoder-state files are
 written field by field with no check at all, so a test can write what the
@@ -22,8 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
+import opfuse.autodiff as ad
 from opfuse.autodiff import Tensor
 from opfuse.data import Span
+from opfuse.encoder import hash_bucket, sinusoidal_positions
 
 
 def numeric_gradient(f, param: Tensor, eps: float = 1e-5) -> np.ndarray:
@@ -162,6 +167,45 @@ def self_attention_reference(x: np.ndarray, wq: list[np.ndarray], wk: list[np.nd
         ex = np.exp(scores - scores.max(axis=1, keepdims=True))
         outputs.append(ex / ex.sum(axis=1, keepdims=True) @ v)
     return np.concatenate(outputs, axis=1) @ wo
+
+
+def composed_attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
+    """``x + merge(softmax(q·kᵀ·scale)·v) @ wo`` from twelve separate primitives."""
+    q, k, v = (ad.matmul(x, w) for w in (wq, wk, wv))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
+    heads = ad.matmul(ad.softmax(scores, axis=2), v)  # (heads, |T|, head_dim)
+    merged = ad.reshape(ad.transpose(heads, (1, 0, 2)), (x.shape[0], wo.shape[0]))
+    return ad.add(x, ad.matmul(merged, wo))
+
+
+def composed_ffn_block(x, w1, b1, w2, b2, slope: float) -> Tensor:
+    """``x + (leaky(x·w1 + b1)·w2 + b2)`` from six separate primitives."""
+    h = ad.leaky_relu(ad.add(ad.matmul(x, w1), b1), slope)
+    return ad.add(x, ad.add(ad.matmul(h, w2), b2))
+
+
+def composed_project_heads(rows, theta) -> Tensor:
+    """Each head's ``theta[k]`` on its block of rows, as six separate primitives."""
+    n_rows, (heads, d_out, d_in) = rows.shape[0], theta.shape
+    per_head = ad.transpose(ad.reshape(rows, (n_rows, heads, d_in)), (1, 0, 2))
+    projected = ad.matmul(per_head, ad.transpose(theta, (0, 2, 1)))
+    return ad.reshape(ad.transpose(projected, (1, 0, 2)), (n_rows, heads * d_out))
+
+
+def composed_encode(encoder, text: str, seq) -> tuple[Tensor, Tensor]:
+    """A ``ToyEncoder``'s (hidden, pooled) with each block composed op by op."""
+    p = {name.removeprefix("encoder."): t for name, t in encoder.parameters().items()}
+    buckets = [hash_bucket(text[start:end].lower(), encoder.vocab_buckets)
+               for start, end in seq] or [0]
+    x = ad.add(ad.gather_rows(p["embedding"], buckets),
+               sinusoidal_positions(len(buckets), encoder.width))
+    for layer in range(encoder.layers):
+        w = {name: p[f"block{layer}.{name}"] for name in
+             ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")}
+        x = composed_attention_block(x, w["wq"], w["wk"], w["wv"], w["wo"],
+                                     1.0 / np.sqrt(encoder.head_dim))
+        x = composed_ffn_block(x, w["ffn_w1"], w["ffn_b1"], w["ffn_w2"], w["ffn_b2"], 0.2)
+    return x, ad.tmean(x, axis=0, keepdims=True)
 
 
 def fraction_stuart_maxwell(table: list[list[int]]) -> Fraction:

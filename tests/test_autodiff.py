@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import opfuse.autodiff as ad
 from opfuse.autodiff import NonFiniteError, ShapeError, Tape, Tensor
 
-from oracles import max_rel_err, numeric_gradient, one_hot_edge_scores
+from oracles import (composed_attention_block, composed_ffn_block, composed_project_heads,
+                     max_rel_err, numeric_gradient, one_hot_edge_scores)
 
 TOL = 1e-4
 
@@ -191,7 +192,7 @@ def test_gradient_accumulates_across_uses():
     "add", "sub", "mul", "transpose", "gather", "concat",
     "mean_axis", "sum_axis", "sigmoid", "softmax", "leaky", "reshape",
     "matmul_leading_axis", "transpose_axes", "gather_nonleaf", "edge_scores",
-    "edge_scores_gathered",
+    "edge_scores_gathered", "project_heads", "attention_block", "ffn_block",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2 ** 31))
@@ -236,6 +237,17 @@ def test_primitive_gradients_match_finite_differences(op_name):
     cases["edge_scores_gathered"] = (lambda: ad.edge_scores(
         x, ad.gather_rows(y, [1, 1, 0, 2, 2]), e, a, [0, 2, 1, 2, 0], None, types, 0.2),
         (x, y, e, a))
+    # Two heads of width 2 over the four columns of ``x``.
+    w = np.random.default_rng(4)
+    theta = Tensor(w.standard_normal((2, 3, 2)), requires_grad=True)
+    cases["project_heads"] = (lambda: ad.project_heads(x, theta), (x, theta))
+    wq, wk, wv = (Tensor(part, requires_grad=True) for part in w.standard_normal((3, 2, 4, 2)))
+    wo = Tensor(w.standard_normal((4, 4)), requires_grad=True)
+    cases["attention_block"] = (lambda: ad.attention_block(x, wq, wk, wv, wo, 0.7),
+                                (x, wq, wk, wv, wo))
+    w1, b1 = (Tensor(w.standard_normal(shape), requires_grad=True) for shape in ((4, 5), (1, 5)))
+    w2, b2 = (Tensor(w.standard_normal(shape), requires_grad=True) for shape in ((5, 4), (1, 4)))
+    cases["ffn_block"] = (lambda: ad.ffn_block(x, w1, b1, w2, b2, 0.2), (x, w1, b1, w2, b2))
     build, inputs = cases[op_name]
 
     # Weighted sum makes the scalar sensitive to every output entry.
@@ -300,6 +312,97 @@ def test_edge_scores_reject_a_non_finite_pre_activation():
             with pytest.raises(NonFiniteError, match="edge_scores"):
                 ad.edge_scores(nodes, nodes, theta_e, attn, [0, 1, 1], [1, 0, 1], [0, 3, 2],
                                0.2)
+
+
+@pytest.mark.parametrize("n_rows, heads, d_out, d_in", [(5, 2, 3, 4), (1, 4, 6, 2), (3, 1, 2, 2)])
+def test_project_heads_has_the_bits_of_the_composed_primitives(n_rows, heads, d_out, d_in):
+    rng = np.random.default_rng(n_rows + heads)
+    rows = Tensor(rng.standard_normal((n_rows, heads * d_in)), requires_grad=True)
+    theta = Tensor(rng.standard_normal((heads, d_out, d_in)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((n_rows, heads * d_out)))
+    results = []
+    for project in (ad.project_heads, composed_project_heads):
+        with Tape() as tape:
+            # Θ_t also feeds a second product, as in ``gat_layer``, so its
+            # gradient is a sum of two parts.
+            out = project(rows, theta)
+            loss = ad.add(ad.tsum(ad.mul(out, probe)), ad.tsum(ad.mul(theta, theta)))
+        grads = tape.backward(loss)
+        results.append([out.data, grads.wrt(rows), grads.wrt(theta)])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def attention_case(case):
+    """Inputs of ``attention_block`` that make one intermediate non-finite.
+
+    Three rows of width 4, two heads of width 2.  Each case names the
+    composed primitive that first sees a non-finite value.
+    """
+    rng = np.random.default_rng(6)
+    x, wo = rng.standard_normal((3, 4)), rng.standard_normal((4, 4))
+    wq, wk, wv = rng.standard_normal((3, 2, 4, 2))
+    scale, probe = 0.7, np.ones((3, 4))
+    if case == "q projection":
+        x, wq = np.full((3, 4), 1e200), np.full((2, 4, 2), 1e200)
+    elif case == "score scale":
+        x, wq, wk, scale = np.ones((3, 4)), np.ones((2, 4, 2)), np.ones((2, 4, 2)), 1e307
+    elif case == "residual":
+        # Uniform attention over values of 1e308 in column 0, which ``wo``
+        # copies onto the residual's column 0, also 1e308.
+        x, wq, wk, wv, wo = (np.zeros(shape) for shape in ((3, 4), (2, 4, 2), (2, 4, 2),
+                                                            (2, 4, 2), (4, 4)))
+        x[:, 0], wv[:, 0, :], wo[0, 0] = 1e308, 1.0, 1.0
+    elif case == "backward":
+        # The block returns x, but the output weights scale its gradient past range.
+        wv, wo, probe = np.zeros((2, 4, 2)), np.full((4, 4), 1e10), np.full((3, 4), 1e300)
+    return (x, wq, wk, wv, wo, scale), probe
+
+
+def ffn_case(case):
+    """Inputs of ``ffn_block`` that make one intermediate non-finite (rows of width 4)."""
+    rng = np.random.default_rng(7)
+    x, w1, b1 = rng.standard_normal((3, 4)), rng.standard_normal((4, 8)), np.zeros((1, 8))
+    w2, b2, probe = rng.standard_normal((8, 4)), np.zeros((1, 4)), np.ones((3, 4))
+    if case == "hidden projection":
+        x, w1 = np.full((3, 4), 1e200), np.full((4, 8), 1e200)
+    elif case == "hidden bias":
+        x, w1, b1 = np.zeros((3, 4)), np.zeros((4, 8)), np.full((1, 8), 1e308)
+        x[:, 0], w1[0, :] = 1e308, 1.0
+    elif case == "residual":
+        x, w1, b2 = np.zeros((3, 4)), np.zeros((4, 8)), np.zeros((1, 4))
+        x[:, 0], b2[0, 0] = 1e308, 1e308
+    elif case == "backward":
+        # The block returns x, but ``w2`` scales its gradient past range.
+        w1, w2, probe = np.zeros((4, 8)), np.full((8, 4), 1e10), np.full((3, 4), 1e300)
+    return (x, w1, b1, w2, b2, 0.2), probe
+
+
+@pytest.mark.parametrize("block, case, name", [
+    ("attention", "q projection", "matmul"),
+    ("attention", "score scale", "mul"),
+    ("attention", "residual", "add"),
+    ("attention", "backward", "backward"),
+    ("ffn", "hidden projection", "matmul"),
+    ("ffn", "hidden bias", "add"),
+    ("ffn", "residual", "add"),
+    ("ffn", "backward", "backward"),
+])
+def test_block_primitives_reject_non_finite_values_as_the_composed_path_does(block, case,
+                                                                             name):
+    arrays, probe = (attention_case if block == "attention" else ffn_case)(case)
+    fused, composed = ((ad.attention_block, composed_attention_block) if block == "attention"
+                       else (ad.ffn_block, composed_ffn_block))
+    messages = []
+    for primitive in (fused, composed):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            inputs = [Tensor(a, requires_grad=True) for a in arrays[:5]]
+            with Tape() as tape:
+                loss = ad.tsum(ad.mul(primitive(*inputs, arrays[5]), probe))
+            tape.backward(loss)
+        messages.append(str(err.value))
+    assert messages == [f"{name} produced non-finite values"] * 2
 
 
 def test_edge_scores_match_the_unfused_primitives():

@@ -408,7 +408,8 @@ def test_train_non_finite_probes_exit_2_with_one_line(tmp_path, probe, message):
                                                   "epochs": 1, "patience": 5})
     else:
         bad_id, value = ("r11", np.nan) if probe == "nan_dev_state" else ("r0", np.inf)
-        config = states_config(tmp_path, data, bad_id, value)
+        # Unchecked bytes: the writer itself refuses non-finite states.
+        config = states_config(tmp_path, data, bad_id, value, write=raw_encoder_states)
     proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == message.format(states=tmp_path / "states.bin") + "\n"
@@ -461,7 +462,7 @@ def test_train_with_zero_width_special_tokens(tmp_path):
 
 def test_train_duplicate_state_id_exits_2_with_one_line(tmp_path):
     data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
-    config = states_config(tmp_path, data, repeat_id="r3")
+    config = states_config(tmp_path, data, repeat_id="r3", write=raw_encoder_states)
     proc = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "x")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: {tmp_path / 'states.bin'}: duplicate record id 'r3'\n"

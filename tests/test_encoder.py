@@ -16,8 +16,8 @@ from opfuse.encoder import (ENC_MAGIC, EncoderError, EncoderOutput, FileEncoder,
 
 from fuzzing import mutate
 
-from oracles import (NoTokenOverlap, max_rel_err, numeric_gradient, raw_encoder_states,
-                     self_attention_reference, span_pool)
+from oracles import (NoTokenOverlap, composed_encode, max_rel_err, numeric_gradient,
+                     raw_encoder_states, self_attention_reference, span_pool)
 
 
 def test_tokenize_words_and_punctuation():
@@ -78,6 +78,36 @@ def test_encode_matches_per_head_reference(heads):
     out = enc.encode(text, seq)
     assert np.max(np.abs(out.hidden.data - x)) < 1e-12
     assert np.max(np.abs(out.pooled.data - x.mean(axis=0, keepdims=True))) < 1e-12
+
+
+@pytest.mark.parametrize("text", ["short the dip , buy the rip ?", "dip", ""],
+                         ids=["sentence", "one-token", "empty"])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_encode_has_the_bits_of_the_composed_blocks(heads, layers, text):
+    enc = make_encoder(heads=heads, layers=layers, rng=np.random.default_rng(heads + 7 * layers))
+    params = enc.parameters()
+    seq = tokenize(text)
+    rng = np.random.default_rng(5)
+    probe_hidden = Tensor(rng.standard_normal((max(len(seq), 1), enc.width)))
+    probe_pooled = Tensor(rng.standard_normal((1, enc.width)))
+
+    def run(forward):
+        with Tape() as tape:
+            hidden, pooled = forward()
+            loss = ad.add(ad.tsum(ad.mul(hidden, probe_hidden)),
+                          ad.tsum(ad.mul(pooled, probe_pooled)))
+        grads = tape.backward(loss)
+        return [hidden.data, pooled.data] + [grads.wrt(t) for t in params.values()]
+
+    def fused():
+        out = enc.encode(text, seq)
+        return out.hidden, out.pooled
+
+    got, want = run(fused), run(lambda: composed_encode(enc, text, seq))
+    assert len(got) == 2 + len(params) == 2 + 1 + 8 * layers
+    for name, a, b in zip(["hidden", "pooled", *params], got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_position_tables_are_cached_with_the_bits_of_a_fresh_computation():
@@ -337,6 +367,20 @@ def test_corrupt_state_files_raise_only_encoder_error(tmp_path_factory, data):
         pass
 
 
+def assert_reader_and_writer_refuse(path, entries, message):
+    """The reader refuses the unchecked file with ``message``; the writer
+    refuses the same entries with it before it creates the file."""
+    raw_encoder_states(path, entries)
+    with pytest.raises(EncoderError) as err:
+        read_encoder_states(path)
+    assert str(err.value) == message
+    path.unlink()
+    with pytest.raises(EncoderError) as err:
+        write_encoder_states(path, entries)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("part", ["hidden", "pooled"])
 def test_non_finite_states_raise_encoder_error_naming_file_and_record(tmp_path, part, value):
@@ -344,19 +388,15 @@ def test_non_finite_states_raise_encoder_error_naming_file_and_record(tmp_path, 
     rid, offsets, hidden, pooled = entries[1]
     (hidden if part == "hidden" else pooled)[0] = value
     path = tmp_path / "states.bin"
-    write_encoder_states(path, entries)
-    with pytest.raises(EncoderError) as err:
-        read_encoder_states(path)
-    assert str(err.value) == f"{path}: non-finite states in record 'r\u00e9'"
+    assert_reader_and_writer_refuse(path, entries,
+                                    f"{path}: non-finite states in record 'r\u00e9'")
 
 
 def test_duplicate_record_id_raises_encoder_error_naming_file_and_id(tmp_path):
     entries = state_entries()
     path = tmp_path / "states.bin"
-    write_encoder_states(path, entries + entries[1:])
-    with pytest.raises(EncoderError) as err:
-        read_encoder_states(path)
-    assert str(err.value) == f"{path}: duplicate record id 'r\u00e9'"
+    assert_reader_and_writer_refuse(path, entries + entries[1:],
+                                    f"{path}: duplicate record id 'r\u00e9'")
 
 
 @pytest.mark.parametrize("bad", [(-1, 3), (4, 2), (-5, -9)])

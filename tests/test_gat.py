@@ -210,6 +210,9 @@ def test_width_mismatch_raises():
     graph = manual_graph(np.zeros((2, 5)), [(0, 1), (1, 0)], [0, 0])
     with pytest.raises(ShapeError):
         gat_layer(graph, params_for(d_in=4))
+    # Readout shares of a narrow last layer must be heads · d_in wide.
+    with pytest.raises(ShapeError):
+        readout(graph.features, graph, params_for(d_in=2, d_out=3))
 
 
 def check_gradients_reach_all_parameters_and_features(d_in, d_out):

@@ -68,6 +68,20 @@ def test_single_record_memorization():
     assert result.log_rows[-1].loss < 0.01
 
 
+def test_a_readme_default_step_records_at_most_9_tape_nodes_per_record():
+    """Each encoder block is one tape node, so a record adds a handful of
+    nodes to the step's tape; recording the blocks op by op would add 36."""
+    config = ModelConfig(fusion=FusionConfig(type="gate"))   # the README config
+    batch = [r for r in make_planted_corpus(n_train=32, n_dev=1, n_test=1, seed=2).records
+             if r.split == "train"]
+    assert len(batch) == config.optimizer.batch_size
+    model = OpinionFusionModel(config, rng=np.random.default_rng(0))
+    with Tape() as tape:
+        loss = cross_entropy(model.forward_batch(batch), [r % 12 for r in range(len(batch))])
+    tape.backward(loss)
+    assert len(tape) / len(batch) <= 9
+
+
 def test_training_log_structure_and_determinism(tmp_path):
     corpus = small_corpus()
     config = quick_config(epochs=3)
