@@ -9,16 +9,26 @@ points:
 * Operations execute eagerly on numpy arrays.  When a ``Tape`` is active
   and an input requires gradients, the primitive application is recorded
   as a node; ``Tape.backward`` replays the node list once in reverse.
-* Any non-finite value produced by a primitive raises ``NonFiniteError``
-  immediately instead of propagating NaN/Inf.
+* Every ``Tensor`` holds finite values only.  A value is checked where
+  arithmetic can first make it non-finite, or where a non-finite value
+  could vanish before the next check (``exp(-inf) = 0`` in a softmax);
+  elsewhere IEEE 754 carries a NaN or an infinity into the next checked
+  value (inf·0 = NaN), so the check there sees it.  Ops that only move
+  values of finite tensors (``gather_rows``, ``concat``, ``reshape``,
+  ``transpose``) are not checked.  A failure raises ``NonFiniteError``
+  naming the primitive that made the value: ``matmul produced non-finite
+  values``.  In backward each gradient is checked once, as a whole when a
+  node reads it, and at the end of ``Tape.backward`` when no node does (a
+  leaf); a leaf's row parts are checked part by part.  Every backward
+  failure reads ``backward produced non-finite values``.
 * ``attention_block`` and ``ffn_block`` are the toy encoder's two residual
   blocks, each one tape node where the composed primitives would record
   twelve and six.  They run the composed path's numpy ops in its order, so
-  outputs and gradients keep its bits, and they keep its finiteness rule:
-  every intermediate is checked in forward and a failure names the
-  primitive that would have made it (``matmul produced non-finite
-  values``); every intermediate gradient is checked in backward.
-  ``project_heads`` is GAT's per-head projection as one node, likewise.
+  outputs and gradients keep its bits.  Forward checks the block output,
+  and the attention scores as they enter the softmax; when a check fails,
+  the composed path's checks are replayed in its order, so the error names
+  the op the composed path names.  ``project_heads`` is GAT's per-head
+  projection as one node, likewise.
 * ``gather_rows`` hands back a row-sparse gradient (indices plus rows);
   ``Tape.backward`` sums a tensor's row parts into one dense array only
   when that array is needed, so a table gathered by every record of a
@@ -48,11 +58,19 @@ class NonFiniteError(NumericsError):
     """A primitive produced NaN or Inf."""
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
+def _check_finite(name: str, arr: np.ndarray, replay: Callable[[], object] | None = None) -> None:
+    """Raise ``NonFiniteError`` under ``name`` unless every element of ``arr`` is finite.
+
+    Every finiteness pass in this module runs here.  On a failure a fused
+    primitive's ``replay`` re-runs the checks of the path it stands for, in
+    that path's order, and raises at the first that fails.
+    """
     # A finite sum means every element is finite; a NaN or an infinity
     # always makes the sum non-finite.  Only then is the exact elementwise
     # check run, which clears a finite array whose sum overflowed.
     if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        if replay is not None:
+            replay()
         raise NonFiniteError(f"{name} produced non-finite values")
 
 
@@ -170,23 +188,38 @@ class _RowGrad(NamedTuple):
 
 
 class _Accumulator:
-    """One tensor's gradient: a dense sum plus row-sparse parts not yet added."""
+    """One tensor's gradient: a dense sum plus row-sparse parts not yet added.
 
-    __slots__ = ("tensor", "dense", "parts")
+    Nothing is checked as it is added; ``Tape.backward`` checks the gradient
+    once, when a node reads it or, for a leaf, at the end.
+    """
+
+    __slots__ = ("tensor", "dense", "parts", "read")
 
     def __init__(self, tensor: Tensor):
         self.tensor = tensor
         self.dense: np.ndarray | None = None
         self.parts: list[_RowGrad] = []
+        self.read = False
 
     def add(self, g) -> None:
         if isinstance(g, _RowGrad):
-            _check_finite("backward", g.rows)
             self.parts.append(g)
             return
-        _check_finite("backward", g)
         # A first gradient may stay a view: later sums never write in place.
         self.dense = np.asarray(g, dtype=np.float64) if self.dense is None else self.dense + g
+
+    def check_leaf(self) -> None:
+        """Check a gradient no node read: the dense sum, and each row part on its own.
+
+        Row parts are checked as they came, not summed: finite rows that
+        overflow only in their sum reach the optimizer, whose own check on
+        the rows it installs raises.
+        """
+        if self.dense is not None:
+            _check_finite("backward", self.dense)
+        for part in self.parts:
+            _check_finite("backward", part.rows)
 
     def _joined_parts(self) -> _RowGrad:
         if len(self.parts) == 1:
@@ -278,7 +311,9 @@ class Tape:
     def backward(self, loss: Tensor) -> Gradients:
         """Accumulate d(loss)/d(tensor) for every recorded tensor.
 
-        Visits each node exactly once, in reverse recording order.
+        Visits each node exactly once, in reverse recording order.  Each
+        gradient is checked for finiteness once: as the node that made its
+        tensor reads it, or after the last node for a tensor no node made.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -288,19 +323,36 @@ class Tape:
             entry = store.get(id(node.out))
             if entry is None:
                 continue
-            in_grads = node.backward_fn(entry.value())
+            grad = entry.value()
+            _check_finite("backward", grad)
+            entry.read = True
+            in_grads = node.backward_fn(grad)
             for t, g in zip(node.inputs, in_grads):
                 if g is None or not t.requires_grad:
                     continue
                 if id(t) not in store:
                     store[id(t)] = _Accumulator(t)
                 store[id(t)].add(g)
+        for entry in store.values():
+            if not entry.read:
+                entry.check_leaf()
         return Gradients(store)
 
 
+# Primitives that only move values of their finite inputs: nothing to check.
+_MOVES = frozenset({"gather_rows", "concat", "reshape", "transpose"})
+
+
 def _apply(name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...],
-           backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    _check_finite(name, out_data)
+           backward_fn: Callable[[np.ndarray], tuple],
+           replay: Callable[[], object] | None = None) -> Tensor:
+    """Wrap ``out_data`` as primitive ``name``'s output; record it when a tape is active.
+
+    The output is checked for finiteness under ``name``, running ``replay``
+    first on a failure, unless the primitive is one of ``_MOVES``.
+    """
+    if name not in _MOVES:
+        _check_finite(name, out_data, replay)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     arr = np.asarray(out_data, dtype=np.float64)
@@ -560,7 +612,6 @@ def project_heads(rows, theta) -> Tensor:
     out = (per_head @ weights).transpose(1, 0, 2).reshape(n_rows, heads * d_out)
 
     def backward(g):
-        _check_finite("backward", g)
         g_heads = g.reshape(n_rows, heads, d_out).transpose(1, 0, 2)
         d_rows = (g_heads @ np.swapaxes(weights, -1, -2)).transpose(1, 0, 2)
         d_theta = (np.swapaxes(per_head, -1, -2) @ g_heads).transpose(0, 2, 1)
@@ -574,6 +625,26 @@ def _checked(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(name: str, arr: np.ndarray) -> np.ndarray:
+    return arr
+
+
+def _attention_scores(x, wq, wk, wv, scale, check):
+    """q, k, v and the scaled scores, each made and passed to ``check`` as its primitive does."""
+    q, k, v = (check("matmul", x @ w) for w in (wq, wk, wv))
+    return q, k, v, check("mul", check("matmul", q @ k.transpose(0, 2, 1)) * scale)
+
+
+def _attention_mix(x, v, scores, wo, check):
+    """The probabilities, the merged head rows and the block output, from the scores."""
+    shifted = scores - scores.max(axis=2, keepdims=True)
+    ex = np.exp(shifted)
+    probs = check("softmax", ex / ex.sum(axis=2, keepdims=True))
+    heads = check("matmul", probs @ v)
+    merged = heads.transpose(1, 0, 2).reshape(x.shape[0], wo.shape[0])
+    return probs, merged, check("add", x + check("matmul", merged @ wo))
+
+
 def attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
     """Residual multi-head self-attention ``x + merge(softmax(q·kᵀ·scale)·v) @ wo``: (T, W).
 
@@ -584,10 +655,15 @@ def attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
     softmax, the value mix, the head merge (a transpose and a reshape), the
     output projection and the residual add.  Each numpy op runs as those
     primitives run it, in their order and on the same layouts, so every output
-    and gradient keeps their bits.  Every product is checked for finiteness
-    under the name of the primitive that made it (``matmul``, ``mul``,
-    ``softmax``, ``add``); a transpose or reshape only moves values already
-    checked.  Backward checks every intermediate gradient and adds into
+    and gradient keeps their bits.
+
+    Two values are checked for finiteness: the scaled scores, where the
+    softmax would turn a -inf into a 0 weight, and the output; a non-finite
+    value anywhere else reaches one of them.  When either check fails, the
+    composed path's checks (q, k, v, the score product, its scale, the
+    probabilities, the value mix, the output projection, the residual add)
+    are replayed in order and the first to fail raises under its primitive's
+    name (``matmul``, ``mul``, ``softmax``, ``add``).  Backward adds into
     ``x``'s gradient in the tape's order: the residual, then the v, k and q
     terms.  The tape keeps q, k, v, the probabilities and the merged rows.
     """
@@ -597,36 +673,41 @@ def attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
             or wo.shape != (wq.shape[0] * wq.shape[2], x.shape[1])):
         raise ShapeError(f"attention_block got rows {x.shape} for projections {wq.shape}, "
                          f"{wk.shape}, {wv.shape} and output weights {wo.shape}")
-    q, k, v = (_checked("matmul", x.data @ w.data) for w in (wq, wk, wv))
-    scores = _checked("mul", _checked("matmul", q @ k.transpose(0, 2, 1)) * scale)
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    ex = np.exp(shifted)
-    probs = _checked("softmax", ex / ex.sum(axis=2, keepdims=True))
-    heads = _checked("matmul", probs @ v)
-    merged = heads.transpose(1, 0, 2).reshape(x.shape[0], wo.shape[0])
-    out = x.data + _checked("matmul", merged @ wo.data)
+    projections = (x.data, wq.data, wk.data, wv.data)
+
+    def replay():
+        _, _, v_checked, scores_checked = _attention_scores(*projections, scale, _checked)
+        _attention_mix(x.data, v_checked, scores_checked, wo.data, _checked)
+
+    q, k, v, scores = _attention_scores(*projections, scale, _unchecked)
+    _check_finite("mul", scores, replay)
+    probs, merged, out = _attention_mix(x.data, v, scores, wo.data, _unchecked)
 
     def backward(g):
-        _check_finite("backward", g)
-        d_merged = _checked("backward", g @ np.swapaxes(wo.data, -1, -2))
+        d_merged = g @ np.swapaxes(wo.data, -1, -2)
         d_wo = np.swapaxes(merged, -1, -2) @ g
-        d_heads = d_merged.reshape(heads.shape[1], heads.shape[0], -1).transpose(1, 0, 2)
-        d_probs = _checked("backward", d_heads @ np.swapaxes(v, -1, -2))
-        d_v = _checked("backward", np.swapaxes(probs, -1, -2) @ d_heads)
+        d_heads = d_merged.reshape(v.shape[1], v.shape[0], -1).transpose(1, 0, 2)
+        d_probs = d_heads @ np.swapaxes(v, -1, -2)
+        d_v = np.swapaxes(probs, -1, -2) @ d_heads
         inner = (d_probs * probs).sum(axis=2, keepdims=True)
-        d_scaled = _checked("backward", probs * (d_probs - inner))
-        d_scores = _checked("backward", d_scaled * scale)
-        d_q = _checked("backward", d_scores @ k)
-        d_k = _checked("backward", np.swapaxes(q, -1, -2) @ d_scores).transpose(0, 2, 1)
+        d_scores = probs * (d_probs - inner) * scale
+        d_q = d_scores @ k
+        d_k = (np.swapaxes(q, -1, -2) @ d_scores).transpose(0, 2, 1)
         d_x, d_w = g, []
         for d_proj, w in ((d_v, wv), (d_k, wk), (d_q, wq)):
-            d_x = d_x + _checked("backward", _unbroadcast(d_proj @ np.swapaxes(w.data, -1, -2),
-                                                         x.shape))
+            d_x = d_x + _unbroadcast(d_proj @ np.swapaxes(w.data, -1, -2), x.shape)
             d_w.append(np.swapaxes(x.data, -1, -2) @ d_proj)
         d_wv, d_wk, d_wq = d_w
         return d_x, d_wq, d_wk, d_wv, d_wo
 
-    return _apply("add", out, (x, wq, wk, wv, wo), backward)
+    return _apply("add", out, (x, wq, wk, wv, wo), backward, replay)
+
+
+def _ffn_values(x, w1, b1, w2, b2, slope, check):
+    """The hidden pre-activation, the activation and the block output."""
+    hidden = check("add", check("matmul", x @ w1) + b1)
+    act = check("leaky_relu", np.maximum(hidden, slope * hidden))
+    return hidden, act, check("add", x + check("add", check("matmul", act @ w2) + b2))
 
 
 def ffn_block(x, w1, b1, w2, b2, slope: float) -> Tensor:
@@ -634,10 +715,12 @@ def ffn_block(x, w1, b1, w2, b2, slope: float) -> Tensor:
 
     One tape node for six composed primitives (two matmuls, three adds and
     ``leaky_relu``), run as they run them, so every output and gradient keeps
-    their bits.  Every intermediate is checked for finiteness under the name
-    of the primitive that made it, and backward checks every intermediate
-    gradient and adds into ``x``'s gradient the residual first, then the
-    ``w1`` term.  The tape keeps ``x``, the activation and its kink mask.
+    their bits.  Only the output is checked for finiteness: a non-finite
+    intermediate always reaches it.  When the check fails, the composed
+    path's checks are replayed in order and the first to fail raises under
+    its primitive's name.  Backward adds into ``x``'s gradient the residual
+    first, then the ``w1`` term.  The tape keeps ``x``, the activation and
+    its kink mask.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     if not 0.0 < slope < 1.0:
@@ -647,21 +730,20 @@ def ffn_block(x, w1, b1, w2, b2, slope: float) -> Tensor:
             or b2.shape != (1, x.shape[1])):
         raise ShapeError(f"ffn_block got rows {x.shape} for weights {w1.shape} and "
                          f"{w2.shape} and biases {b1.shape} and {b2.shape}")
-    hidden = _checked("add", _checked("matmul", x.data @ w1.data) + b1.data)
+    arrays = (x.data, w1.data, b1.data, w2.data, b2.data, slope)
+    hidden, act, out = _ffn_values(*arrays, _unchecked)
     positive = hidden >= 0.0
-    act = _checked("leaky_relu", np.maximum(hidden, slope * hidden))
-    out = x.data + _checked("add", _checked("matmul", act @ w2.data) + b2.data)
 
     def backward(g):
-        _check_finite("backward", g)
-        d_act = _checked("backward", g @ np.swapaxes(w2.data, -1, -2))
+        d_act = g @ np.swapaxes(w2.data, -1, -2)
         d_w2 = np.swapaxes(act, -1, -2) @ g
-        d_hidden = _checked("backward", d_act * np.maximum(positive, slope))
-        d_x = g + _checked("backward", d_hidden @ np.swapaxes(w1.data, -1, -2))
+        d_hidden = d_act * np.maximum(positive, slope)
+        d_x = g + d_hidden @ np.swapaxes(w1.data, -1, -2)
         d_w1 = np.swapaxes(x.data, -1, -2) @ d_hidden
         return (d_x, d_w1, _unbroadcast(d_hidden, b1.shape), d_w2, _unbroadcast(g, b2.shape))
 
-    return _apply("add", out, (x, w1, b1, w2, b2), backward)
+    return _apply("add", out, (x, w1, b1, w2, b2), backward,
+                  lambda: _ffn_values(*arrays, _checked))
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:

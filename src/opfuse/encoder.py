@@ -10,8 +10,10 @@ space the annotation spans use.
   lowercased text), sinusoidal positions, and a small stack of
   self-attention blocks.  Each block is two tape nodes,
   ``autodiff.attention_block`` and ``autodiff.ffn_block``, with the bits
-  and the finiteness checks of the primitives they stand for: a non-finite
-  intermediate still raises under the name of the op that made it.
+  of the primitives they stand for.  They check the values a non-finite
+  intermediate must reach, and on a failure replay the composed checks, so
+  it still raises under the name of the op that made it.  The position
+  table is one cached, read-only ``Tensor`` per shape.
 * ``FileEncoder``: frozen per-record states exported from any external
   encoder, carried in an ``OPFUSE-ENC-1`` container together with the
   exporting tokenizer's offsets and looked up by record id.  A zero-width
@@ -78,6 +80,12 @@ def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     return enc
 
 
+@functools.lru_cache(maxsize=256)
+def _position_tensor(length: int, width: int) -> Tensor:
+    """``sinusoidal_positions`` as a constant Tensor, built and checked once per shape."""
+    return Tensor(sinusoidal_positions(length, width))
+
+
 class ToyEncoder:
     """Small trainable transformer encoder over hashed token buckets."""
 
@@ -120,7 +128,7 @@ class ToyEncoder:
         if not buckets:
             buckets = [0]  # synthetic padding token for empty input
         x = ad.gather_rows(self._params["embedding"], buckets)
-        x = ad.add(x, sinusoidal_positions(len(buckets), self.width))
+        x = ad.add(x, _position_tensor(len(buckets), self.width))
         scale = 1.0 / np.sqrt(self.head_dim)
         for layer in range(self.layers):
             wq, wk, wv, wo, w1, b1, w2, b2 = (

@@ -345,6 +345,28 @@ def attention_case(case):
     scale, probe = 0.7, np.ones((3, 4))
     if case == "q projection":
         x, wq = np.full((3, 4), 1e200), np.full((2, 4, 2), 1e200)
+    elif case == "k projection":
+        x, wk = np.full((3, 4), 1e200), np.full((2, 4, 2), 1e200)
+    elif case == "v projection":
+        # q = k = 0, so the scores stay finite and only the output can show it.
+        x, wq, wk, wv = (np.full((3, 4), 1e200), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)),
+                         np.full((2, 4, 2), 1e200))
+    elif case == "hidden score":
+        # Key row 2 meets query row 0 at -inf: the softmax gives it weight 0
+        # and every output stays finite, so only the score check sees it.
+        x, wq, wk, wv = np.eye(3, 4), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.ones((2, 4, 2))
+        x[2, 2], wq[:, 0, :], wk[:, 2, :], wv[:, 2, :] = 1e200, 1e200, -1.0, 0.0
+    elif case == "value mix":
+        # Every score row is (2.5, -0.1, -0.1), whose rounded probabilities
+        # sum to 1 + 2^-52: their mix of values at the largest double overflows.
+        x, wq, wk, wv, scale = (np.eye(3, 4), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)),
+                                np.zeros((2, 4, 2)), 1.0)
+        wq[:, :3, 0], wk[:, 0, 0], wk[:, 1:3, 0] = 1.0, 2.5, -0.1
+        wv[:, :3, :] = np.finfo(np.float64).max
+    elif case == "output projection":
+        # Uniform attention over values of 1e300; ``wo`` scales them past range.
+        x, wq, wk, wv = np.eye(3, 4), np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 4, 2))
+        wv[:, :3, :], wo = 1e300, np.full((4, 4), 1e10)
     elif case == "score scale":
         x, wq, wk, scale = np.ones((3, 4)), np.ones((2, 4, 2)), np.ones((2, 4, 2)), 1e307
     elif case == "residual":
@@ -366,9 +388,14 @@ def ffn_case(case):
     w2, b2, probe = rng.standard_normal((8, 4)), np.zeros((1, 4)), np.ones((3, 4))
     if case == "hidden projection":
         x, w1 = np.full((3, 4), 1e200), np.full((4, 8), 1e200)
-    elif case == "hidden bias":
-        x, w1, b1 = np.zeros((3, 4)), np.zeros((4, 8)), np.full((1, 8), 1e308)
-        x[:, 0], w1[0, :] = 1e308, 1.0
+    elif case in ("hidden bias", "leaky_relu"):
+        # ``leaky_relu`` never makes a finite input non-finite (0 < slope < 1);
+        # its case is a -inf from the bias add carried through the negative branch.
+        sign = 1.0 if case == "hidden bias" else -1.0
+        x, w1, b1 = np.zeros((3, 4)), np.zeros((4, 8)), np.full((1, 8), sign * 1e308)
+        x[:, 0], w1[0, :] = sign * 1e308, 1.0
+    elif case == "output projection":
+        x, w1, w2 = np.ones((3, 4)), np.ones((4, 8)), np.full((8, 4), 1e308)
     elif case == "residual":
         x, w1, b2 = np.zeros((3, 4)), np.zeros((4, 8)), np.zeros((1, 4))
         x[:, 0], b2[0, 0] = 1e308, 1e308
@@ -380,11 +407,18 @@ def ffn_case(case):
 
 @pytest.mark.parametrize("block, case, name", [
     ("attention", "q projection", "matmul"),
+    ("attention", "k projection", "matmul"),
+    ("attention", "v projection", "matmul"),
+    ("attention", "hidden score", "matmul"),
     ("attention", "score scale", "mul"),
+    ("attention", "value mix", "matmul"),
+    ("attention", "output projection", "matmul"),
     ("attention", "residual", "add"),
     ("attention", "backward", "backward"),
     ("ffn", "hidden projection", "matmul"),
     ("ffn", "hidden bias", "add"),
+    ("ffn", "leaky_relu", "add"),
+    ("ffn", "output projection", "matmul"),
     ("ffn", "residual", "add"),
     ("ffn", "backward", "backward"),
 ])
@@ -403,6 +437,87 @@ def test_block_primitives_reject_non_finite_values_as_the_composed_path_does(blo
             tape.backward(loss)
         messages.append(str(err.value))
     assert messages == [f"{name} produced non-finite values"] * 2
+
+
+def test_a_score_the_softmax_hides_raises_although_the_output_is_finite():
+    (x, wq, wk, wv, wo, scale), _ = attention_case("hidden score")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, k, v, scores = ad._attention_scores(x, wq, wk, wv, scale, ad._unchecked)
+        probs, _, out = ad._attention_mix(x, v, scores, wo, ad._unchecked)
+    # One -inf score per head, weighted 0; a check of the output alone passes.
+    assert np.isneginf(scores).sum() == 2 and (probs == 0.0).sum() == 2
+    assert np.isfinite(out).all()
+    for primitive in (ad.attention_block, composed_attention_block):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
+                                                       match="^matmul produced non-finite"):
+            primitive(x, wq, wk, wv, wo, scale)
+
+
+def block_outcome(primitive, arrays, extra, probe):
+    """Where ``primitive`` raises (forward, backward or nowhere), its message, and else its bits."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with np.errstate(all="ignore"):
+        try:
+            with Tape() as tape:
+                out = primitive(*inputs, extra)
+                loss = ad.tsum(ad.mul(out, probe))
+        except NonFiniteError as err:
+            return "forward", str(err)
+        try:
+            grads = tape.backward(loss)
+        except NonFiniteError as err:
+            return "backward", str(err)
+    return "none", [out.data.tobytes()] + [grads.wrt(t).tobytes() for t in inputs]
+
+
+BIG = (1e100, 1e154, 1e200, 1e300, np.finfo(np.float64).max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.sampled_from(["attention", "ffn"]), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 4), heads=st.integers(1, 2), width=st.integers(1, 3),
+       target=st.integers(0, 5), entry=st.integers(0, 2**16), big=st.sampled_from(BIG),
+       sign=st.sampled_from([1.0, -1.0]), zeroed=st.integers(0, 5), zero_row=st.integers(0, 8),
+       underflow=st.booleans(), probe_exp=st.sampled_from([0, 300, 306, 307]))
+def test_blocks_raise_as_the_composed_path_when_one_entry_overflows(
+        block, seed, rows, heads, width, target, entry, big, sign, zeroed, zero_row, underflow,
+        probe_exp):
+    """One input, weight or probe entry is set to ``±big``.  Optionally one row
+    of an operand is zeroed (so inf·0 = NaN must show), and the attention
+    scores are scaled until some probabilities underflow to 0.  The probe is
+    scaled to about ``10**probe_exp`` over the largest output, so that
+    gradients can overflow in backward."""
+    rng = np.random.default_rng(seed)
+    if block == "attention":
+        d_h, model_width = width, heads * width
+        shapes = [(rows, model_width)] + [(heads, model_width, d_h)] * 3 + [(heads * d_h,
+                                                                            model_width)]
+        extra = 1e3 if underflow else 1.0 / np.sqrt(d_h)
+        fused, composed = ad.attention_block, composed_attention_block
+    else:
+        model_width, hidden = heads * width, 2 * heads * width + 1
+        shapes = [(rows, model_width), (model_width, hidden), (1, hidden),
+                  (hidden, model_width), (1, model_width)]
+        extra = 0.2
+        fused, composed = ad.ffn_block, composed_ffn_block
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    probe = rng.standard_normal((rows, model_width))
+    if zeroed < 5:
+        zero_in = arrays[zeroed]
+        zero_in[..., zero_row % zero_in.shape[-2], :] = 0.0
+    if target < 5:
+        arrays[target].reshape(-1)[entry % arrays[target].size] = sign * big
+    with np.errstate(all="ignore"):
+        try:
+            peak = np.abs(composed(*arrays, extra).data).max()
+        except NonFiniteError:
+            peak = 1.0
+    probe *= 10.0 ** probe_exp / max(1.0, peak)
+    if target == 5:
+        probe.reshape(-1)[entry % probe.size] = sign * big
+    outcomes = [block_outcome(primitive, arrays, extra, probe)
+                for primitive in (fused, composed)]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_edge_scores_match_the_unfused_primitives():
@@ -608,6 +723,38 @@ def test_non_finite_row_in_sparse_gradient_is_rejected():
         loss = ad.tsum(ad.add(ad.mul(rows, 1e308), ad.mul(rows, 1e308)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         tape.backward(loss)
+
+
+def test_a_gradient_is_checked_when_its_node_reads_it():
+    # Segment 1 has no rows, so its gradient, two finite parts of 1e308 that
+    # sum to inf, reaches no input: only the check as the node reads it sees it.
+    x = Tensor([[1e-10]], requires_grad=True)
+    probe = np.array([[1.0], [1e308]])
+    with Tape() as tape:
+        sums = ad.segment_sum(x, [0], 2)
+        loss = ad.add(ad.tsum(ad.mul(sums, probe)), ad.tsum(ad.mul(sums, probe)))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
+                                                   match="^backward produced non-finite values$"):
+        tape.backward(loss)
+
+
+def test_a_leaf_gradient_is_checked_whole_when_dense_and_by_parts_when_row_sparse():
+    # Two finite dense gradients of 1e308 sum to inf on a leaf: backward raises.
+    x = Tensor([[1e-10]], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.add(ad.tsum(ad.mul(x, 1e308)), ad.tsum(ad.mul(x, 1e308)))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
+                                                   match="^backward produced non-finite values$"):
+        tape.backward(loss)
+    # Two finite row parts of 1e308 on one row of a leaf table reach the
+    # optimizer, whose check of the rows it installs raises.
+    table = Tensor(np.full((3, 1), 1e-10), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.add(ad.tsum(ad.mul(ad.gather_rows(table, [1]), 1e308)),
+                      ad.tsum(ad.mul(ad.gather_rows(table, [1]), 1e308)))
+    with np.errstate(over="ignore"):
+        idx, rows = tape.backward(loss).rows(table)
+    assert idx.tolist() == [1] and np.isposinf(rows).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,8 +11,8 @@ import opfuse.autodiff as ad
 from opfuse.autodiff import Tape, Tensor
 from opfuse.data import Record, Span
 from opfuse.encoder import (ENC_MAGIC, EncoderError, EncoderOutput, FileEncoder, ToyEncoder,
-                            read_encoder_states, hash_bucket, sinusoidal_positions,
-                            tokenize, write_encoder_states)
+                            _position_tensor, read_encoder_states, hash_bucket,
+                            sinusoidal_positions, tokenize, write_encoder_states)
 
 from fuzzing import mutate
 
@@ -117,6 +117,15 @@ def test_position_tables_are_cached_with_the_bits_of_a_fresh_computation():
         assert table.tobytes() == sinusoidal_positions.__wrapped__(length, width).tobytes()
         assert table.shape == (length, width) and not table.flags.writeable
         assert sinusoidal_positions(length, width) is table
+
+
+def test_the_position_tensor_is_built_once_per_shape_with_the_table_bits():
+    for length, width in [(12, 64), (1, 64), (7, 6)]:
+        positions = _position_tensor(length, width)
+        assert _position_tensor(length, width) is positions
+        assert positions.data.tobytes() == sinusoidal_positions.__wrapped__(length,
+                                                                             width).tobytes()
+        assert not positions.requires_grad and not positions.data.flags.writeable
 
 
 def test_toy_encoder_output_shapes():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opfuse.autodiff as ad
 from opfuse.autodiff import Tape, cross_entropy
 from opfuse.checkpoint import restore_into
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, load_corpus
@@ -68,9 +69,8 @@ def test_single_record_memorization():
     assert result.log_rows[-1].loss < 0.01
 
 
-def test_a_readme_default_step_records_at_most_9_tape_nodes_per_record():
-    """Each encoder block is one tape node, so a record adds a handful of
-    nodes to the step's tape; recording the blocks op by op would add 36."""
+def readme_default_step():
+    """Forward and backward of one README-default batch; returns the tape and the batch size."""
     config = ModelConfig(fusion=FusionConfig(type="gate"))   # the README config
     batch = [r for r in make_planted_corpus(n_train=32, n_dev=1, n_test=1, seed=2).records
              if r.split == "train"]
@@ -79,7 +79,30 @@ def test_a_readme_default_step_records_at_most_9_tape_nodes_per_record():
     with Tape() as tape:
         loss = cross_entropy(model.forward_batch(batch), [r % 12 for r in range(len(batch))])
     tape.backward(loss)
-    assert len(tape) / len(batch) <= 9
+    return tape, len(batch)
+
+
+def test_a_readme_default_step_records_at_most_9_tape_nodes_per_record():
+    """Each encoder block is one tape node, so a record adds a handful of
+    nodes to the step's tape; recording the blocks op by op would add 36."""
+    tape, records = readme_default_step()
+    assert len(tape) / records <= 9
+
+
+def test_a_readme_default_step_runs_at_most_24_finiteness_passes_per_record(monkeypatch):
+    """A value is checked where it can first turn non-finite, and each
+    gradient once; checking every block intermediate and every gradient
+    part ran 92 passes per record."""
+    passes = []
+    check = ad._check_finite
+
+    def counted(*args):
+        passes.append(args[0])
+        check(*args)
+
+    monkeypatch.setattr(ad, "_check_finite", counted)
+    _, records = readme_default_step()
+    assert len(passes) / records <= 24
 
 
 def test_training_log_structure_and_determinism(tmp_path):
