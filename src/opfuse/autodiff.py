@@ -13,14 +13,16 @@ points:
   arithmetic can first make it non-finite, or where a non-finite value
   could vanish before the next check (``exp(-inf) = 0`` in a softmax);
   elsewhere IEEE 754 carries a NaN or an infinity into the next checked
-  value (inf·0 = NaN), so the check there sees it.  Ops that only move
-  values of finite tensors (``gather_rows``, ``concat``, ``reshape``,
-  ``transpose``) are not checked.  A failure raises ``NonFiniteError``
-  naming the primitive that made the value: ``matmul produced non-finite
-  values``.  In backward each gradient is checked once, as a whole when a
-  node reads it, and at the end of ``Tape.backward`` when no node does (a
-  leaf); a leaf's row parts are checked part by part.  Every backward
-  failure reads ``backward produced non-finite values``.
+  value (inf·0 = NaN), so the check there sees it.  Ops that cannot make
+  finite inputs non-finite are not checked: those that only move values
+  (``gather_rows``, ``concat``, ``reshape``, ``transpose``) and the bounded
+  ones (``leaky_relu``, ``sigmoid``, ``softmax``, ``segment_softmax``).  A
+  failure raises ``NonFiniteError`` naming the primitive that made the
+  value: ``matmul produced non-finite values``.  In backward each gradient
+  is checked once, as a whole when a node reads it, and at the end of
+  ``Tape.backward`` when no node does (a leaf); a leaf's row parts are
+  checked part by part.  Every backward failure reads ``backward produced
+  non-finite values``.
 * ``attention_block`` and ``ffn_block`` are the toy encoder's two residual
   blocks, each one tape node where the composed primitives would record
   twelve and six.  They run the composed path's numpy ops in its order, so
@@ -339,8 +341,12 @@ class Tape:
         return Gradients(store)
 
 
-# Primitives that only move values of their finite inputs: nothing to check.
-_MOVES = frozenset({"gather_rows", "concat", "reshape", "transpose"})
+# Primitives whose output is finite whenever their inputs are: nothing to
+# check.  The first four only move values; ``leaky_relu`` scales by a slope in
+# (0, 1), ``sigmoid`` lies in [0, 1], and the softmaxes divide max-subtracted
+# exponentials by a sum of at least 1.
+_UNCHECKED = frozenset({"gather_rows", "concat", "reshape", "transpose",
+                        "leaky_relu", "sigmoid", "softmax", "segment_softmax"})
 
 
 def _apply(name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...],
@@ -349,9 +355,9 @@ def _apply(name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...],
     """Wrap ``out_data`` as primitive ``name``'s output; record it when a tape is active.
 
     The output is checked for finiteness under ``name``, running ``replay``
-    first on a failure, unless the primitive is one of ``_MOVES``.
+    first on a failure, unless the primitive is one of ``_UNCHECKED``.
     """
-    if name not in _MOVES:
+    if name not in _UNCHECKED:
         _check_finite(name, out_data, replay)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -639,7 +645,7 @@ def _attention_mix(x, v, scores, wo, check):
     """The probabilities, the merged head rows and the block output, from the scores."""
     shifted = scores - scores.max(axis=2, keepdims=True)
     ex = np.exp(shifted)
-    probs = check("softmax", ex / ex.sum(axis=2, keepdims=True))
+    probs = ex / ex.sum(axis=2, keepdims=True)
     heads = check("matmul", probs @ v)
     merged = heads.transpose(1, 0, 2).reshape(x.shape[0], wo.shape[0])
     return probs, merged, check("add", x + check("matmul", merged @ wo))
@@ -660,12 +666,12 @@ def attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
     Two values are checked for finiteness: the scaled scores, where the
     softmax would turn a -inf into a 0 weight, and the output; a non-finite
     value anywhere else reaches one of them.  When either check fails, the
-    composed path's checks (q, k, v, the score product, its scale, the
-    probabilities, the value mix, the output projection, the residual add)
-    are replayed in order and the first to fail raises under its primitive's
-    name (``matmul``, ``mul``, ``softmax``, ``add``).  Backward adds into
-    ``x``'s gradient in the tape's order: the residual, then the v, k and q
-    terms.  The tape keeps q, k, v, the probabilities and the merged rows.
+    composed path's checks (q, k, v, the score product, its scale, the value
+    mix, the output projection, the residual add) are replayed in order and
+    the first to fail raises under its primitive's name (``matmul``, ``mul``,
+    ``add``).  Backward adds into ``x``'s gradient in the tape's order: the
+    residual, then the v, k and q terms.  The tape keeps q, k, v, the
+    probabilities and the merged rows.
     """
     x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
     if (x.data.ndim != 2 or x.shape[0] == 0 or wq.data.ndim != 3
@@ -706,7 +712,7 @@ def attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
 def _ffn_values(x, w1, b1, w2, b2, slope, check):
     """The hidden pre-activation, the activation and the block output."""
     hidden = check("add", check("matmul", x @ w1) + b1)
-    act = check("leaky_relu", np.maximum(hidden, slope * hidden))
+    act = np.maximum(hidden, slope * hidden)
     return hidden, act, check("add", x + check("add", check("matmul", act @ w2) + b2))
 
 

@@ -66,16 +66,6 @@ class GraphStructure:
     edges: tuple[tuple[int, int], ...]
     polarity: str
 
-    def __post_init__(self):
-        roles = [n.role for n in self.nodes]
-        if len(set(roles)) != len(roles):
-            raise ValueError(f"duplicate roles in graph: {roles}")
-        if "sentiment" not in roles:
-            raise ValueError("every opinion graph needs a sentiment node")
-        for src, dst in self.edges:
-            if not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
-                raise ValueError(f"edge ({src}, {dst}) outside node range")
-
 
 @dataclass(frozen=True)
 class OpinionGraph:

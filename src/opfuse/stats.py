@@ -3,12 +3,14 @@
 ``mcnemar`` works on the discordant correct/incorrect counts of two models
 against the same gold labels; ``stuart_maxwell`` tests marginal homogeneity
 of the inter-model label contingency table (model A's label vs model B's
-on the same record).
+on the same record).  Both read their asymptotic p-values from
+``chi_square_sf``, a closed-form finite sum for integer degrees of freedom.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,68 +19,35 @@ import numpy as np
 from .data import EMOTIONS
 from .evaluation import EvaluationError, Prediction
 
-_MAX_ITER = 500
-_EPS = 1e-16
-
 
 class StatsError(Exception):
     pass
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction, x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution.
+    """Upper-tail probability of the chi-square distribution with integer ``df``.
 
-    Regularized upper incomplete gamma Q(df/2, x/2); series for small x,
-    continued fraction otherwise.
+    Q(df/2, x/2) as a finite sum (Abramowitz & Stegun 26.4.4-26.4.5): with
+    h = x/2, the terms e^-h·h^(b-1)/Γ(b) over b = 1, 2, ..., df/2 for even
+    ``df``, and erfc(√h) plus the terms over b = 3/2, 5/2, ..., df/2 for odd
+    ``df``.  Each term is formed in log space, so none overflows.
     """
-    if df < 1:
-        raise StatsError(f"degrees of freedom must be >= 1, got {df}")
-    if x < 0:
-        raise StatsError(f"chi-square statistic must be >= 0, got {x}")
-    a = df / 2.0
+    if isinstance(df, bool) or not isinstance(df, numbers.Integral) or df < 1:
+        raise StatsError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    if math.isnan(x) or x < 0:
+        raise StatsError(f"chi-square statistic must be a number >= 0, got {x}")
     half = x / 2.0
     if half == 0.0:  # including denormal x that halves to zero
         return 1.0
-    if half < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, half)))
-    return min(1.0, max(0.0, _upper_gamma_cf(a, half)))
+    if half == math.inf:  # the terms' 0·log(inf) would be NaN
+        return 0.0
+    odd = df % 2
+    total = math.erfc(math.sqrt(half)) if odd else 0.0
+    log_half = math.log(half)
+    for i in range(df // 2):
+        b = i + (1.5 if odd else 1.0)
+        total += math.exp(-half + (b - 1.0) * log_half - math.lgamma(b))
+    return min(1.0, total)
 
 
 @dataclass(frozen=True)

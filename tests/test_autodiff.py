@@ -1,6 +1,7 @@
 """Core tensor/tape primitives against hand values and finite differences."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -659,6 +660,40 @@ def test_segment_softmax_single_row_segment_is_exactly_one():
 def test_segment_softmax_large_values_no_overflow():
     out = ad.segment_softmax(Tensor([[1000.0], [1000.0], [-1000.0]]), [1, 1, 0], 2)
     assert np.allclose(out.data.reshape(-1), [0.5, 0.5, 1.0])
+
+
+EXTREMES = (np.finfo(np.float64).max, -np.finfo(np.float64).max, np.finfo(np.float64).tiny,
+            5e-324, -5e-324, 0.0, -0.0)
+finite_doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(EXTREMES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(primitive=st.sampled_from(["leaky_relu", "sigmoid", "softmax", "segment_softmax"]),
+       data=st.data(), rows=st.integers(0, 5), cols=st.integers(1, 3),
+       slope=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_bounded_primitives_are_finite_on_finite_inputs_and_check_nothing(primitive, data,
+                                                                          rows, cols, slope):
+    """Entries up to ±max double, denormals and signed zeros; segments can be
+    empty or hold one row.  The output is finite without a check in forward."""
+    values = data.draw(st.lists(finite_doubles, min_size=rows * cols, max_size=rows * cols))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check's sum may overflow
+        x = Tensor(np.reshape(values, (rows, cols)), requires_grad=True)
+    num_segments = data.draw(st.integers(1, rows + 2))
+    segments = data.draw(st.lists(st.integers(0, num_segments - 1), min_size=rows,
+                                  max_size=rows))
+    build = {
+        "leaky_relu": lambda: ad.leaky_relu(x, slope),
+        "sigmoid": lambda: ad.sigmoid(x),
+        "softmax": lambda: ad.softmax(x, axis=1),
+        "segment_softmax": lambda: ad.segment_softmax(x, segments, num_segments),
+    }[primitive]
+    # Max-subtraction may overflow to -inf, whose exponential is the 0 it stands for.
+    with np.errstate(over="ignore"), Tape(), \
+            mock.patch.object(ad, "_check_finite", wraps=ad._check_finite) as check:
+        out = build()
+    assert check.call_count == 0
+    assert out.shape == x.shape and np.isfinite(out.data).all()
 
 
 @pytest.mark.parametrize("op_name", ["segment_sum", "segment_softmax"])

@@ -61,6 +61,37 @@ def test_chi_square_sf_validates_inputs():
         chi_square_sf(1.0, 0)
 
 
+def test_chi_square_sf_matches_mpmath_from_the_smallest_to_the_largest_statistic():
+    """The finite sum against 40-digit mpmath, from x = 1e-300 to 1e308."""
+    with mpmath.workdps(40):
+        for df in [*range(1, 41), 64, 100, 1000]:
+            for x in (1e-300, 1e-12, 0.01, 1.0, 3.841, float(df), 1.1 * df,
+                      120.0, 1e3, 1e4, 1e308):
+                assert abs(chi_square_sf(x, df) - mpmath_chi2_sf(x, df)) <= 1e-12, (df, x)
+
+
+@pytest.mark.parametrize("df", [1, 2, 7, 64])
+def test_a_nan_statistic_is_rejected_not_read_as_significant(df):
+    with pytest.raises(StatsError, match="statistic must be a number >= 0"):
+        chi_square_sf(float("nan"), df)
+
+
+@pytest.mark.parametrize("df", [True, False, 2.5, 2.0, np.float64(3.0), "2"])
+def test_degrees_of_freedom_must_be_an_integer_not_a_bool(df):
+    with pytest.raises(StatsError, match="degrees of freedom must be an integer >= 1"):
+        chi_square_sf(1.0, df)
+
+
+def test_numpy_integer_degrees_of_freedom_are_accepted():
+    for df in (np.int64(3), np.int32(4), np.uint8(1)):
+        assert chi_square_sf(2.0, df) == chi_square_sf(2.0, int(df))
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 1000])
+def test_an_infinite_statistic_has_zero_tail(df):
+    assert chi_square_sf(math.inf, df) == 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.0, max_value=500.0), st.integers(min_value=1, max_value=20))
 def test_chi_square_sf_in_unit_interval(x, df):
