@@ -18,6 +18,15 @@ space the annotation spans use.
   encoder, carried in an ``OPFUSE-ENC-1`` container together with the
   exporting tokenizer's offsets and looked up by record id.  A zero-width
   token, as tokenizers export ``[CLS]``, anchors no span.
+
+What no parameter touches is computed once and kept.  A record's tokens
+and its hash buckets (per vocabulary size) live in ``Record.plan`` for as
+long as the record object does (``record_tokens``, ``record_buckets``).
+``read_encoder_states`` keeps one parse per state file for the life of the
+process, keyed by its real path, device, inode, size and modification time
+(ns), so repeated ``train_model`` calls and sweep points read a file once;
+a file rewritten in place is parsed again, and a failed parse is never
+kept.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +73,27 @@ def tokenize(text: str) -> TokenSequence:
 def hash_bucket(token_text: str, buckets: int) -> int:
     """Stable vocabulary hash; identical across runs and processes."""
     return zlib.crc32(token_text.encode("utf-8")) % buckets
+
+
+def _token_buckets(text: str, seq: TokenSequence, buckets: int) -> tuple[int, ...]:
+    return tuple(hash_bucket(text[start:end].lower(), buckets) for start, end in seq)
+
+
+def record_tokens(record: Record) -> TokenSequence:
+    """``tokenize(record.text)``, computed once per record object."""
+    plan = record.plan
+    if plan.tokens is None:
+        plan.tokens = tokenize(record.text)
+    return plan.tokens
+
+
+def record_buckets(record: Record, buckets: int) -> tuple[int, ...]:
+    """The buckets of ``record_tokens(record)``, once per record object and vocabulary size."""
+    ids = record.plan.buckets.get(buckets)
+    if ids is None:
+        ids = record.plan.buckets[buckets] = _token_buckets(
+            record.text, record_tokens(record), buckets)
+    return ids
 
 
 @functools.lru_cache(maxsize=256)
@@ -123,10 +154,11 @@ class ToyEncoder:
         return {f"encoder.{name}": p for name, p in self._params.items()}
 
     def encode(self, text: str, seq: TokenSequence) -> EncoderOutput:
-        buckets = [hash_bucket(text[start:end].lower(), self.vocab_buckets)
-                   for start, end in seq]
+        return self._encode_buckets(_token_buckets(text, seq, self.vocab_buckets))
+
+    def _encode_buckets(self, buckets: Sequence[int]) -> EncoderOutput:
         if not buckets:
-            buckets = [0]  # synthetic padding token for empty input
+            buckets = (0,)  # synthetic padding token for empty input
         x = ad.gather_rows(self._params["embedding"], buckets)
         x = ad.add(x, _position_tensor(len(buckets), self.width))
         scale = 1.0 / np.sqrt(self.head_dim)
@@ -140,8 +172,8 @@ class ToyEncoder:
         return EncoderOutput(hidden=x, pooled=pooled)
 
     def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
-        seq = tokenize(record.text)
-        return seq, self.encode(record.text, seq)
+        return (record_tokens(record),
+                self._encode_buckets(record_buckets(record, self.vocab_buckets)))
 
 
 ENC_MAGIC = b"OPFUSE-ENC-1\n"
@@ -197,7 +229,7 @@ def write_encoder_states(path: str | Path,
             fh.write(np.ascontiguousarray(pooled, dtype="<f8").tobytes())
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredStates:
     offsets: TokenSequence
     text_end: int        # the largest end offset, so the least text length; 0 without tokens
@@ -205,50 +237,74 @@ class StoredStates:
     pooled: Tensor       # (1, d), likewise
 
 
-def read_encoder_states(path: str | Path) -> dict[str, StoredStates]:
-    records: dict[str, StoredStates] = {}
+# Real path -> ((real path, st_dev, st_ino, st_size, st_mtime_ns), its records),
+# one entry per file: a rewritten file's parse replaces the one before.
+_STATE_INDEX: dict[str, tuple[tuple, Mapping[str, StoredStates]]] = {}
+
+
+def read_encoder_states(path: str | Path) -> Mapping[str, StoredStates]:
+    """The file's records by id, as a mapping that cannot be changed.
+
+    The same mapping is returned for as long as the file at the real path
+    keeps its device, inode, size and modification time; the process keeps
+    it from the first read.  A file that fails to parse raises on every read.
+    """
+    real = os.path.realpath(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(ENC_MAGIC))
-        if magic != ENC_MAGIC:
-            raise EncoderError(f"{path}: not an OPFUSE-ENC-1 state file")
-        left = os.fstat(fh.fileno()).st_size - len(ENC_MAGIC)
+        stat = os.fstat(fh.fileno())
+        key = (real, stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        kept = _STATE_INDEX.get(real)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        _STATE_INDEX.pop(real, None)  # so a failed parse leaves no entry
+        records = MappingProxyType(_parse_encoder_states(path, fh, stat.st_size))
+    _STATE_INDEX[real] = (key, records)
+    return records
 
-        def read(n: int, what: str) -> bytes:
-            # Lengths come from the file: a corrupt one may be negative or
-            # huge, so it is checked against what is left before reading.
-            nonlocal left
-            data = fh.read(n) if 0 <= n <= left else b""
-            if len(data) != n:
-                raise EncoderError(f"{path}: truncated {what}")
-            left -= n
-            return data
 
-        (count,) = struct.unpack("<q", read(8, "record count"))
-        for index in range(count):
-            where = f"record #{index}"
-            (rid_len,) = struct.unpack("<q", read(8, f"id length of {where}"))
-            try:
-                rid = read(rid_len, f"id of {where}").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EncoderError(f"{path}: id of {where} is not UTF-8") from exc
-            if rid in records:
-                raise EncoderError(f"{path}: duplicate record id {rid!r}")
-            where = f"record {rid!r}"
-            width, n_tokens = struct.unpack("<qq", read(16, f"shape of {where}"))
-            offsets = tuple(struct.iter_unpack("<qq", read(16 * n_tokens,
-                                                           f"offsets of {where}")))
-            text_end = _text_end(path, where, offsets)
-            hidden = read(n_tokens * width * 8, f"hidden states of {where}")
-            pooled = read(width * 8, f"pooled vector of {where}")
-            hidden = np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width)
-            pooled = np.frombuffer(pooled, dtype="<f8").reshape(1, width)
-            try:
-                # Each Tensor copies its array out of the file buffer once and checks it.
-                hidden, pooled = Tensor(hidden), Tensor(pooled)
-            except NonFiniteError as exc:
-                raise EncoderError(f"{path}: non-finite states in {where}") from exc
-            records[rid] = StoredStates(offsets=offsets, text_end=text_end,
-                                        hidden=hidden, pooled=pooled)
+def _parse_encoder_states(path: str | Path, fh, size: int) -> dict[str, StoredStates]:
+    records: dict[str, StoredStates] = {}
+    magic = fh.read(len(ENC_MAGIC))
+    if magic != ENC_MAGIC:
+        raise EncoderError(f"{path}: not an OPFUSE-ENC-1 state file")
+    left = size - len(ENC_MAGIC)
+
+    def read(n: int, what: str) -> bytes:
+        # Lengths come from the file: a corrupt one may be negative or
+        # huge, so it is checked against what is left before reading.
+        nonlocal left
+        data = fh.read(n) if 0 <= n <= left else b""
+        if len(data) != n:
+            raise EncoderError(f"{path}: truncated {what}")
+        left -= n
+        return data
+
+    (count,) = struct.unpack("<q", read(8, "record count"))
+    for index in range(count):
+        where = f"record #{index}"
+        (rid_len,) = struct.unpack("<q", read(8, f"id length of {where}"))
+        try:
+            rid = read(rid_len, f"id of {where}").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncoderError(f"{path}: id of {where} is not UTF-8") from exc
+        if rid in records:
+            raise EncoderError(f"{path}: duplicate record id {rid!r}")
+        where = f"record {rid!r}"
+        width, n_tokens = struct.unpack("<qq", read(16, f"shape of {where}"))
+        offsets = tuple(struct.iter_unpack("<qq", read(16 * n_tokens,
+                                                       f"offsets of {where}")))
+        text_end = _text_end(path, where, offsets)
+        hidden = read(n_tokens * width * 8, f"hidden states of {where}")
+        pooled = read(width * 8, f"pooled vector of {where}")
+        hidden = np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width)
+        pooled = np.frombuffer(pooled, dtype="<f8").reshape(1, width)
+        try:
+            # Each Tensor copies its array out of the file buffer once and checks it.
+            hidden, pooled = Tensor(hidden), Tensor(pooled)
+        except NonFiniteError as exc:
+            raise EncoderError(f"{path}: non-finite states in {where}") from exc
+        records[rid] = StoredStates(offsets=offsets, text_end=text_end,
+                                    hidden=hidden, pooled=pooled)
     return records
 
 

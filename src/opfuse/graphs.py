@@ -9,6 +9,14 @@ added by the attention layer carries ``len(POLARITIES)``, for no attribute.
 ``build_subgraph`` resolves one opinion's spans to tokens, with no
 parameter involved; ``PackedGraphs.pack`` collates a minibatch's graphs
 and computes all their node features at once.
+
+A graph is data, so ``build_subgraph`` builds it once per record object,
+token sequence and opinion, and keeps it in ``Record.plan`` for as long as
+the record object lives: its structure is frozen and its arrays read-only.
+An opinion with no graph keeps only its ``GraphEmpty`` message.  The
+warnings ``build_structure`` logs for a dropped node or a missing
+sentiment span therefore appear once per record object and token
+sequence, not once per forward.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ class GraphNode:
     token_indices: tuple[int, ...]       # empty for the fallback node
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphStructure:
     """Feature-independent description of one opinion sub-graph."""
 
@@ -184,11 +192,29 @@ def build_structure(record: Record, opinion: OpinionAnnotation,
 
 def build_subgraph(record: Record, opinion: OpinionAnnotation,
                    seq: TokenSequence) -> OpinionGraph:
-    """The opinion's structure with its edge list and per-edge polarity ids."""
-    structure = build_structure(record, opinion, seq)
-    edge_index = np.array(structure.edges, dtype=np.intp).reshape(-1, 2)
-    polarity = POLARITIES.index(structure.polarity)
-    return OpinionGraph(structure, edge_index, np.full(len(edge_index), polarity, np.intp))
+    """The opinion's structure with its edge list and per-edge polarity ids.
+
+    Built on the first call for this record object, ``seq`` and opinion;
+    later calls return the same graph, or raise a new ``GraphEmpty`` with
+    the first one's message.
+    """
+    kept = record.plan.graphs.setdefault(seq, {})
+    graph = kept.get(opinion)
+    if graph is None:
+        try:
+            structure = build_structure(record, opinion, seq)
+        except GraphEmpty as exc:
+            graph = str(exc)  # the exception's traceback would pin its callers' frames
+        else:
+            edge_index = np.array(structure.edges, dtype=np.intp).reshape(-1, 2)
+            polarity = np.full(len(edge_index), POLARITIES.index(structure.polarity), np.intp)
+            edge_index.setflags(write=False)
+            polarity.setflags(write=False)
+            graph = OpinionGraph(structure, edge_index, polarity)
+        kept[opinion] = graph
+    if isinstance(graph, str):
+        raise GraphEmpty(graph)
+    return graph
 
 
 def structure_to_json(record: Record, structures: list[GraphStructure]) -> dict:

@@ -199,7 +199,9 @@ def opinion_graphs(records: list[Record],
             try:
                 graphs.append(build_subgraph(record, opinion, seq))
             except GraphEmpty as exc:
-                log.warning("skipping opinion graph: %s", exc)
+                # The message, not the exception: a log handler that keeps its
+                # records would otherwise keep this forward's frames alive.
+                log.warning("skipping opinion graph: %s", str(exc))
                 continue
             owners.append(index)
     return graphs, owners

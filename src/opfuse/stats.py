@@ -174,6 +174,8 @@ def stuart_maxwell_table(table: np.ndarray,
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise StatsError(f"contingency table must be square, got {table.shape}")
+    if not np.isfinite(table).all():
+        raise StatsError("contingency table entries must be finite")
     if (table < 0).any():
         raise StatsError("contingency table entries must be non-negative")
     size = table.shape[0]

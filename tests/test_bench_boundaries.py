@@ -7,14 +7,18 @@ calling one (say ``model.predict`` or ``checkpoint.save``), would
 otherwise only show up as a failed ``--trace 1`` run.
 """
 
+import gc
 import importlib
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opfuse.data
+import opfuse.encoder
+import opfuse.graphs
 import opfuse.train
 from opfuse.autodiff import Tape, cross_entropy
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, dump_corpus
@@ -120,8 +124,8 @@ def frozen_records() -> list[Record]:
             for split, n in (("train", 8), ("dev", 4)) for i in range(n)]
 
 
-def test_one_epoch_on_the_file_provider_counts_tokens_and_nodes(tmp_path):
-    records = frozen_records()
+def file_config(records: list[Record], tmp_path, epochs: int) -> ModelConfig:
+    """A file-provider config over random states for ``records``, tokenized live."""
     rng = np.random.default_rng(0)
     entries = []
     for record in records:
@@ -129,11 +133,16 @@ def test_one_epoch_on_the_file_provider_counts_tokens_and_nodes(tmp_path):
         hidden = rng.standard_normal((len(offsets), 8))
         entries.append((record.id, offsets, hidden, hidden.mean(axis=0)))
     write_encoder_states(tmp_path / "states.bin", entries)
-    config = ModelConfig(
+    return ModelConfig(
         encoder=EncoderConfig(provider="file", width=8,
                               states_path=str(tmp_path / "states.bin")),
         gat=GatConfig(out_dim=96, heads=2), fusion=FusionConfig(type="attn"),
-        optimizer=OptimizerConfig(batch_size=8, epochs=1))
+        optimizer=OptimizerConfig(batch_size=8, epochs=epochs))
+
+
+def test_one_epoch_on_the_file_provider_counts_tokens_and_nodes(tmp_path):
+    records = frozen_records()
+    config = file_config(records, tmp_path, epochs=1)
     path = tmp_path / "corpus.jsonl"
     dump_corpus(Corpus(records), path)
     tracer = tracing.Tracer()
@@ -158,6 +167,78 @@ def test_one_epoch_on_the_file_provider_counts_tokens_and_nodes(tmp_path):
             fallbacks += not covers(record, opinion.sentiment_expression)
     counts = tracer.counts["setup"]
     assert (nodes, fallbacks) == (30, 3)
-    assert counts["encoder.tokens"] == sum(len(offsets) for _, offsets, *_ in entries)
+    assert counts["encoder.tokens"] == sum(len(tokenize(record.text)) for record in records)
     assert counts["graphs.nodes"] == nodes
     assert counts["graphs.fallback_nodes"] == fallbacks
+
+
+def skipping_records() -> list[Record]:
+    """``frozen_records()`` plus a train and a dev record with an opinion whose
+    only span lies on whitespace, so its graph is empty (``GraphEmpty``)."""
+    full, *_ = frozen_records()[0].opinions
+    unanchored = OpinionAnnotation(holder=Span(6, 7), polarity="neutral")
+    text = "trader says market will crash soon"
+    return frozen_records() + [
+        Record(id="train8", split="train", text=text, emotion="anger",
+               opinions=(unanchored, full)),
+        Record(id="dev4", split="dev", text=text, emotion="anger", opinions=(unanchored,))]
+
+
+def counted(monkeypatch, module, name) -> list:
+    """Arguments of every call of ``module.name`` from now on."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("provider", ["toy", "file"])
+def test_a_second_run_on_the_same_corpus_reuses_its_graphs_and_states(tmp_path, monkeypatch,
+                                                                       provider):
+    """Graphs and parsed state files outlive the first model: the second
+    ``train_model`` builds no structure and parses no file, yet crosses
+    every traced boundary as often, with the same counts and artifacts."""
+    records = skipping_records()
+    if provider == "toy":
+        config = small_config("attn")
+        config.optimizer.epochs = 2
+    else:
+        config = file_config(records, tmp_path, epochs=2)
+    corpus = Corpus(records)
+    builds = counted(monkeypatch, opfuse.graphs, "build_structure")
+    parses = counted(monkeypatch, opfuse.encoder, "_parse_encoder_states")
+    tracer = tracing.Tracer()
+    done = {}
+    with tracer.installed():
+        for run in ("first", "second"):
+            tracer.run = run
+            opfuse.train.train_model(config, corpus, out_dir=tmp_path / run)
+            done[run] = (len(builds), len(parses))
+    # 15 opinions on 14 records (9 train, 5 dev), two epochs; the first
+    # epoch builds every graph, and only the first run parses the file.
+    file_reads = int(provider == "file")
+    assert done == {"first": (15, file_reads), "second": (15, file_reads)}
+    first, second = tracer.counts["first"], tracer.counts["second"]
+    assert second == first
+    assert (first["graphs.build.calls"], first["graphs.opinions_skipped"]) == (30, 4)
+    assert first["encoder.encode.calls"] == 28
+    assert first["encoder.read_states.calls"] == file_reads
+    for name in ("checkpoint.bin", "training_log.csv", "dev_predictions.jsonl"):
+        assert (tmp_path / "second" / name).read_bytes() == \
+            (tmp_path / "first" / name).read_bytes(), name
+
+
+def test_the_kept_plans_do_not_keep_a_trained_model_alive(tmp_path):
+    """A skipped opinion keeps its message, not the raised ``GraphEmpty``,
+    whose traceback would pin ``train_model``'s frame: the model, the
+    optimizer and the tape."""
+    corpus = Corpus(skipping_records())
+    result = opfuse.train.train_model(small_config("gate"), corpus, out_dir=tmp_path)
+    model = weakref.ref(result.model)
+    del result
+    gc.collect()
+    assert model() is None
+    skipped = corpus.records[-1]
+    assert list(skipped.plan.graphs[skipped.plan.tokens].values()) == [
+        "record dev4: no opinion span could be anchored to tokens"]
+    assert all(record.plan.tokens for record in corpus.records)

@@ -468,6 +468,51 @@ def test_train_duplicate_state_id_exits_2_with_one_line(tmp_path):
     assert proc.stderr == f"error: {tmp_path / 'states.bin'}: duplicate record id 'r3'\n"
 
 
+# probe -> the part of its one-line error after "error: <states file>: "
+STATE_PROBES = {
+    "truncated": "truncated pooled vector of record 'r11'",
+    "duplicate_id": "duplicate record id 'r3'",
+    "bad_offsets": "token 1 of record 'r0' has invalid offsets [5, 3)",
+    "non_finite": "non-finite states in record 'r0'",
+    "width": "has width 8, model configured for 16",
+    "past_text": "record 'r0' has a token ending at offset 40, past the end of its "
+                 "34-character text",
+}
+
+
+@pytest.mark.parametrize("probe", sorted(STATE_PROBES))
+def test_state_file_probes_fail_alike_on_every_run_in_one_process(tmp_path, capsys, probe):
+    """No failed parse is kept: a second run in the same process reads the
+    file again and fails with the same line and exit code."""
+    data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
+    bad_offsets = {"bad_offsets": (5, 3), "past_text": (30, 40)}
+
+    def offsets_of(record):
+        seq = list(tokenize(record.text))
+        if record.id == "r0" and probe in bad_offsets:
+            seq[1] = bad_offsets[probe]
+        return seq
+
+    config = states_config(tmp_path, data, bad_id="r0", value=np.nan if probe == "non_finite"
+                           else 1.0, repeat_id="r3" if probe == "duplicate_id" else None,
+                           offsets_of=offsets_of, write=raw_encoder_states)
+    states = tmp_path / "states.bin"
+    if probe == "truncated":
+        states.write_bytes(states.read_bytes()[:-5])
+    if probe == "width":
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        obj["encoder"]["width"] = 16
+        config.write_text(json.dumps(obj), encoding="utf-8")
+    errors = []
+    for _ in range(2):
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "x")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: {states}: ") and errors[0].count("\n") == 1
+    assert errors[0].endswith(STATE_PROBES[probe] + "\n"), errors[0]
+
+
 @pytest.mark.parametrize("line, message", [
     ("[1]", "not a JSON object"),
     ('{"id": "a", "gold": "anger", "pred": "anger", "logits": 5}', "must be a list"),

@@ -1,5 +1,7 @@
 """Tokenizer, toy encoder, precomputed-state provider, and the span-pooling oracle."""
 
+import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -8,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfuse.autodiff as ad
+import opfuse.encoder as encoder_mod
 from opfuse.autodiff import Tape, Tensor
 from opfuse.data import Record, Span
 from opfuse.encoder import (ENC_MAGIC, EncoderError, EncoderOutput, FileEncoder, ToyEncoder,
                             _position_tensor, read_encoder_states, hash_bucket,
-                            sinusoidal_positions, tokenize, write_encoder_states)
+                            record_buckets, record_tokens, sinusoidal_positions, tokenize,
+                            write_encoder_states)
 
 from fuzzing import mutate
 
@@ -449,3 +453,106 @@ def test_offset_past_the_text_raises_encoder_error_naming_file_and_record(tmp_pa
         enc.encode_record(record())   # "Tesla up big" has 12 characters
     assert str(err.value) == (f"{path}: record 'r1' has a token ending at offset 13, "
                               "past the end of its 12-character text")
+
+
+def test_toy_encoder_keeps_each_records_tokens_and_buckets(monkeypatch):
+    rec = record("Tesla I'll buy back in")
+    enc = make_encoder()
+    seq, out = enc.encode_record(rec)
+    assert seq == tokenize(rec.text) and seq is record_tokens(rec)
+    assert record_buckets(rec, 64) == tuple(hash_bucket(rec.text[a:b].lower(), 64)
+                                            for a, b in seq)
+    assert out.hidden.data.tobytes() == enc.encode(rec.text, seq).hidden.data.tobytes()
+    monkeypatch.setattr(encoder_mod, "tokenize", None)
+    monkeypatch.setattr(encoder_mod, "hash_bucket", None)
+    again_seq, again = enc.encode_record(rec)   # served from rec.plan
+    assert again_seq is seq and again.hidden.data.tobytes() == out.hidden.data.tobytes()
+    assert set(rec.plan.buckets) == {64}
+
+
+def count_parses(monkeypatch) -> list:
+    """Paths ``read_encoder_states`` parses from now on."""
+    parses = []
+    parse = encoder_mod._parse_encoder_states
+    monkeypatch.setattr(encoder_mod, "_parse_encoder_states",
+                        lambda path, *rest: parses.append(path) or parse(path, *rest))
+    return parses
+
+
+def touch_later(path, stat):
+    """Give ``path`` a modification time 1 ms after ``stat``'s."""
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+
+
+def test_a_state_file_is_parsed_once_per_real_path(tmp_path, monkeypatch):
+    parses = count_parses(monkeypatch)
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, state_entries())
+    (tmp_path / "link.bin").symlink_to(path)
+    states = read_encoder_states(path)
+    assert read_encoder_states(str(path)) is states
+    assert read_encoder_states(tmp_path / "link.bin") is states
+    seq, out = FileEncoder(path, width=3).encode_record(record(text="Tesla up"))
+    assert seq is states["r1"].offsets and out.hidden is states["r1"].hidden
+    assert parses == [path]
+
+
+def test_a_rewritten_state_file_is_parsed_again(tmp_path, monkeypatch):
+    parses = count_parses(monkeypatch)
+    path = tmp_path / "states.bin"
+    entries = state_entries()
+    write_encoder_states(path, entries)
+    first = read_encoder_states(path)
+    write_encoder_states(path, entries[:1])             # a new size
+    second = read_encoder_states(path)
+    assert list(first) == ["r1", "r\u00e9"] and list(second) == ["r1"]
+    stat = path.stat()
+    rid, offsets, hidden, pooled = entries[0]
+    write_encoder_states(path, [(rid, offsets, hidden + 1.0, pooled)])
+    touch_later(path, stat)                              # the same size, a new mtime
+    assert path.stat().st_size == stat.st_size
+    third = read_encoder_states(path)
+    assert third["r1"].hidden.data.tobytes() == (hidden + 1.0).tobytes()
+    assert second["r1"].hidden.data.tobytes() == hidden.tobytes()
+    assert len(parses) == 3 and read_encoder_states(path) is third
+
+
+@pytest.mark.parametrize("damage", ["truncated", "non_finite"])
+def test_a_state_file_that_fails_to_parse_fails_on_every_read(tmp_path, monkeypatch, damage):
+    parses = count_parses(monkeypatch)
+    path = tmp_path / "states.bin"
+    entries = state_entries()
+    write_encoder_states(path, entries)
+    read_encoder_states(path)
+    stat = path.stat()
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-1])
+        message = f"{path}: truncated pooled vector of record 'r\u00e9'"
+    else:
+        entries[1][2][0, 0] = np.nan
+        raw_encoder_states(path, entries)
+        touch_later(path, stat)
+        message = f"{path}: non-finite states in record 'r\u00e9'"
+    for _ in range(2):
+        with pytest.raises(EncoderError) as err:
+            read_encoder_states(path)
+        assert str(err.value) == message
+        with pytest.raises(EncoderError) as err:
+            FileEncoder(path, width=3)
+        assert str(err.value) == message
+    assert len(parses) == 5
+
+
+def test_the_states_read_cannot_be_changed(tmp_path):
+    path = tmp_path / "states.bin"
+    write_encoder_states(path, state_entries())
+    states = read_encoder_states(path)
+    with pytest.raises(TypeError):
+        states["r2"] = states["r1"]
+    with pytest.raises(TypeError):
+        del states["r1"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        states["r1"].offsets = ()
+    with pytest.raises(ValueError):
+        states["r1"].hidden.data[0, 0] = 0.0
+    assert list(read_encoder_states(path)) == ["r1", "r\u00e9"]

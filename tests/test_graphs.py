@@ -1,5 +1,6 @@
 """Opinion sub-graph construction: topology, fallbacks, packed node features, export."""
 
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -300,8 +301,9 @@ def test_file_and_toy_providers_are_interchangeable(tmp_path, corpus):
     for record in records:
         seqs = [encoder.encode_record(record)[0] for encoder in (toy, frozen)]
         assert seqs[0] == seqs[1], record.id
+        # A copy of the record starts with no kept graphs, so each export builds its own.
         exports = [structure_to_json(record, [g.structure for g in
-                                              opinion_graphs([record], [seq])[0]])
+                                              opinion_graphs([copy.copy(record)], [seq])[0]])
                    for seq in seqs]
         assert exports[0] == exports[1], record.id
 
@@ -322,3 +324,62 @@ def test_structure_export_shape():
     for node in g["nodes"]:
         assert node["token_indices"]
     assert sorted(map(tuple, g["edges"])) == sorted([(0, 1), (1, 0)]) or len(g["edges"]) == 2
+
+
+def logging_record():
+    """A record whose opinions drop a node, fall back for a missing sentiment
+    span, and (the last) anchor no span at all."""
+    text = "ab  cd ef"
+    seq = tokenize(text)
+    opinions = (OpinionAnnotation(sentiment_expression=span_over(seq, 0, 1),
+                                  holder=Span(2, 4), polarity="negative"),
+                OpinionAnnotation(target=span_over(seq, 1, 2), polarity="neutral"),
+                OpinionAnnotation(holder=Span(2, 4), polarity="positive"))
+    return Record(id="r", split="train", text=text, emotion="anger", opinions=opinions)
+
+
+def test_a_graph_is_built_once_per_record_object_and_sequence(monkeypatch):
+    builds = []
+    build = graphs_mod.build_structure
+    monkeypatch.setattr(graphs_mod, "build_structure",
+                        lambda *args: builds.append(args[0].id) or build(*args))
+    rec = logging_record()
+    seq = tokenize(rec.text)
+    first, owners = opinion_graphs([rec], [seq])
+    again, _ = opinion_graphs([rec], [tokenize(rec.text)])  # an equal sequence
+    assert len(builds) == 3 and owners == [0, 0]
+    assert all(a is b for a, b in zip(first, again))
+    for graph in first:
+        with pytest.raises(AttributeError):
+            graph.structure.edges = ()
+        assert not graph.edge_index.flags.writeable
+        assert not graph.edge_polarity.flags.writeable
+    # The skipped opinion raises a new GraphEmpty with the first one's message.
+    errors = []
+    for _ in range(2):
+        with pytest.raises(GraphEmpty) as err:
+            build_subgraph(rec, rec.opinions[2], seq)
+        errors.append(err.value)
+    assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+    assert str(errors[0]) == "record r: no opinion span could be anchored to tokens"
+    assert len(builds) == 3
+    # Another token sequence, or another record object, builds anew.
+    opinion_graphs([rec], [((0, 0),) + seq])
+    opinion_graphs([Record(**{f: getattr(rec, f) for f in ("id", "split", "text",
+                                                            "emotion", "opinions")})],
+                   [seq])
+    assert len(builds) == 9
+
+
+def test_span_warnings_log_once_per_record_and_sequence_skips_on_every_forward(caplog):
+    """The dropped-node warning and the missing-sentiment note come from the
+    one build; the skipped opinion is reported by every forward."""
+    rec = logging_record()
+    seq = tokenize(rec.text)
+    with caplog.at_level("INFO", logger="opfuse"):
+        for _ in range(3):
+            opinion_graphs([rec], [seq])
+    messages = caplog.messages
+    assert sum("overlaps no token; node dropped" in m for m in messages) == 2  # 2 opinions
+    assert sum("sentiment span missing" in m for m in messages) == 1
+    assert sum("skipping opinion graph" in m for m in messages) == 3

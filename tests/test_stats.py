@@ -200,6 +200,15 @@ def test_stuart_maxwell_all_diagonal_p_one():
     assert result.statistic == 0.0 and result.pvalue == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_stuart_maxwell_refuses_non_finite_entries(bad):
+    # A NaN passes a `< 0` check and an infinite category used to collapse
+    # or cancel, both answering p = 1.0.
+    table = np.array([[1, bad, 2], [3, 4, 5], [0, 7, 1]], dtype=float)
+    with pytest.raises(StatsError, match="contingency table entries must be finite"):
+        stuart_maxwell_table(table)
+
+
 def test_stuart_maxwell_collapses_inactive_categories():
     # category 2 sits entirely on the diagonal; it must be set aside, and
     # the remaining 2x2 reduces to McNemar
