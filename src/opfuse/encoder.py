@@ -22,17 +22,16 @@ space the annotation spans use.
 What no parameter touches is computed once and kept.  A record's tokens
 and its hash buckets (per vocabulary size) live in ``Record.plan`` for as
 long as the record object does (``record_tokens``, ``record_buckets``).
-``read_encoder_states`` keeps one parse per state file for the life of the
-process, keyed by its real path, device, inode, size and modification time
-(ns), so repeated ``train_model`` calls and sweep points read a file once;
-a file rewritten in place is parsed again, and a failed parse is never
-kept.
+``read_encoder_states`` keeps the last file it parsed, keyed by the
+file's size and the CRC-32 of its bytes, which it reads on every call: a
+second read of the same contents (a sweep point, another ``train_model``
+in the process) skips the parse, a file rewritten in place is parsed
+again, and a failed parse is never kept.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import re
 import struct
 import zlib
@@ -237,28 +236,34 @@ class StoredStates:
     pooled: Tensor       # (1, d), likewise
 
 
-# Real path -> ((real path, st_dev, st_ino, st_size, st_mtime_ns), its records),
-# one entry per file: a rewritten file's parse replaces the one before.
-_STATE_INDEX: dict[str, tuple[tuple, Mapping[str, StoredStates]]] = {}
+# The last file parsed: ((its size, the CRC-32 of its bytes), its records).
+# One slot, so the process keeps at most one parse, as one FileEncoder did.
+_LAST_STATES: tuple[tuple[int, int], Mapping[str, StoredStates]] | None = None
+
+
+def _content_key(fh) -> tuple[int, int]:
+    size, crc = 0, 0
+    while chunk := fh.read(1 << 20):
+        size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+    return size, crc
 
 
 def read_encoder_states(path: str | Path) -> Mapping[str, StoredStates]:
     """The file's records by id, as a mapping that cannot be changed.
 
-    The same mapping is returned for as long as the file at the real path
-    keeps its device, inode, size and modification time; the process keeps
-    it from the first read.  A file that fails to parse raises on every read.
+    A file with the size and CRC-32 of the last one parsed gets that
+    parse's mapping again; any other file is parsed, and its mapping
+    replaces the kept one.  A file that fails to parse raises on every read.
     """
-    real = os.path.realpath(path)
+    global _LAST_STATES
     with open(path, "rb") as fh:
-        stat = os.fstat(fh.fileno())
-        key = (real, stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
-        kept = _STATE_INDEX.get(real)
+        key, kept = _content_key(fh), _LAST_STATES
         if kept is not None and kept[0] == key:
             return kept[1]
-        _STATE_INDEX.pop(real, None)  # so a failed parse leaves no entry
-        records = MappingProxyType(_parse_encoder_states(path, fh, stat.st_size))
-    _STATE_INDEX[real] = (key, records)
+        _LAST_STATES = None  # frees the old parse first, and keeps no failed one
+        fh.seek(0)
+        records = MappingProxyType(_parse_encoder_states(path, fh, key[0]))
+    _LAST_STATES = (key, records)
     return records
 
 

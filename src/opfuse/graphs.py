@@ -13,7 +13,10 @@ and computes all their node features at once.
 A graph is data, so ``build_subgraph`` builds it once per record object,
 token sequence and opinion, and keeps it in ``Record.plan`` for as long as
 the record object lives: its structure is frozen and its arrays read-only.
-An opinion with no graph keeps only its ``GraphEmpty`` message.  The
+Only a second pass over the same record object gains (a later epoch or
+dev predict, another ``train_model`` on the same ``Corpus``); a record
+loaded or unpickled anew starts with no graph.  An opinion with no graph
+keeps only its ``GraphEmpty`` message.  The
 warnings ``build_structure`` logs for a dropped node or a missing
 sentiment span therefore appear once per record object and token
 sequence, not once per forward.

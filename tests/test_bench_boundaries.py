@@ -205,6 +205,7 @@ def test_a_second_run_on_the_same_corpus_reuses_its_graphs_and_states(tmp_path, 
     else:
         config = file_config(records, tmp_path, epochs=2)
     corpus = Corpus(records)
+    monkeypatch.setattr(opfuse.encoder, "_LAST_STATES", None)  # no parse kept yet
     builds = counted(monkeypatch, opfuse.graphs, "build_structure")
     parses = counted(monkeypatch, opfuse.encoder, "_parse_encoder_states")
     tracer = tracing.Tracer()

@@ -1,8 +1,10 @@
 """Tokenizer, toy encoder, precomputed-state provider, and the span-pooling oracle."""
 
 import dataclasses
+import gc
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -471,27 +473,25 @@ def test_toy_encoder_keeps_each_records_tokens_and_buckets(monkeypatch):
 
 
 def count_parses(monkeypatch) -> list:
-    """Paths ``read_encoder_states`` parses from now on."""
+    """Paths ``read_encoder_states`` parses from now on, starting with no kept parse."""
     parses = []
     parse = encoder_mod._parse_encoder_states
+    monkeypatch.setattr(encoder_mod, "_LAST_STATES", None)
     monkeypatch.setattr(encoder_mod, "_parse_encoder_states",
                         lambda path, *rest: parses.append(path) or parse(path, *rest))
     return parses
 
 
-def touch_later(path, stat):
-    """Give ``path`` a modification time 1 ms after ``stat``'s."""
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
-
-
-def test_a_state_file_is_parsed_once_per_real_path(tmp_path, monkeypatch):
+def test_a_state_file_is_parsed_once_per_contents(tmp_path, monkeypatch):
     parses = count_parses(monkeypatch)
     path = tmp_path / "states.bin"
     write_encoder_states(path, state_entries())
     (tmp_path / "link.bin").symlink_to(path)
+    (tmp_path / "copy.bin").write_bytes(path.read_bytes())
     states = read_encoder_states(path)
     assert read_encoder_states(str(path)) is states
     assert read_encoder_states(tmp_path / "link.bin") is states
+    assert read_encoder_states(tmp_path / "copy.bin") is states
     seq, out = FileEncoder(path, width=3).encode_record(record(text="Tesla up"))
     assert seq is states["r1"].offsets and out.hidden is states["r1"].hidden
     assert parses == [path]
@@ -509,12 +509,29 @@ def test_a_rewritten_state_file_is_parsed_again(tmp_path, monkeypatch):
     stat = path.stat()
     rid, offsets, hidden, pooled = entries[0]
     write_encoder_states(path, [(rid, offsets, hidden + 1.0, pooled)])
-    touch_later(path, stat)                              # the same size, a new mtime
-    assert path.stat().st_size == stat.st_size
+    # The same size, inode and modification time: only the bytes tell.
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    again = path.stat()
+    assert (again.st_ino, again.st_size, again.st_mtime_ns) == \
+        (stat.st_ino, stat.st_size, stat.st_mtime_ns)
     third = read_encoder_states(path)
     assert third["r1"].hidden.data.tobytes() == (hidden + 1.0).tobytes()
     assert second["r1"].hidden.data.tobytes() == hidden.tobytes()
     assert len(parses) == 3 and read_encoder_states(path) is third
+
+
+def test_only_the_last_state_file_parsed_is_kept(tmp_path, monkeypatch):
+    parses = count_parses(monkeypatch)
+    entries = state_entries()
+    write_encoder_states(tmp_path / "a.bin", entries)
+    write_encoder_states(tmp_path / "b.bin", entries[:1])
+    kept = weakref.ref(read_encoder_states(tmp_path / "a.bin")["r\u00e9"])
+    b = read_encoder_states(tmp_path / "b.bin")
+    gc.collect()
+    assert kept() is None                               # a's parse went with the slot
+    assert read_encoder_states(tmp_path / "b.bin") is b
+    assert list(read_encoder_states(tmp_path / "a.bin")) == ["r1", "r\u00e9"]
+    assert [path.name for path in parses] == ["a.bin", "b.bin", "a.bin"]
 
 
 @pytest.mark.parametrize("damage", ["truncated", "non_finite"])
@@ -524,14 +541,12 @@ def test_a_state_file_that_fails_to_parse_fails_on_every_read(tmp_path, monkeypa
     entries = state_entries()
     write_encoder_states(path, entries)
     read_encoder_states(path)
-    stat = path.stat()
     if damage == "truncated":
         path.write_bytes(path.read_bytes()[:-1])
         message = f"{path}: truncated pooled vector of record 'r\u00e9'"
     else:
         entries[1][2][0, 0] = np.nan
         raw_encoder_states(path, entries)
-        touch_later(path, stat)
         message = f"{path}: non-finite states in record 'r\u00e9'"
     for _ in range(2):
         with pytest.raises(EncoderError) as err:
