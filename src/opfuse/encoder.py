@@ -32,6 +32,7 @@ again, and a failed parse is never kept.
 from __future__ import annotations
 
 import functools
+import os
 import re
 import struct
 import zlib
@@ -241,11 +242,11 @@ class StoredStates:
 _LAST_STATES: tuple[tuple[int, int], Mapping[str, StoredStates]] | None = None
 
 
-def _content_key(fh) -> tuple[int, int]:
-    size, crc = 0, 0
+def _crc32(fh, crc: int = 0) -> int:
+    """``crc`` carried over the rest of the file."""
     while chunk := fh.read(1 << 20):
-        size, crc = size + len(chunk), zlib.crc32(chunk, crc)
-    return size, crc
+        crc = zlib.crc32(chunk, crc)
+    return crc
 
 
 def read_encoder_states(path: str | Path) -> Mapping[str, StoredStates]:
@@ -254,34 +255,41 @@ def read_encoder_states(path: str | Path) -> Mapping[str, StoredStates]:
     A file with the size and CRC-32 of the last one parsed gets that
     parse's mapping again; any other file is parsed, and its mapping
     replaces the kept one.  A file that fails to parse raises on every read.
+    The parse checksums what it reads, so only a file of the kept size is
+    read twice, and only when its bytes differ.
     """
     global _LAST_STATES
     with open(path, "rb") as fh:
-        key, kept = _content_key(fh), _LAST_STATES
-        if kept is not None and kept[0] == key:
-            return kept[1]
+        size, kept = os.fstat(fh.fileno()).st_size, _LAST_STATES
+        if kept is not None and kept[0][0] == size:
+            if kept[0][1] == _crc32(fh):
+                return kept[1]
+            fh.seek(0)
         _LAST_STATES = None  # frees the old parse first, and keeps no failed one
-        fh.seek(0)
-        records = MappingProxyType(_parse_encoder_states(path, fh, key[0]))
-    _LAST_STATES = (key, records)
+        parsed, crc = _parse_encoder_states(path, fh, size)
+    records = MappingProxyType(parsed)
+    _LAST_STATES = (size, crc), records
     return records
 
 
-def _parse_encoder_states(path: str | Path, fh, size: int) -> dict[str, StoredStates]:
+def _parse_encoder_states(path: str | Path, fh,
+                          size: int) -> tuple[dict[str, StoredStates], int]:
+    """The file's records, and the CRC-32 of all the bytes it read."""
     records: dict[str, StoredStates] = {}
     magic = fh.read(len(ENC_MAGIC))
     if magic != ENC_MAGIC:
         raise EncoderError(f"{path}: not an OPFUSE-ENC-1 state file")
-    left = size - len(ENC_MAGIC)
+    left, crc = size - len(ENC_MAGIC), zlib.crc32(magic)
 
     def read(n: int, what: str) -> bytes:
         # Lengths come from the file: a corrupt one may be negative or
         # huge, so it is checked against what is left before reading.
-        nonlocal left
+        nonlocal left, crc
         data = fh.read(n) if 0 <= n <= left else b""
         if len(data) != n:
             raise EncoderError(f"{path}: truncated {what}")
         left -= n
+        crc = zlib.crc32(data, crc)
         return data
 
     (count,) = struct.unpack("<q", read(8, "record count"))
@@ -310,7 +318,7 @@ def _parse_encoder_states(path: str | Path, fh, size: int) -> dict[str, StoredSt
             raise EncoderError(f"{path}: non-finite states in {where}") from exc
         records[rid] = StoredStates(offsets=offsets, text_end=text_end,
                                     hidden=hidden, pooled=pooled)
-    return records
+    return records, _crc32(fh, crc)  # bytes past the last record count too
 
 
 class FileEncoder:

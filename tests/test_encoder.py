@@ -495,6 +495,12 @@ def test_a_state_file_is_parsed_once_per_contents(tmp_path, monkeypatch):
     seq, out = FileEncoder(path, width=3).encode_record(record(text="Tesla up"))
     assert seq is states["r1"].offsets and out.hidden is states["r1"].hidden
     assert parses == [path]
+    trailing = tmp_path / "trailing.bin"                # bytes past the last record
+    trailing.write_bytes(path.read_bytes() + b"\0" * 3)
+    assert read_encoder_states(trailing) is read_encoder_states(trailing) is not states
+    trailing.write_bytes(path.read_bytes() + b"\1" * 3)
+    assert read_encoder_states(trailing) is not states
+    assert parses == [path, trailing, trailing]
 
 
 def test_a_rewritten_state_file_is_parsed_again(tmp_path, monkeypatch):
