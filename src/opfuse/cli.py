@@ -32,7 +32,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError
 from .data import (CorpusError, LabelMapError, load_corpus, resolve_label_map,
                    validate_distribution)
-from .encoder import EncoderError, record_tokens
+from .encoder import EncoderError, tokenize
 from .evaluation import (EvaluationError, aggregate, f1_report,
                          read_predictions, write_predictions)
 from .graphs import structure_to_json
@@ -169,7 +169,7 @@ def cmd_export_graphs(args) -> int:
     corpus = load_corpus(args.data)
     lines = []
     for record in corpus.records:
-        graphs, _ = opinion_graphs([record], [record_tokens(record)])
+        graphs, _ = opinion_graphs([record], [tokenize(record.text)])
         lines.append(json.dumps(structure_to_json(record, [g.structure for g in graphs])))
     _emit("\n".join(lines), args.out)
     return EXIT_OK

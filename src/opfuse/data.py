@@ -128,31 +128,15 @@ class OpinionAnnotation:
             raise ValueError(f"unknown intensity {self.intensity!r}")
 
 
-@dataclass
-class RecordPlan:
-    """What the encoder and graph modules compute from a record with no parameter.
-
-    ``encoder.record_tokens`` and ``encoder.record_buckets`` fill the first
-    two, ``graphs.build_subgraph`` the last.  An opinion that yields no
-    graph is kept as its ``GraphEmpty`` message, never as the exception,
-    whose traceback would pin the frames (and the model) that raised it.
-    """
-
-    tokens: Optional[tuple[tuple[int, int], ...]] = None  # tokenize(record.text)
-    buckets: dict[int, tuple[int, ...]] = field(default_factory=dict)  # by vocab size
-    # token sequence -> opinion -> its OpinionGraph, or its GraphEmpty message
-    graphs: dict[tuple, dict[OpinionAnnotation, object]] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class Record:
     """One classification unit: text, emotion label, opinion annotations.
 
-    ``plan`` caches the record's parameter-free inputs (its tokens, its
-    hash buckets per vocabulary size, its opinion graphs per token
-    sequence) for as long as this record object lives.  It is not a field,
-    so equality, hashing, ``repr`` and ``dump_corpus`` ignore it, and a
-    pickle or copy leaves it behind and starts empty.
+    ``graphs`` keeps the record's opinion graphs for as long as this record
+    object lives: a token sequence maps to one slot per opinion, which
+    ``graphs.build_subgraph`` fills.  It is not a field, so equality,
+    hashing, ``repr`` and ``dump_corpus`` ignore it, and a pickle or copy
+    leaves it behind and starts empty.
     """
 
     id: str
@@ -174,11 +158,13 @@ class Record:
                         f"exceeds text length {len(self.text)}")
 
     @cached_property
-    def plan(self) -> RecordPlan:
-        return RecordPlan()
+    def graphs(self) -> dict[tuple, list]:
+        # token sequence -> per opinion: its OpinionGraph, its GraphEmpty message,
+        # or None until built
+        return {}
 
     def __getstate__(self) -> dict:
-        return {name: value for name, value in self.__dict__.items() if name != "plan"}
+        return {name: value for name, value in self.__dict__.items() if name != "graphs"}
 
 
 @dataclass

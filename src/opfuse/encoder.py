@@ -19,9 +19,8 @@ space the annotation spans use.
   exporting tokenizer's offsets and looked up by record id.  A zero-width
   token, as tokenizers export ``[CLS]``, anchors no span.
 
-What no parameter touches is computed once and kept.  A record's tokens
-and its hash buckets (per vocabulary size) live in ``Record.plan`` for as
-long as the record object does (``record_tokens``, ``record_buckets``).
+A record's tokens and hash buckets are computed on every call: they cost
+far less than one forward through the blocks that read them.
 ``read_encoder_states`` keeps the last file it parsed, keyed by the
 file's size and the CRC-32 of its bytes, which it reads on every call: a
 second read of the same contents (a sweep point, another ``train_model``
@@ -75,30 +74,8 @@ def hash_bucket(token_text: str, buckets: int) -> int:
     return zlib.crc32(token_text.encode("utf-8")) % buckets
 
 
-def _token_buckets(text: str, seq: TokenSequence, buckets: int) -> tuple[int, ...]:
-    return tuple(hash_bucket(text[start:end].lower(), buckets) for start, end in seq)
-
-
-def record_tokens(record: Record) -> TokenSequence:
-    """``tokenize(record.text)``, computed once per record object."""
-    plan = record.plan
-    if plan.tokens is None:
-        plan.tokens = tokenize(record.text)
-    return plan.tokens
-
-
-def record_buckets(record: Record, buckets: int) -> tuple[int, ...]:
-    """The buckets of ``record_tokens(record)``, once per record object and vocabulary size."""
-    ids = record.plan.buckets.get(buckets)
-    if ids is None:
-        ids = record.plan.buckets[buckets] = _token_buckets(
-            record.text, record_tokens(record), buckets)
-    return ids
-
-
-@functools.lru_cache(maxsize=256)
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
-    """(length, width) position table, read-only and kept for the 256 latest shapes.
+    """(length, width) position table.
 
     Each shape is computed in full rather than sliced from a longer table,
     so a table's bits never depend on which lengths came before.
@@ -106,14 +83,13 @@ def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     pos = np.arange(length, dtype=np.float64)[:, None]
     dim = np.arange(width, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (2.0 * np.floor(dim / 2.0)) / width)
-    enc = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-    enc.setflags(write=False)
-    return enc
+    return np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 @functools.lru_cache(maxsize=256)
 def _position_tensor(length: int, width: int) -> Tensor:
-    """``sinusoidal_positions`` as a constant Tensor, built and checked once per shape."""
+    """``sinusoidal_positions`` as a constant, read-only Tensor, built and
+    checked once per shape and kept for the 256 latest shapes."""
     return Tensor(sinusoidal_positions(length, width))
 
 
@@ -154,11 +130,10 @@ class ToyEncoder:
         return {f"encoder.{name}": p for name, p in self._params.items()}
 
     def encode(self, text: str, seq: TokenSequence) -> EncoderOutput:
-        return self._encode_buckets(_token_buckets(text, seq, self.vocab_buckets))
-
-    def _encode_buckets(self, buckets: Sequence[int]) -> EncoderOutput:
+        buckets = [hash_bucket(text[start:end].lower(), self.vocab_buckets)
+                   for start, end in seq]
         if not buckets:
-            buckets = (0,)  # synthetic padding token for empty input
+            buckets = [0]  # synthetic padding token for empty input
         x = ad.gather_rows(self._params["embedding"], buckets)
         x = ad.add(x, _position_tensor(len(buckets), self.width))
         scale = 1.0 / np.sqrt(self.head_dim)
@@ -172,8 +147,8 @@ class ToyEncoder:
         return EncoderOutput(hidden=x, pooled=pooled)
 
     def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
-        return (record_tokens(record),
-                self._encode_buckets(record_buckets(record, self.vocab_buckets)))
+        seq = tokenize(record.text)
+        return seq, self.encode(record.text, seq)
 
 
 ENC_MAGIC = b"OPFUSE-ENC-1\n"

@@ -11,12 +11,13 @@ parameter involved; ``PackedGraphs.pack`` collates a minibatch's graphs
 and computes all their node features at once.
 
 A graph is data, so ``build_subgraph`` builds it once per record object,
-token sequence and opinion, and keeps it in ``Record.plan`` for as long as
-the record object lives: its structure is frozen and its arrays read-only.
-Only a second pass over the same record object gains (a later epoch or
-dev predict, another ``train_model`` on the same ``Corpus``); a record
-loaded or unpickled anew starts with no graph.  An opinion with no graph
-keeps only its ``GraphEmpty`` message.  The
+token sequence and opinion position, and keeps it in ``Record.graphs`` for
+as long as the record object lives: its structure is frozen and its
+arrays read-only.  A kept lookup is one dict get by token sequence and one
+list index by position.  Only a second pass over the same record object
+gains (a later epoch or dev predict, another ``train_model`` on the same
+``Corpus``); a record loaded or unpickled anew starts with no graph.  An
+opinion with no graph keeps only its ``GraphEmpty`` message.  The
 warnings ``build_structure`` logs for a dropped node or a missing
 sentiment span therefore appear once per record object and token
 sequence, not once per forward.
@@ -193,19 +194,20 @@ def build_structure(record: Record, opinion: OpinionAnnotation,
     return GraphStructure(nodes=nodes, edges=tuple(edges), polarity=opinion.polarity)
 
 
-def build_subgraph(record: Record, opinion: OpinionAnnotation,
-                   seq: TokenSequence) -> OpinionGraph:
-    """The opinion's structure with its edge list and per-edge polarity ids.
+def build_subgraph(record: Record, index: int, seq: TokenSequence) -> OpinionGraph:
+    """Opinion ``index``'s structure with its edge list and per-edge polarity ids.
 
-    Built on the first call for this record object, ``seq`` and opinion;
+    Built on the first call for this record object, ``seq`` and position;
     later calls return the same graph, or raise a new ``GraphEmpty`` with
     the first one's message.
     """
-    kept = record.plan.graphs.setdefault(seq, {})
-    graph = kept.get(opinion)
+    kept = record.graphs.get(seq)
+    if kept is None:
+        kept = record.graphs[seq] = [None] * len(record.opinions)
+    graph = kept[index]
     if graph is None:
         try:
-            structure = build_structure(record, opinion, seq)
+            structure = build_structure(record, record.opinions[index], seq)
         except GraphEmpty as exc:
             graph = str(exc)  # the exception's traceback would pin its callers' frames
         else:
@@ -214,7 +216,7 @@ def build_subgraph(record: Record, opinion: OpinionAnnotation,
             edge_index.setflags(write=False)
             polarity.setflags(write=False)
             graph = OpinionGraph(structure, edge_index, polarity)
-        kept[opinion] = graph
+        kept[index] = graph
     if isinstance(graph, str):
         raise GraphEmpty(graph)
     return graph

@@ -194,16 +194,16 @@ def opinion_graphs(records: list[Record],
     (``GraphEmpty``) is skipped with a warning.
     """
     graphs, owners = [], []
-    for index, (record, seq) in enumerate(zip(records, seqs)):
-        for opinion in record.opinions:
+    for owner, (record, seq) in enumerate(zip(records, seqs)):
+        for index in range(len(record.opinions)):
             try:
-                graphs.append(build_subgraph(record, opinion, seq))
+                graphs.append(build_subgraph(record, index, seq))
             except GraphEmpty as exc:
                 # The message, not the exception: a log handler that keeps its
                 # records would otherwise keep this forward's frames alive.
                 log.warning("skipping opinion graph: %s", str(exc))
                 continue
-            owners.append(index)
+            owners.append(owner)
     return graphs, owners
 
 

@@ -229,7 +229,7 @@ def test_a_second_run_on_the_same_corpus_reuses_its_graphs_and_states(tmp_path, 
             (tmp_path / "first" / name).read_bytes(), name
 
 
-def test_the_kept_plans_do_not_keep_a_trained_model_alive(tmp_path):
+def test_the_kept_graphs_do_not_keep_a_trained_model_alive(tmp_path):
     """A skipped opinion keeps its message, not the raised ``GraphEmpty``,
     whose traceback would pin ``train_model``'s frame: the model, the
     optimizer and the tape."""
@@ -240,6 +240,6 @@ def test_the_kept_plans_do_not_keep_a_trained_model_alive(tmp_path):
     gc.collect()
     assert model() is None
     skipped = corpus.records[-1]
-    assert list(skipped.plan.graphs[skipped.plan.tokens].values()) == [
-        "record dev4: no opinion span could be anchored to tokens"]
-    assert all(record.plan.tokens for record in corpus.records)
+    assert list(skipped.graphs.values()) == [
+        ["record dev4: no opinion span could be anchored to tokens"]]
+    assert all(record.graphs for record in corpus.records if record.opinions)

@@ -97,21 +97,20 @@ def test_round_trip_serialization(tmp_path):
     assert path_a.read_text() == path_b.read_text()
 
 
-def test_a_records_plan_is_not_part_of_its_value(tmp_path):
-    """The kept tokens and graphs change no comparison, hash, dump or pickle."""
+def test_a_records_kept_graphs_are_not_part_of_its_value(tmp_path):
+    """The kept graphs change no comparison, hash, dump or pickle."""
     (record,) = parse_corpus([make_line()])[0].records
     (other,) = parse_corpus([make_line()])[0].records
     dump_corpus(Corpus([record]), tmp_path / "before.jsonl")
-    record.plan.tokens = ((0, 5),)
-    record.plan.graphs[((0, 5),)] = {record.opinions[0]: "no graph"}
+    record.graphs[((0, 5),)] = ["no graph"] * len(record.opinions)
     assert record == other and hash(record) == hash(other) and repr(record) == repr(other)
     dump_corpus(Corpus([record]), tmp_path / "after.jsonl")
     assert (tmp_path / "after.jsonl").read_bytes() == (tmp_path / "before.jsonl").read_bytes()
     assert pickle.dumps(record) == pickle.dumps(other)
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
-        assert twin == record and "plan" not in vars(twin)
-        assert twin.plan.tokens is None and twin.plan.graphs == {}
-    assert record.plan.tokens == ((0, 5),)
+        assert twin == record and "graphs" not in vars(twin)
+        assert twin.graphs == {}
+    assert list(record.graphs) == [((0, 5),)]
 
 
 def test_reference_corpus_matches_published_splits():

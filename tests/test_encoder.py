@@ -17,8 +17,7 @@ from opfuse.autodiff import Tape, Tensor
 from opfuse.data import Record, Span
 from opfuse.encoder import (ENC_MAGIC, EncoderError, EncoderOutput, FileEncoder, ToyEncoder,
                             _position_tensor, read_encoder_states, hash_bucket,
-                            record_buckets, record_tokens, sinusoidal_positions, tokenize,
-                            write_encoder_states)
+                            sinusoidal_positions, tokenize, write_encoder_states)
 
 from fuzzing import mutate
 
@@ -116,21 +115,13 @@ def test_encode_has_the_bits_of_the_composed_blocks(heads, layers, text):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-def test_position_tables_are_cached_with_the_bits_of_a_fresh_computation():
+def test_the_position_tensor_is_built_once_per_shape_with_the_table_bits():
     shapes = [(12, 64), (1, 64), (40, 64), (12, 8), (7, 6), (12, 64), (3, 8)]
     for length, width in shapes:
-        table = sinusoidal_positions(length, width)
-        assert table.tobytes() == sinusoidal_positions.__wrapped__(length, width).tobytes()
-        assert table.shape == (length, width) and not table.flags.writeable
-        assert sinusoidal_positions(length, width) is table
-
-
-def test_the_position_tensor_is_built_once_per_shape_with_the_table_bits():
-    for length, width in [(12, 64), (1, 64), (7, 6)]:
         positions = _position_tensor(length, width)
         assert _position_tensor(length, width) is positions
-        assert positions.data.tobytes() == sinusoidal_positions.__wrapped__(length,
-                                                                             width).tobytes()
+        assert positions.shape == (length, width)
+        assert positions.data.tobytes() == sinusoidal_positions(length, width).tobytes()
         assert not positions.requires_grad and not positions.data.flags.writeable
 
 
@@ -457,19 +448,12 @@ def test_offset_past_the_text_raises_encoder_error_naming_file_and_record(tmp_pa
                               "past the end of its 12-character text")
 
 
-def test_toy_encoder_keeps_each_records_tokens_and_buckets(monkeypatch):
+def test_toy_encoder_encodes_a_record_as_encode_does_its_tokens():
     rec = record("Tesla I'll buy back in")
     enc = make_encoder()
     seq, out = enc.encode_record(rec)
-    assert seq == tokenize(rec.text) and seq is record_tokens(rec)
-    assert record_buckets(rec, 64) == tuple(hash_bucket(rec.text[a:b].lower(), 64)
-                                            for a, b in seq)
+    assert seq == tokenize(rec.text)
     assert out.hidden.data.tobytes() == enc.encode(rec.text, seq).hidden.data.tobytes()
-    monkeypatch.setattr(encoder_mod, "tokenize", None)
-    monkeypatch.setattr(encoder_mod, "hash_bucket", None)
-    again_seq, again = enc.encode_record(rec)   # served from rec.plan
-    assert again_seq is seq and again.hidden.data.tobytes() == out.hidden.data.tobytes()
-    assert set(rec.plan.buckets) == {64}
 
 
 def count_parses(monkeypatch) -> list:

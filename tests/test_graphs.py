@@ -1,6 +1,7 @@
 """Opinion sub-graph construction: topology, fallbacks, packed node features, export."""
 
 import copy
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ def encoder_output(n_tokens, width=8, seed=0):
 
 def pack_one(rec, opinion, enc, seq, role_embedding=None):
     """One opinion's graph and its one-graph pack over a single record's rows."""
-    graph = build_subgraph(rec, opinion, seq)
+    graph = build_subgraph(dataclasses.replace(rec, opinions=(opinion,)), 0, seq)
     token_rows = np.zeros(enc.hidden.shape[0], dtype=np.intp)
     return graph, PackedGraphs.pack([graph], [0], enc.hidden, enc.pooled, token_rows,
                                     role_embedding)
@@ -89,7 +90,7 @@ def test_holder_target_sentiment_example():
         target=Span(0, 5),                     # "Tesla"
         sentiment_expression=Span(27, 34),     # "go Long"
         polarity="positive")
-    graph = build_subgraph(rec, opinion, seq)
+    graph = build_subgraph(dataclasses.replace(rec, opinions=(opinion,)), 0, seq)
     assert graph.num_nodes == 3
     assert graph.edge_index.tolist() == [list(e) for e in graph.structure.edges]
     assert len(graph.edge_index) == 4
@@ -216,9 +217,9 @@ def test_packed_node_features_match_span_pool_oracle(with_roles):
     role_table = Tensor(rng.standard_normal((len(ROLES), 8))) if with_roles else None
     graphs, owners = [], []
     for index, (record, (seq, _)) in enumerate(zip(records, encoded)):
-        for opinion in record.opinions:
+        for position in range(len(record.opinions)):
             try:
-                graphs.append(build_subgraph(record, opinion, seq))
+                graphs.append(build_subgraph(record, position, seq))
             except GraphEmpty:
                 continue
             owners.append(index)
@@ -262,7 +263,7 @@ def test_edge_polarity_ids():
         opinion = OpinionAnnotation(holder=span_over(seq, 0, 1),
                                     sentiment_expression=span_over(seq, 4, 5),
                                     target=span_over(seq, 2, 3), polarity=polarity)
-        graph = build_subgraph(rec, opinion, seq)
+        graph = build_subgraph(dataclasses.replace(rec, opinions=(opinion,)), 0, seq)
         assert graph.edge_polarity.dtype == np.intp
         assert graph.edge_polarity.tolist() == [index] * 4
 
@@ -358,7 +359,7 @@ def test_a_graph_is_built_once_per_record_object_and_sequence(monkeypatch):
     errors = []
     for _ in range(2):
         with pytest.raises(GraphEmpty) as err:
-            build_subgraph(rec, rec.opinions[2], seq)
+            build_subgraph(rec, 2, seq)
         errors.append(err.value)
     assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
     assert str(errors[0]) == "record r: no opinion span could be anchored to tokens"
@@ -369,6 +370,46 @@ def test_a_graph_is_built_once_per_record_object_and_sequence(monkeypatch):
                                                             "emotion", "opinions")})],
                    [seq])
     assert len(builds) == 9
+
+
+def test_a_second_pass_hashes_no_opinion_and_builds_nothing(monkeypatch):
+    """A kept graph is found by token sequence and opinion position alone."""
+    rec = logging_record()
+    seq = tokenize(rec.text)
+    first, _ = opinion_graphs([rec], [seq])
+    hashes, builds = [], []
+    opinion_hash = OpinionAnnotation.__hash__
+    monkeypatch.setattr(OpinionAnnotation, "__hash__",
+                        lambda self: hashes.append(self) or opinion_hash(self))
+    monkeypatch.setattr(graphs_mod, "build_structure", lambda *args: builds.append(args))
+    again, owners = opinion_graphs([rec], [seq])
+    assert owners == [0, 0] and all(a is b for a, b in zip(first, again))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(GraphEmpty) as err:
+            build_subgraph(rec, 2, seq)
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert str(errors[0]) == str(errors[1]) == rec.graphs[seq][2] == (
+        "record r: no opinion span could be anchored to tokens")
+    assert hashes == [] and builds == []
+
+
+def test_equal_opinions_keep_a_graph_each(monkeypatch):
+    builds = []
+    build = graphs_mod.build_structure
+    monkeypatch.setattr(graphs_mod, "build_structure",
+                        lambda *args: builds.append(args[1]) or build(*args))
+    text = "tesla will pump"
+    seq = tokenize(text)
+    opinion = OpinionAnnotation(target=span_over(seq, 0, 1),
+                                sentiment_expression=span_over(seq, 2, 3), polarity="positive")
+    rec = Record(id="r", split="train", text=text, emotion="optimism",
+                 opinions=(opinion, opinion))
+    graphs, owners = opinion_graphs([rec], [seq])
+    assert owners == [0, 0] and builds == [opinion, opinion]
+    assert rec.graphs[seq] == graphs and graphs[0] is not graphs[1]
+    assert graphs[0].structure == graphs[1].structure
 
 
 def test_span_warnings_log_once_per_record_and_sequence_skips_on_every_forward(caplog):
