@@ -19,8 +19,8 @@ space the annotation spans use.
   exporting tokenizer's offsets and looked up by record id.  A zero-width
   token, as tokenizers export ``[CLS]``, anchors no span.
 
-A record's tokens and hash buckets are computed on every call: they cost
-far less than one forward through the blocks that read them.
+A record's tokens and hash buckets are computed again on every call;
+nothing is kept per record.
 ``read_encoder_states`` keeps the last file it parsed, keyed by the
 file's size and the CRC-32 of its bytes, which it reads on every call: a
 second read of the same contents (a sweep point, another ``train_model``
