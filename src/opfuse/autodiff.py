@@ -147,6 +147,21 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
+def _wrap(arr: np.ndarray, requires_grad: bool) -> Tensor:
+    """A Tensor over the float64 array ``arr`` itself, not a copy; ``arr`` becomes read-only."""
+    out = Tensor.__new__(Tensor)
+    arr.setflags(write=False)
+    object.__setattr__(out, "data", arr)
+    object.__setattr__(out, "requires_grad", requires_grad)
+    return out
+
+
+def _adopt(arr: np.ndarray) -> Tensor:
+    """``Tensor(arr)`` without its copy: for float64 views into a read-only buffer."""
+    _check_finite("tensor construction", arr)
+    return _wrap(arr, False)
+
+
 def as_tensor(x) -> Tensor:
     """Wrap plain values as constant (non-gradient) tensors."""
     if isinstance(x, Tensor):
@@ -360,11 +375,7 @@ def _apply(name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...],
     if name not in _UNCHECKED:
         _check_finite(name, out_data, replay)
     requires = any(t.requires_grad for t in inputs)
-    out = Tensor.__new__(Tensor)
-    arr = np.asarray(out_data, dtype=np.float64)
-    arr.setflags(write=False)
-    object.__setattr__(out, "data", arr)
-    object.__setattr__(out, "requires_grad", requires)
+    out = _wrap(np.asarray(out_data, dtype=np.float64), requires)
     if requires:
         tape = active_tape()
         if tape is not None:

@@ -17,20 +17,17 @@ space the annotation spans use.
 * ``FileEncoder``: frozen per-record states exported from any external
   encoder, carried in an ``OPFUSE-ENC-1`` container together with the
   exporting tokenizer's offsets and looked up by record id.  A zero-width
-  token, as tokenizers export ``[CLS]``, anchors no span.
+  token, as tokenizers export ``[CLS]``, anchors no span.  The states
+  served are read-only views into the file's map, not copies.
 
 A record's tokens and hash buckets are computed again on every call;
 nothing is kept per record.
-``read_encoder_states`` keeps the last file it parsed, keyed by the
-file's size and the CRC-32 of its bytes, which it reads on every call: a
-second read of the same contents (a sweep point, another ``train_model``
-in the process) skips the parse, a file rewritten in place is parsed
-again, and a failed parse is never kept.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 import os
 import re
 import struct
@@ -173,7 +170,9 @@ def write_encoder_states(path: str | Path,
     Each entry is (record id, token offsets, hidden (T, d), pooled (d,) or (1, d)).
     Every entry is checked before the file is opened: a repeated record id,
     bad offsets and a non-finite hidden or pooled value are refused with the
-    messages ``read_encoder_states`` gives for them.
+    messages ``read_encoder_states`` gives for them.  The file is written
+    beside ``path`` (through a symlink) and then replaces it, so a map of the
+    old file keeps its bytes; truncating a mapped file would fault its reader.
     """
     seen = set()
     for rid, offsets, hidden, pooled in entries:
@@ -189,90 +188,71 @@ def write_encoder_states(path: str | Path,
         _text_end(path, f"record {rid!r}", offsets)
         if not (np.isfinite(hidden).all() and np.isfinite(pooled).all()):
             raise EncoderError(f"{path}: non-finite states in record {rid!r}")
-    with open(path, "wb") as fh:
-        fh.write(ENC_MAGIC)
-        fh.write(struct.pack("<q", len(entries)))
-        for rid, offsets, hidden, pooled in entries:
-            hidden = np.ascontiguousarray(hidden, dtype="<f8")
-            rid_bytes = rid.encode("utf-8")
-            fh.write(struct.pack("<q", len(rid_bytes)))
-            fh.write(rid_bytes)
-            fh.write(struct.pack("<qq", hidden.shape[1], hidden.shape[0]))
-            for start, end in offsets:
-                fh.write(struct.pack("<qq", start, end))
-            fh.write(hidden.tobytes())
-            fh.write(np.ascontiguousarray(pooled, dtype="<f8").tobytes())
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(ENC_MAGIC)
+            fh.write(struct.pack("<q", len(entries)))
+            for rid, offsets, hidden, pooled in entries:
+                hidden = np.ascontiguousarray(hidden, dtype="<f8")
+                rid_bytes = rid.encode("utf-8")
+                fh.write(struct.pack("<q", len(rid_bytes)))
+                fh.write(rid_bytes)
+                fh.write(struct.pack("<qq", hidden.shape[1], hidden.shape[0]))
+                for start, end in offsets:
+                    fh.write(struct.pack("<qq", start, end))
+                fh.write(hidden.tobytes())
+                fh.write(np.ascontiguousarray(pooled, dtype="<f8").tobytes())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
 class StoredStates:
     offsets: TokenSequence
     text_end: int        # the largest end offset, so the least text length; 0 without tokens
-    hidden: Tensor       # (|T|, d), read-only, served as it is on every call
+    hidden: Tensor       # (|T|, d), a read-only view into the file's map
     pooled: Tensor       # (1, d), likewise
-
-
-# The last file parsed: ((its size, the CRC-32 of its bytes), its records).
-# One slot, so the process keeps at most one parse, as one FileEncoder did.
-_LAST_STATES: tuple[tuple[int, int], Mapping[str, StoredStates]] | None = None
-
-
-def _crc32(fh, crc: int = 0) -> int:
-    """``crc`` carried over the rest of the file."""
-    while chunk := fh.read(1 << 20):
-        crc = zlib.crc32(chunk, crc)
-    return crc
 
 
 def read_encoder_states(path: str | Path) -> Mapping[str, StoredStates]:
     """The file's records by id, as a mapping that cannot be changed.
 
-    A file with the size and CRC-32 of the last one parsed gets that
-    parse's mapping again; any other file is parsed, and its mapping
-    replaces the kept one.  A file that fails to parse raises on every read.
-    The parse checksums what it reads, so only a file of the kept size is
-    read twice, and only when its bytes differ.
+    The file is mapped read-only, and each record's hidden and pooled
+    states are views into the map, which lives as long as any of them.
     """
-    global _LAST_STATES
     with open(path, "rb") as fh:
-        size, kept = os.fstat(fh.fileno()).st_size, _LAST_STATES
-        if kept is not None and kept[0][0] == size:
-            if kept[0][1] == _crc32(fh):
-                return kept[1]
-            fh.seek(0)
-        _LAST_STATES = None  # frees the old parse first, and keeps no failed one
-        parsed, crc = _parse_encoder_states(path, fh, size)
-    records = MappingProxyType(parsed)
-    _LAST_STATES = (size, crc), records
-    return records
+        # Checked before mapping, as an empty file cannot be mapped.
+        if fh.read(len(ENC_MAGIC)) != ENC_MAGIC:
+            raise EncoderError(f"{path}: not an OPFUSE-ENC-1 state file")
+        view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+    return MappingProxyType(_parse_encoder_states(path, view))
 
 
-def _parse_encoder_states(path: str | Path, fh,
-                          size: int) -> tuple[dict[str, StoredStates], int]:
-    """The file's records, and the CRC-32 of all the bytes it read."""
+def _parse_encoder_states(path: str | Path, view: memoryview) -> dict[str, StoredStates]:
+    """The records of a state file mapped as ``view``, past its magic."""
     records: dict[str, StoredStates] = {}
-    magic = fh.read(len(ENC_MAGIC))
-    if magic != ENC_MAGIC:
-        raise EncoderError(f"{path}: not an OPFUSE-ENC-1 state file")
-    left, crc = size - len(ENC_MAGIC), zlib.crc32(magic)
+    pos = len(ENC_MAGIC)
 
-    def read(n: int, what: str) -> bytes:
+    def read(n: int, what: str) -> memoryview:
         # Lengths come from the file: a corrupt one may be negative or
         # huge, so it is checked against what is left before reading.
-        nonlocal left, crc
-        data = fh.read(n) if 0 <= n <= left else b""
-        if len(data) != n:
+        nonlocal pos
+        if not 0 <= n <= len(view) - pos:
             raise EncoderError(f"{path}: truncated {what}")
-        left -= n
-        crc = zlib.crc32(data, crc)
-        return data
+        pos += n
+        return view[pos - n:pos]
 
     (count,) = struct.unpack("<q", read(8, "record count"))
     for index in range(count):
         where = f"record #{index}"
         (rid_len,) = struct.unpack("<q", read(8, f"id length of {where}"))
         try:
-            rid = read(rid_len, f"id of {where}").decode("utf-8")
+            rid = str(read(rid_len, f"id of {where}"), "utf-8")
         except UnicodeDecodeError as exc:
             raise EncoderError(f"{path}: id of {where} is not UTF-8") from exc
         if rid in records:
@@ -287,17 +267,22 @@ def _parse_encoder_states(path: str | Path, fh,
         hidden = np.frombuffer(hidden, dtype="<f8").reshape(n_tokens, width)
         pooled = np.frombuffer(pooled, dtype="<f8").reshape(1, width)
         try:
-            # Each Tensor copies its array out of the file buffer once and checks it.
-            hidden, pooled = Tensor(hidden), Tensor(pooled)
+            hidden, pooled = ad._adopt(hidden), ad._adopt(pooled)
         except NonFiniteError as exc:
             raise EncoderError(f"{path}: non-finite states in {where}") from exc
         records[rid] = StoredStates(offsets=offsets, text_end=text_end,
                                     hidden=hidden, pooled=pooled)
-    return records, _crc32(fh, crc)  # bytes past the last record count too
+    return records
 
 
 class FileEncoder:
-    """Frozen provider backed by an exported state file, keyed by record id."""
+    """Frozen provider backed by an exported state file, keyed by record id.
+
+    It maps the file once, read-only, and serves each record's states as
+    views into that map, which lives as long as this encoder or any state it
+    served.  A file rewritten by ``write_encoder_states`` is a new file: this
+    map keeps the old bytes, and a new ``FileEncoder`` reads the new ones.
+    """
 
     def __init__(self, path: str | Path, width: int):
         self.path = str(path)

@@ -380,6 +380,29 @@ def test_train_truncated_encoder_states_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "truncated" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("blob", [b"", b"OPFUS"])
+def test_train_on_an_empty_or_short_state_file_exits_2_with_one_line(tmp_path, capsys, blob):
+    data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
+    config = states_config(tmp_path, data)
+    states = tmp_path / "states.bin"
+    states.write_bytes(blob)
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {states}: not an OPFUSE-ENC-1 state file\n"
+
+
+def test_train_on_a_directory_as_state_file_exits_1_with_one_line(tmp_path, capsys):
+    data = small_corpus_file(tmp_path, n_train=8, n_dev=4)
+    config = states_config(tmp_path, data)
+    states = tmp_path / "states.bin"
+    states.unlink()
+    states.mkdir()
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(states) in err and err.count("\n") == 1, err
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "opfuse.cli", *map(str, args)],
                           capture_output=True, text=True)
