@@ -234,6 +234,10 @@ def test_writer_bytes_match_the_raw_layout(tmp_path):
     write_encoder_states(tmp_path / "states.bin", entries)
     raw_encoder_states(tmp_path / "raw.bin", entries)
     assert (tmp_path / "states.bin").read_bytes() == (tmp_path / "raw.bin").read_bytes()
+    (tmp_path / "link.bin").symlink_to(tmp_path / "raw.bin")
+    write_encoder_states(tmp_path / "link.bin", entries[:1])    # written through the link
+    assert (tmp_path / "link.bin").is_symlink()
+    assert list(read_encoder_states(tmp_path / "raw.bin")) == ["r1"]
 
 
 def test_file_encoder_serves_the_states_it_read_once(tmp_path):
