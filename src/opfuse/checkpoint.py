@@ -5,8 +5,6 @@ parameter names and shapes in order, then the raw little-endian float64
 payloads concatenated in the same order.
 
 Per-head weights are stored stacked, as ``P.N`` with a leading head axis.
-Files written before that stored one ``P.h{k}.N`` entry per head; the
-reader stacks those back into ``P.N``.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +19,6 @@ import numpy as np
 from .autodiff import Tensor
 
 MAGIC = b"OPFUSE-CKPT-1\n"
-_LEGACY_HEAD = re.compile(r"(.+)\.h(0|[1-9][0-9]*)\.([^.]+)")
 
 
 class CheckpointError(Exception):
@@ -74,21 +70,6 @@ def _read_manifest(path, header: bytes) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-def _stack_legacy_heads(path, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Stack per-head ``P.h{k}.N`` entries into one ``P.N`` with a leading head axis."""
-    groups: dict[str, dict[int, np.ndarray]] = {}
-    for name in list(arrays):
-        if match := _LEGACY_HEAD.fullmatch(name):
-            groups.setdefault(f"{match[1]}.{match[3]}", {})[int(match[2])] = arrays.pop(name)
-    for name, heads in groups.items():
-        if (name in arrays or sorted(heads) != list(range(len(heads)))
-                or len({arr.shape for arr in heads.values()}) != 1):
-            raise CheckpointError(f"{path}: per-head entries of {name!r} have a gap, "
-                                  f"ragged shapes or a stacked duplicate")
-        arrays[name] = np.stack([heads[k] for k in range(len(heads))])
-    return arrays
-
-
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -114,7 +95,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             out[name] = arr
         if left:
             raise CheckpointError(f"{path}: {left} bytes after the last payload")
-    return _stack_legacy_heads(path, out)
+    return out
 
 
 def restore_into(params: dict[str, Tensor], values: dict[str, np.ndarray]) -> None:

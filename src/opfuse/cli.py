@@ -77,11 +77,8 @@ def cmd_ingest(args) -> int:
     if not corpus.records:
         _emit("0 records", args.out)
         return EXIT_OK
-    report = validate_distribution(corpus)
-    sizes = corpus.split_sizes()
-    lines = [f"train {sizes['train']} / dev {sizes['dev']} / test {sizes['test']}",
-             report.to_text()]
-    _emit("\n".join(lines), args.out)
+    # The report's first line is the split sizes.
+    _emit(validate_distribution(corpus).to_text(), args.out)
     return EXIT_OK
 
 

@@ -31,6 +31,8 @@ def load_json(path: str | Path, error: Callable[[str], Exception]):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise error("invalid JSON (nested too deeply)") from exc
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8 text ({exc.reason})") from exc
 
@@ -217,6 +219,15 @@ def _parse_record(obj: dict, line_no: int, issues: list[str]) -> Optional[Record
     if not isinstance(obj["text"], str):
         issues.append(f"{where}: field 'text' must be a string")
         return None
+    for key in ("id", "text"):
+        # Ids and token texts are written and hashed as UTF-8, which cannot
+        # encode a lone surrogate (a "\ud800" escape).
+        try:
+            obj[key].encode("utf-8")
+        except UnicodeEncodeError:
+            issues.append(f"{where}: field '{key}' holds a lone surrogate, "
+                          "which UTF-8 cannot encode")
+            return None
     if obj["emotion"] not in EMOTIONS:
         issues.append(f"{where}: field 'emotion' has unknown label {obj['emotion']!r}")
         return None
@@ -271,6 +282,9 @@ def parse_corpus(lines: Iterable[str]) -> tuple[Corpus, list[str]]:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             issues.append(f"line {line_no}: invalid JSON ({exc.msg})")
+            continue
+        except RecursionError:
+            issues.append(f"line {line_no}: invalid JSON (nested too deeply)")
             continue
         record = _parse_record(obj, line_no, issues)
         if record is None:

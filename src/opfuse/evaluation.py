@@ -44,6 +44,8 @@ def read_predictions(path: str | Path) -> list[Prediction]:
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise EvaluationError(f"{path} line {line_no}: invalid JSON ({exc.msg})")
+            except RecursionError:
+                raise EvaluationError(f"{path} line {line_no}: invalid JSON (nested too deeply)")
             if not isinstance(obj, dict):
                 raise EvaluationError(f"{path} line {line_no}: not a JSON object")
             for key in ("id", "gold", "pred"):

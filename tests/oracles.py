@@ -13,8 +13,11 @@ projection are composed from the separate primitives, one tape node per
 array op, as the fused primitives must reproduce bit for bit.
 Adam is replayed densely over every cell, and the checkpoint layout is
 rebuilt with a fresh float64 copy of every payload.  Encoder-state files are
-written field by field with no check at all, so a test can write what the
-reader must refuse.
+written and read field by field with no check at all, so a test can write
+what the reader must refuse.
+The whole model's logits are recomputed from its parameter arrays in plain
+numpy, record by record, opinion by opinion, node by node and head by head,
+with no tape, packing or batching.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import numpy as np
 
 import opfuse.autodiff as ad
 from opfuse.autodiff import Tensor
-from opfuse.data import Span
-from opfuse.encoder import hash_bucket, sinusoidal_positions
+from opfuse.data import POLARITIES, Span
+from opfuse.encoder import hash_bucket, sinusoidal_positions, tokenize
+from opfuse.graphs import ROLES, STAR_TOPOLOGY
 
 
 def numeric_gradient(f, param: Tensor, eps: float = 1e-5) -> np.ndarray:
@@ -283,3 +287,176 @@ def raw_encoder_states(path, entries) -> None:
                 np.asarray(pooled, dtype=np.float64).astype("<f8").tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(out))
+
+
+def read_raw_encoder_states(path) -> dict[str, tuple[list, np.ndarray, np.ndarray]]:
+    """Each id's (offsets, hidden, pooled) in an ``OPFUSE-ENC-1`` file, unchecked.
+
+    The inverse of ``raw_encoder_states``; ``pooled`` is a (width,) row.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    pos = len(b"OPFUSE-ENC-1\n")
+
+    def take(fmt):
+        nonlocal pos
+        values = struct.unpack_from(fmt, raw, pos)
+        pos += struct.calcsize(fmt)
+        return values
+
+    def floats(count):
+        nonlocal pos
+        values = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
+        pos += 8 * count
+        return values
+
+    states = {}
+    for _ in range(take("<q")[0]):
+        (rid_len,) = take("<q")
+        rid = raw[pos:pos + rid_len].decode("utf-8")
+        pos += rid_len
+        width, n_tokens = take("<qq")
+        offsets = [take("<qq") for _ in range(n_tokens)]
+        hidden = floats(n_tokens * width).reshape(n_tokens, width)
+        states[rid] = (offsets, hidden, floats(width))
+    return states
+
+
+# Node role -> the annotation field holding its span.
+_ROLE_FIELD = {"holder": "holder", "sentiment": "sentiment_expression", "target": "target",
+               "qualifier": "qualifier", "aspect": "aspect_term"}
+
+
+def _reference_toy_hidden(p: dict, encoder, text: str, seq) -> np.ndarray:
+    """Toy encoder token states: hashed embeddings plus positions, then per
+    layer ``x + attention(x)`` and ``x + (leaky(x·w1 + b1)·w2 + b2)``."""
+    buckets = [hash_bucket(text[start:end].lower(), encoder.vocab_buckets)
+               for start, end in seq] or [0]  # one padding token for empty text
+    x = p["encoder.embedding"][buckets] + sinusoidal_positions(len(buckets), encoder.width)
+    for layer in range(encoder.layers):
+        w = {name: p[f"encoder.block{layer}.{name}"] for name in
+             ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")}
+        x = x + self_attention_reference(x, list(w["wq"]), list(w["wk"]), list(w["wv"]),
+                                         w["wo"])
+        inner = x @ w["ffn_w1"] + w["ffn_b1"][0]
+        x = x + (np.where(inner >= 0, inner, 0.2 * inner) @ w["ffn_w2"] + w["ffn_b2"][0])
+    return x
+
+
+def _reference_graph(opinion, seq, hidden: np.ndarray, pooled: np.ndarray,
+                     role_rows: np.ndarray | None):
+    """One opinion's node features and (source, target) edges, or None when
+    no span shares a character with any token.
+
+    A span node's feature is the mean of the tokens it shares a character
+    with; a missing or unanchored sentiment node falls back to the pooled row.
+    """
+    features = {}
+    for role in ROLES:
+        span = getattr(opinion, _ROLE_FIELD[role])
+        if span is None:
+            continue
+        anchored = [i for i, (start, end) in enumerate(seq)
+                    if start < end and start < span.end and span.start < end]
+        if anchored:
+            features[role] = hidden[anchored].mean(axis=0)
+    if not features:
+        return None
+    features.setdefault("sentiment", pooled)
+    roles = [role for role in ROLES if role in features]
+    edges = []
+    for role, partner, fallback in STAR_TOPOLOGY:
+        other = partner if partner in features else fallback
+        if role in features and other in features:
+            i, j = roles.index(role), roles.index(other)
+            edges += [(i, j), (j, i)]
+    rows = [features[role] + (0.0 if role_rows is None else role_rows[ROLES.index(role)])
+            for role in roles]
+    return np.array(rows), edges
+
+
+def _reference_gat_layer(h: np.ndarray, edges, polarity: int, p: dict, prefix: str,
+                         slope: float) -> np.ndarray:
+    """One GATv2 layer, node by node and head by head.
+
+    Node ``i`` attends to its out-edge targets, each edge carrying Θ_e's
+    column for ``polarity``, and to itself with no edge term; its output
+    concatenates, per head, the softmax-weighted sum of Θ_t h_j.
+    """
+    theta_s, theta_t, theta_e, attn = (p[f"{prefix}.{name}"] for name in
+                                       ("theta_s", "theta_t", "theta_e", "attn"))
+    out = []
+    for i in range(len(h)):
+        neighbours = [(j, theta_e[:, :, polarity]) for src, j in edges if src == i]
+        neighbours.append((i, np.zeros(theta_e.shape[:2])))
+        per_head = []
+        for k in range(theta_s.shape[0]):
+            scores, messages = [], []
+            for j, edge_term in neighbours:
+                pre = theta_s[k] @ h[i] + theta_t[k] @ h[j] + edge_term[k]
+                scores.append(attn[k, :, 0] @ np.where(pre >= 0, pre, slope * pre))
+                messages.append(theta_t[k] @ h[j])
+            weights = np.exp(np.array(scores) - max(scores))
+            per_head.append(weights @ np.array(messages) / weights.sum())
+        out.append(np.concatenate(per_head))
+    return np.array(out)
+
+
+def _reference_fuse(kind: str, p: dict, h_seq: np.ndarray, h_graph: np.ndarray,
+                    hidden: np.ndarray) -> np.ndarray:
+    """``cat``, ``gate`` or ``attn`` fusion of one record's (d,) rows."""
+    if kind == "attn":
+        scores = hidden @ h_graph / np.sqrt(len(h_seq))
+        if not len(scores):
+            return np.zeros_like(h_seq)
+        weights = np.exp(scores - scores.max())
+        return weights @ hidden / weights.sum()
+    z = np.concatenate([h_seq, h_graph]) @ p[f"fusion.{kind}.weight"] + p[f"fusion.{kind}.bias"][0]
+    if kind == "cat":
+        return z
+    gate = 1.0 / (1.0 + np.exp(-z))
+    return gate * h_seq + (1.0 - gate) * h_graph
+
+
+def reference_logits(model, records) -> np.ndarray:
+    """(len(records), classes) logits of ``model``, one record at a time.
+
+    Each record is encoded (toy encoder, or its rows read back from the
+    state file), each of its opinions becomes a star graph run through every
+    GAT layer and sum-pooled, the record's graph vector is the mean of those
+    readouts (zero without one), and fusion, the residual
+    ``H_seq + α_res · H_f`` and the head follow on its own rows.
+    """
+    config = model.config
+    p = {name: tensor.data for name, tensor in model.parameters().items()}
+    states = (read_raw_encoder_states(config.encoder.states_path)
+              if config.encoder.provider == "file" else None)
+    role_rows = p.get("role_embedding")
+    logits = []
+    for record in records:
+        if states is None:
+            seq = tokenize(record.text)
+            hidden = _reference_toy_hidden(p, config.encoder, record.text, seq)
+            pooled = hidden.mean(axis=0)
+        else:
+            seq, hidden, pooled = states[record.id]
+        h = pooled
+        if config.architecture == "fused":
+            readouts = []
+            for opinion in record.opinions:
+                graph = _reference_graph(opinion, seq, hidden, pooled, role_rows)
+                if graph is None:
+                    continue
+                nodes, edges = graph
+                for depth in range(config.gat.depth):
+                    nodes = _reference_gat_layer(nodes, edges,
+                                                 POLARITIES.index(opinion.polarity), p,
+                                                 f"gat.l{depth}", config.gat.leaky_slope)
+                readouts.append(nodes.sum(axis=0))
+            width = config.gat.heads * config.gat.out_dim
+            graph_vec = np.mean(readouts, axis=0) if readouts else np.zeros(width)
+            h_graph = graph_vec @ p["fusion.graph_projection"]
+            fused = _reference_fuse(config.fusion.type, p, pooled, h_graph, hidden)
+            h = pooled + config.fusion.alpha_res * fused
+        logits.append(h @ p["head.weight"] + p["head.bias"][0])
+    return np.array(logits)

@@ -65,7 +65,7 @@ def config_file(tmp_path, **overrides):
 def test_ingest_reference_corpus(reference_corpus_path, capsys):
     assert main(["ingest", "--data", str(reference_corpus_path)]) == 0
     out = capsys.readouterr().out
-    assert "train 8000 / dev 1000 / test 1000" in out
+    assert out.count("train 8000 / dev 1000 / test 1000") == 1
 
 
 def test_ingest_missing_file(tmp_path, capsys):
@@ -633,38 +633,61 @@ def test_sweep_invalid_grid_point_exits_2_with_parallel_jobs(tmp_path):
 
 
 def exit_policy_files(tmp_path):
-    """Valid inputs for every command plus one malformed input of each kind."""
+    """Valid inputs for every command plus malformed inputs of each kind."""
     files = {"missing": tmp_path / "missing.jsonl", "data": small_corpus_file(tmp_path),
              "config": config_file(tmp_path), "space": tmp_path / "space.json",
              "bad_corpus": tmp_path / "bad.jsonl", "empty_corpus": tmp_path / "empty.jsonl",
-             "bad_pred": tmp_path / "bad_preds.jsonl", "bad_map": tmp_path / "map.json"}
+             "bad_pred": tmp_path / "bad_preds.jsonl", "bad_map": tmp_path / "map.json",
+             "deep": tmp_path / "deep.json"}
     files["pred"], _ = write_prediction_files(tmp_path)
     files["space"].write_text('{"batch_size": [8], "gat_out_dim": [96], "gat_heads": [2]}',
                               encoding="utf-8")
-    files["bad_corpus"].write_text("{broken\n[1]\n", encoding="utf-8")
+    # One JSON value nested past the parser's recursion limit, on one line.
+    deep = "[" * 100_000 + "]" * 100_000
+    # A text no UTF-8 writer or token hash can encode: a lone surrogate.
+    surrogate = json.dumps({"id": "s", "split": "train", "text": "bulls \ud800 run",
+                            "emotion": "anger"})
+    files["bad_corpus"].write_text("\n".join(["{broken", "[1]", deep, surrogate]) + "\n",
+                                   encoding="utf-8")
     files["empty_corpus"].write_text("", encoding="utf-8")
     files["bad_pred"].write_text('{"id": 5, "gold": "anger", "pred": "anger"}\n',
                                  encoding="utf-8")
     files["bad_map"].write_text('{"name": "m", "mapping": []}', encoding="utf-8")
+    files["deep"].write_text(deep + "\n", encoding="utf-8")
     (tmp_path / "file").mkdir()
     files["states_config"] = truncated_states_config(tmp_path / "file", files["data"])
     return files
 
 
-# command -> (arguments naming one missing input, arguments naming one malformed input)
+# The lines ``bad_corpus`` fails with: the header and one per malformed line.
+BAD_CORPUS_LINES = ["error: corpus validation failed:",
+                    "  line 1: invalid JSON (Expecting property name enclosed in double "
+                    "quotes)",
+                    "  line 2: record must be a JSON object",
+                    "  line 3: invalid JSON (nested too deeply)",
+                    "  line 4: field 'text' holds a lone surrogate, which UTF-8 cannot encode"]
+
+# command -> (arguments naming one missing input, arguments naming each malformed input)
 EXIT_POLICY_CASES = {
-    "ingest": (["--data", "missing"], ["--data", "bad_corpus"]),
-    "stats": (["--data", "missing"], ["--data", "empty_corpus"]),
+    "ingest": (["--data", "missing"], [["--data", "bad_corpus"]]),
+    "stats": (["--data", "missing"], [["--data", "empty_corpus"], ["--data", "bad_corpus"]]),
     "train": (["--config", "config", "--data", "missing", "--out", "out"],
-              ["--config", "states_config", "--data", "data", "--out", "out"]),
-    "eval": (["--pred", "missing"], ["--pred", "bad_pred"]),
-    "aggregate": (["--pred", "pred", "--map", "missing"], ["--pred", "pred", "--map", "bad_map"]),
+              [["--config", "states_config", "--data", "data", "--out", "out"],
+               ["--config", "deep", "--data", "data", "--out", "out"],
+               ["--config", "config", "--data", "bad_corpus", "--out", "out"]]),
+    "eval": (["--pred", "missing"],
+             [["--pred", "bad_pred"], ["--pred", "deep"], ["--pred", "pred", "--map", "deep"]]),
+    "aggregate": (["--pred", "pred", "--map", "missing"],
+                  [["--pred", "pred", "--map", "bad_map"], ["--pred", "pred", "--map", "deep"]]),
     "compare": (["--pred-a", "pred", "--pred-b", "missing"],
-                ["--pred-a", "pred", "--pred-b", "bad_pred"]),
+                [["--pred-a", "pred", "--pred-b", "bad_pred"],
+                 ["--pred-a", "pred", "--pred-b", "deep"]]),
     "sweep": (["--config", "missing", "--data", "data", "--out", "out", "--budget", "1"],
-              ["--config", "states_config", "--data", "data", "--out", "out", "--budget", "1",
-               "--space", "space"]),
-    "export-graphs": (["--data", "missing"], ["--data", "bad_corpus"]),
+              [["--config", "states_config", "--data", "data", "--out", "out", "--budget", "1",
+                "--space", "space"],
+               ["--config", "config", "--data", "data", "--out", "out", "--budget", "1",
+                "--space", "deep"]]),
+    "export-graphs": (["--data", "missing"], [["--data", "bad_corpus"]]),
 }
 
 
@@ -672,18 +695,18 @@ EXIT_POLICY_CASES = {
 def test_exit_code_policy(tmp_path, capsys, command):
     files = exit_policy_files(tmp_path)
     files["out"] = tmp_path / "out"
-    missing, malformed = ([str(files.get(arg, arg)) for arg in args]
-                          for args in EXIT_POLICY_CASES[command])
-    assert main([command, *missing]) == 1
+    missing, malformed = EXIT_POLICY_CASES[command]
+    assert main([command, *(str(files.get(arg, arg)) for arg in missing)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot read or write {files['missing']}: " \
                   "No such file or directory\n", err
-    assert main([command, *malformed]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    if lines[0] == "error: corpus validation failed:":
-        assert len(lines) == 3 and all(line.startswith("  line ") for line in lines[1:])
-    else:
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for args in malformed:
+        assert main([command, *(str(files.get(arg, arg)) for arg in args)]) == 2, args
+        lines = capsys.readouterr().err.splitlines()
+        if "bad_corpus" in args:
+            assert lines == BAD_CORPUS_LINES
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @pytest.mark.parametrize("offset", ['"0"', "0.7", "true", "1e400", "null"])
