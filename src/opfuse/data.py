@@ -200,6 +200,11 @@ def _parse_span(value, where: str, issues: list[str]) -> Optional[Span]:
         return None
 
 
+def _utf8_encodable(value: str) -> bool:
+    # Corpora are written, and texts hashed, as UTF-8: it cannot encode a lone surrogate.
+    return value.encode("utf-8", "replace").decode("utf-8") == value
+
+
 def _parse_record(obj: dict, line_no: int, issues: list[str]) -> Optional[Record]:
     where = f"line {line_no}"
     if not isinstance(obj, dict):
@@ -220,11 +225,7 @@ def _parse_record(obj: dict, line_no: int, issues: list[str]) -> Optional[Record
         issues.append(f"{where}: field 'text' must be a string")
         return None
     for key in ("id", "text"):
-        # Ids and token texts are written and hashed as UTF-8, which cannot
-        # encode a lone surrogate (a "\ud800" escape).
-        try:
-            obj[key].encode("utf-8")
-        except UnicodeEncodeError:
+        if not _utf8_encodable(obj[key]):
             issues.append(f"{where}: field '{key}' holds a lone surrogate, "
                           "which UTF-8 cannot encode")
             return None
@@ -250,6 +251,9 @@ def _parse_record(obj: dict, line_no: int, issues: list[str]) -> Optional[Record
             value = raw.get(name)
             if value is not None and not isinstance(value, str):
                 issues.append(f"{op_where} field '{name}': must be a string or null")
+            elif value and not _utf8_encodable(value):
+                issues.append(f"{op_where} field '{name}': holds a lone surrogate, "
+                              "which UTF-8 cannot encode")
             labels[name] = value or ""
         try:
             opinions.append(OpinionAnnotation(

@@ -227,6 +227,21 @@ def test_non_string_opinion_labels_rejected_with_line(field, value):
                       "must be a string or null"]
 
 
+@pytest.mark.parametrize("field", ["aspect_category", "target_entity"])
+def test_lone_surrogate_in_opinion_label_rejected_with_line(tmp_path, field):
+    # A label that UTF-8 cannot encode would load and then fail dump_corpus.
+    line = json.loads(make_line())
+    line["opinions"][0][field] = "Tesla \ud800"
+    corpus, issues = parse_corpus([json.dumps(line)])
+    assert len(corpus) == 0
+    assert issues == [f"line 1 (record r1, opinion 0) field '{field}': "
+                      "holds a lone surrogate, which UTF-8 cannot encode"]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError):
+        load_corpus(path)
+
+
 def test_null_opinion_labels_read_as_empty():
     line = json.loads(make_line())
     line["opinions"][0].update(aspect_category=None, target_entity=None)

@@ -301,6 +301,23 @@ def test_malformed_manifest_raises_checkpoint_error(tmp_path, header):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("entries", [
+    [("p.h0.w", [2]), ("p.h2.w", [2])],   # gap in k
+    [("p.h0.w", [2]), ("p.h1.w", [3])],   # ragged shapes
+    [("p.h0.w", [2]), ("p.w", [1, 2])],   # a head name beside its stacked name
+])
+def test_per_head_names_load_as_written(tmp_path, entries):
+    # The reader does not regroup ``P.h{k}.N`` names, so none of these is an error.
+    path = tmp_path / "per_head.ckpt"
+    size = sum(int(np.prod(shape)) for _, shape in entries)
+    payload = np.arange(size, dtype=np.float64)
+    path.write_bytes(checkpoint_bytes([{"name": n, "shape": s} for n, s in entries],
+                                      payload.tobytes()))
+    arrays = load_checkpoint(path)
+    assert [(name, list(arr.shape)) for name, arr in arrays.items()] == entries
+    assert np.array_equal(np.concatenate([arr.ravel() for arr in arrays.values()]), payload)
+
+
 def test_trailing_bytes_and_non_finite_payload_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     manifest = [{"name": "w", "shape": [2]}]
