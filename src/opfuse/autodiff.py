@@ -23,14 +23,10 @@ points:
   ``Tape.backward`` when no node does (a leaf); a leaf's row parts are
   checked part by part.  Every backward failure reads ``backward produced
   non-finite values``.
-* ``attention_block`` and ``ffn_block`` are the toy encoder's two residual
-  blocks, each one tape node where the composed primitives would record
-  twelve and six.  They run the composed path's numpy ops in its order, so
-  outputs and gradients keep its bits.  Forward checks the block output,
-  and the attention scores as they enter the softmax; when a check fails,
-  the composed path's checks are replayed in its order, so the error names
-  the op the composed path names.  ``project_heads`` is GAT's per-head
-  projection as one node, likewise.
+* ``node`` records a node whose output and backward the caller computed,
+  as the toy encoder records one node per minibatch.  ``project_heads`` is
+  GAT's per-head projection as one node, with the bits of the composed
+  primitives.
 * ``gather_rows`` hands back a row-sparse gradient (indices plus rows);
   ``Tape.backward`` sums a tensor's row parts into one dense array only
   when that array is needed, so a table gathered by every record of a
@@ -374,6 +370,17 @@ def _apply(name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...],
     """
     if name not in _UNCHECKED:
         _check_finite(name, out_data, replay)
+    return node(out_data, inputs, backward_fn)
+
+
+def node(out_data: np.ndarray, inputs: tuple[Tensor, ...],
+         backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
+    """Wrap ``out_data``, which the caller has checked, as one node over ``inputs``.
+
+    ``backward_fn`` maps the output's gradient to one gradient (or ``None``)
+    per input, dense or a ``_RowGrad``.  It is recorded when a tape is active
+    and an input requires gradients.
+    """
     requires = any(t.requires_grad for t in inputs)
     out = _wrap(np.asarray(out_data, dtype=np.float64), requires)
     if requires:
@@ -635,132 +642,6 @@ def project_heads(rows, theta) -> Tensor:
         return d_rows.reshape(rows.shape), d_theta
 
     return _apply("matmul", out, (rows, theta), backward)
-
-
-def _checked(name: str, arr: np.ndarray) -> np.ndarray:
-    _check_finite(name, arr)
-    return arr
-
-
-def _unchecked(name: str, arr: np.ndarray) -> np.ndarray:
-    return arr
-
-
-def _attention_scores(x, wq, wk, wv, scale, check):
-    """q, k, v and the scaled scores, each made and passed to ``check`` as its primitive does."""
-    q, k, v = (check("matmul", x @ w) for w in (wq, wk, wv))
-    return q, k, v, check("mul", check("matmul", q @ k.transpose(0, 2, 1)) * scale)
-
-
-def _attention_mix(x, v, scores, wo, check):
-    """The probabilities, the merged head rows and the block output, from the scores."""
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    ex = np.exp(shifted)
-    probs = ex / ex.sum(axis=2, keepdims=True)
-    heads = check("matmul", probs @ v)
-    merged = heads.transpose(1, 0, 2).reshape(x.shape[0], wo.shape[0])
-    return probs, merged, check("add", x + check("matmul", merged @ wo))
-
-
-def attention_block(x, wq, wk, wv, wo, scale: float) -> Tensor:
-    """Residual multi-head self-attention ``x + merge(softmax(q·kᵀ·scale)·v) @ wo``: (T, W).
-
-    ``wq``, ``wk`` and ``wv`` are (H, W, d_h), so ``q = x @ wq`` is (H, T, d_h);
-    ``wo`` is (H·d_h, W), and head ``k`` fills columns ``k·d_h:(k+1)·d_h`` of
-    the merged rows.  One tape node for twelve composed primitives: the three
-    projections, the transposed keys, the score product, its scale, the
-    softmax, the value mix, the head merge (a transpose and a reshape), the
-    output projection and the residual add.  Each numpy op runs as those
-    primitives run it, in their order and on the same layouts, so every output
-    and gradient keeps their bits.
-
-    Two values are checked for finiteness: the scaled scores, where the
-    softmax would turn a -inf into a 0 weight, and the output; a non-finite
-    value anywhere else reaches one of them.  When either check fails, the
-    composed path's checks (q, k, v, the score product, its scale, the value
-    mix, the output projection, the residual add) are replayed in order and
-    the first to fail raises under its primitive's name (``matmul``, ``mul``,
-    ``add``).  Backward adds into ``x``'s gradient in the tape's order: the
-    residual, then the v, k and q terms.  The tape keeps q, k, v, the
-    probabilities and the merged rows.
-    """
-    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
-    if (x.data.ndim != 2 or x.shape[0] == 0 or wq.data.ndim != 3
-            or wq.shape[1] != x.shape[1] or wk.shape != wq.shape or wv.shape != wq.shape
-            or wo.shape != (wq.shape[0] * wq.shape[2], x.shape[1])):
-        raise ShapeError(f"attention_block got rows {x.shape} for projections {wq.shape}, "
-                         f"{wk.shape}, {wv.shape} and output weights {wo.shape}")
-    projections = (x.data, wq.data, wk.data, wv.data)
-
-    def replay():
-        _, _, v_checked, scores_checked = _attention_scores(*projections, scale, _checked)
-        _attention_mix(x.data, v_checked, scores_checked, wo.data, _checked)
-
-    q, k, v, scores = _attention_scores(*projections, scale, _unchecked)
-    _check_finite("mul", scores, replay)
-    probs, merged, out = _attention_mix(x.data, v, scores, wo.data, _unchecked)
-
-    def backward(g):
-        d_merged = g @ np.swapaxes(wo.data, -1, -2)
-        d_wo = np.swapaxes(merged, -1, -2) @ g
-        d_heads = d_merged.reshape(v.shape[1], v.shape[0], -1).transpose(1, 0, 2)
-        d_probs = d_heads @ np.swapaxes(v, -1, -2)
-        d_v = np.swapaxes(probs, -1, -2) @ d_heads
-        inner = (d_probs * probs).sum(axis=2, keepdims=True)
-        d_scores = probs * (d_probs - inner) * scale
-        d_q = d_scores @ k
-        d_k = (np.swapaxes(q, -1, -2) @ d_scores).transpose(0, 2, 1)
-        d_x, d_w = g, []
-        for d_proj, w in ((d_v, wv), (d_k, wk), (d_q, wq)):
-            d_x = d_x + _unbroadcast(d_proj @ np.swapaxes(w.data, -1, -2), x.shape)
-            d_w.append(np.swapaxes(x.data, -1, -2) @ d_proj)
-        d_wv, d_wk, d_wq = d_w
-        return d_x, d_wq, d_wk, d_wv, d_wo
-
-    return _apply("add", out, (x, wq, wk, wv, wo), backward, replay)
-
-
-def _ffn_values(x, w1, b1, w2, b2, slope, check):
-    """The hidden pre-activation, the activation and the block output."""
-    hidden = check("add", check("matmul", x @ w1) + b1)
-    act = np.maximum(hidden, slope * hidden)
-    return hidden, act, check("add", x + check("add", check("matmul", act @ w2) + b2))
-
-
-def ffn_block(x, w1, b1, w2, b2, slope: float) -> Tensor:
-    """Residual feed-forward block ``x + (leaky(x·w1 + b1)·w2 + b2)``: (T, W).
-
-    One tape node for six composed primitives (two matmuls, three adds and
-    ``leaky_relu``), run as they run them, so every output and gradient keeps
-    their bits.  Only the output is checked for finiteness: a non-finite
-    intermediate always reaches it.  When the check fails, the composed
-    path's checks are replayed in order and the first to fail raises under
-    its primitive's name.  Backward adds into ``x``'s gradient the residual
-    first, then the ``w1`` term.  The tape keeps ``x``, the activation and
-    its kink mask.
-    """
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    if not 0.0 < slope < 1.0:
-        raise ShapeError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    if (x.data.ndim != 2 or w1.data.ndim != 2 or w1.shape[0] != x.shape[1]
-            or b1.shape != (1, w1.shape[1]) or w2.shape != (w1.shape[1], x.shape[1])
-            or b2.shape != (1, x.shape[1])):
-        raise ShapeError(f"ffn_block got rows {x.shape} for weights {w1.shape} and "
-                         f"{w2.shape} and biases {b1.shape} and {b2.shape}")
-    arrays = (x.data, w1.data, b1.data, w2.data, b2.data, slope)
-    hidden, act, out = _ffn_values(*arrays, _unchecked)
-    positive = hidden >= 0.0
-
-    def backward(g):
-        d_act = g @ np.swapaxes(w2.data, -1, -2)
-        d_w2 = np.swapaxes(act, -1, -2) @ g
-        d_hidden = d_act * np.maximum(positive, slope)
-        d_x = g + d_hidden @ np.swapaxes(w1.data, -1, -2)
-        d_w1 = np.swapaxes(x.data, -1, -2) @ d_hidden
-        return (d_x, d_w1, _unbroadcast(d_hidden, b1.shape), d_w2, _unbroadcast(g, b2.shape))
-
-    return _apply("add", out, (x, w1, b1, w2, b2), backward,
-                  lambda: _ffn_values(*arrays, _checked))
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:

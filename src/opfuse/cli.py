@@ -4,8 +4,9 @@ Commands raise their readers' and trainers' exceptions unchanged; ``main``
 alone turns them into an exit code and a message on stderr:
 
 * 0: success.
-* 1: a file could not be opened, read or written (``OSError``) or a
-  checkpoint is corrupt (``CheckpointError``); one line
+* 1: a file could not be opened, read or written (``OSError``), a
+  checkpoint is corrupt (``CheckpointError``) or memory could not be
+  allocated (``MemoryError``, say for a config's sizes); one line
   ``error: cannot read or write <file>: <reason>``, or
   ``error: <message>`` when the error names no file.
 * 2: input was read but is invalid (config, corpus, predictions, label
@@ -253,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         message = (str(exc) if filename is None
                    else f"cannot read or write {filename}: {exc.strerror or exc}")
         code = EXIT_IO
+    except MemoryError as exc:
+        message, code = str(exc) or "out of memory", EXIT_IO
     print(f"error: {message}", file=sys.stderr)
     return code
 

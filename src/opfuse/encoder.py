@@ -1,19 +1,29 @@
 """Text encoders behind a provider boundary.
 
-Both providers have one entry point, ``encode_record(record)``, which
-returns the record's tokens and an ``EncoderOutput``: token-level hidden
-states ``(|T|, d)`` plus a pooled ``(1, d)`` sequence vector.  A token is
-just its ``(start, end)`` character offsets into the record text, the same
-space the annotation spans use.
+Both providers have two entry points.  ``encode_record(record)`` returns
+one record's tokens and an ``EncoderOutput``: token-level hidden states
+``(|T|, d)`` plus a pooled ``(1, d)`` sequence vector.  A token is just its
+``(start, end)`` character offsets into the record text, the same space the
+annotation spans use.  ``encode_batch(records)`` calls ``encode_record``
+for each record and returns an ``EncodedBatch``: the records' hidden rows
+packed one record after another, ``(N_tok, d)``, and their pooled rows
+``(B, d)``.
 
 * ``ToyEncoder``: trainable hashed-vocabulary embeddings (of each token's
-  lowercased text), sinusoidal positions, and a small stack of
-  self-attention blocks.  Each block is two tape nodes,
-  ``autodiff.attention_block`` and ``autodiff.ffn_block``, with the bits
-  of the primitives they stand for.  They check the values a non-finite
-  intermediate must reach, and on a failure replay the composed checks, so
-  it still raises under the name of the op that made it.  The position
-  table is one cached, read-only ``Tensor`` per shape.
+  lowercased text), sinusoidal positions, and a small stack of residual
+  self-attention and feed-forward blocks.  A record's forward records no
+  tape node: it runs each block's numpy ops as the composed primitives run
+  them, with their bits, and keeps the intermediates.  It checks the values
+  a non-finite intermediate must reach, and on a failure replays the
+  composed checks, so it still raises under the name of the op that made
+  it.  ``encode_batch`` then records two nodes: one from the embedding
+  table and every block weight to the packed hidden rows, and one from
+  those rows to the pooled means.  The first node's backward runs the
+  layers last to first on the packed rows: each row-wise product is one
+  GEMM over all ``N_tok`` rows, and the softmax core runs once per group of
+  equal-length records as stacked ``(G, H, T, T)`` arrays (sequence packing
+  without cross-contamination, Krell et al. 2021).  The position table is
+  one cached, read-only ``Tensor`` per shape.
 * ``FileEncoder``: frozen per-record states exported from any external
   encoder, carried in an ``OPFUSE-ENC-1`` container together with the
   exporting tokenizer's offsets and looked up by record id.  A zero-width
@@ -35,7 +45,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +69,8 @@ class EncoderOutput:
     hidden: Tensor   # (|T|, d); |T| >= 1 from the toy encoder, which pads empty
                      # input, while a state file may hold |T| = 0
     pooled: Tensor   # (1, d)
+    saved: tuple | None = None   # the toy encoder's bucket ids and per-layer
+                                 # intermediates, read by the batch backward
 
 
 def tokenize(text: str) -> TokenSequence:
@@ -88,6 +100,146 @@ def _position_tensor(length: int, width: int) -> Tensor:
     """``sinusoidal_positions`` as a constant, read-only Tensor, built and
     checked once per shape and kept for the 256 latest shapes."""
     return Tensor(sinusoidal_positions(length, width))
+
+
+_SLOPE = 0.2    # the feed-forward block's leaky-ReLU slope
+
+
+def _checked(name: str, arr: np.ndarray) -> np.ndarray:
+    ad._check_finite(name, arr)
+    return arr
+
+
+def _unchecked(name: str, arr: np.ndarray) -> np.ndarray:
+    return arr
+
+
+def _attention_scores(x, wq, wk, wv, scale, check):
+    """q, k, v and the scaled scores, each made and passed to ``check`` as its primitive does."""
+    q, k, v = (check("matmul", x @ w) for w in (wq, wk, wv))
+    return q, k, v, check("mul", check("matmul", q @ k.transpose(0, 2, 1)) * scale)
+
+
+def _attention_mix(x, v, scores, wo, check):
+    """The probabilities, the merged head rows and the block output, from the scores."""
+    shifted = scores - scores.max(axis=2, keepdims=True)
+    ex = np.exp(shifted)
+    probs = ex / ex.sum(axis=2, keepdims=True)
+    heads = check("matmul", probs @ v)
+    merged = heads.transpose(1, 0, 2).reshape(x.shape[0], wo.shape[0])
+    return probs, merged, check("add", x + check("matmul", merged @ wo))
+
+
+def _attention_forward(x, wq, wk, wv, wo, scale):
+    """One record's ``x + merge(softmax(q·kᵀ·scale)·v) @ wo``: (T, W), and (q, k, v, probs, merged).
+
+    ``wq``, ``wk`` and ``wv`` are (H, W, d_h), so ``q = x @ wq`` is (H, T, d_h);
+    ``wo`` is (H·d_h, W), and head ``k`` fills columns ``k·d_h:(k+1)·d_h`` of
+    the merged rows.  Each numpy op runs as the composed primitives run it,
+    in their order and on the same layouts, so the output has their bits.
+    Two values are checked: the scaled scores, where the softmax would turn a
+    -inf into a 0 weight, and the output.  When either check fails, the
+    composed path's checks (q, k, v, the score product, its scale, the value
+    mix, the output projection, the residual add) are replayed in order and
+    the first to fail raises under its primitive's name.
+    """
+    def replay():
+        _, _, v_checked, scores_checked = _attention_scores(x, wq, wk, wv, scale, _checked)
+        _attention_mix(x, v_checked, scores_checked, wo, _checked)
+
+    q, k, v, scores = _attention_scores(x, wq, wk, wv, scale, _unchecked)
+    ad._check_finite("mul", scores, replay)
+    probs, merged, out = _attention_mix(x, v, scores, wo, _unchecked)
+    ad._check_finite("add", out, replay)
+    return out, (q, k, v, probs, merged)
+
+
+def _ffn_values(x, w1, b1, w2, b2, slope, check):
+    """The hidden pre-activation, the activation and the block output."""
+    hidden = check("add", check("matmul", x @ w1) + b1)
+    act = np.maximum(hidden, slope * hidden)
+    return hidden, act, check("add", x + check("add", check("matmul", act @ w2) + b2))
+
+
+def _ffn_forward(x, w1, b1, w2, b2, slope):
+    """One record's ``x + (leaky(x·w1 + b1)·w2 + b2)``: (T, W), and the pre-activation.
+
+    Run as the composed primitives run it, with their bits.  Only the output
+    is checked, as a non-finite intermediate always reaches it; on a failure
+    the composed checks are replayed in order.
+    """
+    hidden, _, out = _ffn_values(x, w1, b1, w2, b2, slope, _unchecked)
+    ad._check_finite("add", out, lambda: _ffn_values(x, w1, b1, w2, b2, slope, _checked))
+    return out, hidden
+
+
+def _ffn_backward(g, x, hidden, w1, w2, slope):
+    """The feed-forward block's gradients over packed rows: d_x, d_w1, d_b1, d_w2, d_b2.
+
+    The activation is made again from the pre-activation, with its forward bits.
+    """
+    act = np.maximum(hidden, slope * hidden)
+    d_hidden = (g @ w2.T) * np.maximum(hidden >= 0.0, slope)
+    return (g + d_hidden @ w1.T, x.T @ d_hidden, d_hidden.sum(axis=0, keepdims=True),
+            act.T @ g, g.sum(axis=0, keepdims=True))
+
+
+def _attention_backward(g, x, merged, groups, wq, wk, wv, wo, scale):
+    """The attention block's gradients over packed rows: d_x, d_wq, d_wk, d_wv, d_wo.
+
+    Every row-wise product is one GEMM over all rows, and d_x adds the
+    residual, then the v, k and q terms, in the composed path's order.  The
+    softmax core runs once per group of equal-length records: ``groups``
+    holds each group's packed row ids, record after record, and its q, k, v
+    and probabilities stacked as (G, H, T, ·).
+    """
+    heads, width, d_h = wq.shape
+    d_merged = g @ wo.T
+    d_qkv = np.empty((3, g.shape[0], heads, d_h))
+    for rows, q, k, v, probs in groups:
+        n, _, length, _ = q.shape
+        d_heads = d_merged[rows].reshape(n, length, heads, d_h).transpose(0, 2, 1, 3)
+        d_probs = d_heads @ v.swapaxes(-1, -2)
+        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * scale
+        for slot, d in enumerate((d_scores @ k, d_scores.swapaxes(-1, -2) @ q,
+                                  probs.swapaxes(-1, -2) @ d_heads)):
+            d_qkv[slot, rows] = d.transpose(0, 2, 1, 3).reshape(n * length, heads, d_h)
+    d_qkv = d_qkv.reshape(3, g.shape[0], heads * d_h)
+    d_x = g
+    for slot, w in ((2, wv), (1, wk), (0, wq)):
+        d_x = d_x + d_qkv[slot] @ w.transpose(1, 0, 2).reshape(width, -1).T
+    d_w = (x.T @ d_qkv).reshape(3, width, heads, d_h).transpose(0, 2, 1, 3)
+    return d_x, d_w[0], d_w[1], d_w[2], merged.T @ g
+
+
+class _LayerSaved(NamedTuple):
+    """What one record's block layer keeps for the batch backward."""
+
+    x: np.ndarray       # (T, W) attention input
+    q: np.ndarray       # (H, T, d_h), as are k and v
+    k: np.ndarray
+    v: np.ndarray
+    probs: np.ndarray   # (H, T, T)
+    merged: np.ndarray  # (T, W)
+    mid: np.ndarray     # (T, W) attention output, the feed-forward input
+    hidden: np.ndarray  # (T, 2W) feed-forward pre-activation
+
+
+class EncodedBatch(NamedTuple):
+    """A minibatch's encoder output, the records' token rows one record after another."""
+
+    seqs: list[TokenSequence]
+    hidden: Tensor           # (N_tok, d)
+    pooled: Tensor           # (B, d)
+    token_rows: np.ndarray   # (N_tok,): each hidden row's record
+
+
+def _encode_each(encoder, records: Sequence[Record]):
+    """Each record's tokens and output, and each hidden row's record."""
+    encoded = [encoder.encode_record(record) for record in records]
+    outs = [out for _, out in encoded]
+    token_rows = np.repeat(np.arange(len(records)), [out.hidden.shape[0] for out in outs])
+    return [seq for seq, _ in encoded], outs, token_rows
 
 
 class ToyEncoder:
@@ -126,26 +278,84 @@ class ToyEncoder:
     def parameters(self) -> dict[str, Tensor]:
         return {f"encoder.{name}": p for name, p in self._params.items()}
 
+    def _blocks(self) -> list[tuple[np.ndarray, ...]]:
+        """Each layer's wq, wk, wv, wo, ffn_w1, ffn_b1, ffn_w2 and ffn_b2 arrays."""
+        return [tuple(self._params[f"block{layer}.{name}"].data for name in
+                      ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"))
+                for layer in range(self.layers)]
+
     def encode(self, text: str, seq: TokenSequence) -> EncoderOutput:
-        buckets = [hash_bucket(text[start:end].lower(), self.vocab_buckets)
-                   for start, end in seq]
-        if not buckets:
-            buckets = [0]  # synthetic padding token for empty input
-        x = ad.gather_rows(self._params["embedding"], buckets)
-        x = ad.add(x, _position_tensor(len(buckets), self.width))
+        """One record's forward, recording no tape node; ``saved`` keeps its bucket
+        ids and each layer's intermediates for ``encode_batch``'s backward."""
+        buckets = np.array([hash_bucket(text[start:end].lower(), self.vocab_buckets)
+                            for start, end in seq] or [0],   # a padding token for empty input
+                           dtype=np.intp)
+        x = _checked("add", self._params["embedding"].data[buckets]
+                     + _position_tensor(len(buckets), self.width).data)
         scale = 1.0 / np.sqrt(self.head_dim)
-        for layer in range(self.layers):
-            wq, wk, wv, wo, w1, b1, w2, b2 = (
-                self._params[f"block{layer}.{name}"]
-                for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"))
-            x = ad.attention_block(x, wq, wk, wv, wo, scale)
-            x = ad.ffn_block(x, w1, b1, w2, b2, 0.2)
-        pooled = ad.tmean(x, axis=0, keepdims=True)
-        return EncoderOutput(hidden=x, pooled=pooled)
+        layers = []
+        for wq, wk, wv, wo, w1, b1, w2, b2 in self._blocks():
+            mid, (q, k, v, probs, merged) = _attention_forward(x, wq, wk, wv, wo, scale)
+            out, hidden = _ffn_forward(mid, w1, b1, w2, b2, _SLOPE)
+            layers.append(_LayerSaved(x, q, k, v, probs, merged, mid, hidden))
+            x = out
+        pooled = _checked("mean", x.mean(axis=0, keepdims=True))
+        return EncoderOutput(hidden=ad._wrap(x, False), pooled=ad._wrap(pooled, False),
+                             saved=(buckets, layers))
 
     def encode_record(self, record: Record) -> tuple[TokenSequence, EncoderOutput]:
         seq = tokenize(record.text)
         return seq, self.encode(record.text, seq)
+
+    def encode_batch(self, records: Sequence[Record]) -> EncodedBatch:
+        """Every record's forward through ``encode_record``, then two tape nodes.
+
+        The first takes the embedding table and every block weight to the
+        packed hidden rows; the second takes those rows to each record's mean.
+        """
+        seqs, outs, token_rows = _encode_each(self, records)
+        blocks = self._blocks()
+        lengths = np.bincount(token_rows, minlength=len(records))[:, None]
+
+        def backward(g):
+            return _blocks_backward(g, outs, blocks, 1.0 / np.sqrt(self.head_dim))
+
+        hidden = ad.node(np.concatenate([out.hidden.data for out in outs]),
+                         tuple(self._params.values()), backward)
+        pooled = ad.node(np.concatenate([out.pooled.data for out in outs]), (hidden,),
+                         lambda g: ((g / lengths)[token_rows],))
+        return EncodedBatch(seqs, hidden, pooled, token_rows)
+
+
+def _blocks_backward(g, outs: list[EncoderOutput], blocks, scale):
+    """The gradients of the embedding table and of every block weight, in
+    parameter order, from the packed hidden rows' gradient ``g``.
+
+    The layers run last to first over the packed rows.  A non-finite value in
+    between reaches a returned gradient, which ``Tape.backward`` checks.
+    """
+    lengths = [out.hidden.shape[0] for out in outs]
+    starts = np.cumsum([0] + lengths[:-1])
+    by_length: dict[int, list[int]] = {}
+    for index, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(index)
+    groups = [(members, (starts[members][:, None] + np.arange(length)).ravel())
+              for length, members in by_length.items()]
+    grads: list[np.ndarray] = []
+    for layer in reversed(range(len(blocks))):
+        wq, wk, wv, wo, w1, _, w2, _ = blocks[layer]
+        saved = [out.saved[1][layer] for out in outs]
+        x, merged, mid, hidden = (np.concatenate([getattr(s, name) for s in saved])
+                                  for name in ("x", "merged", "mid", "hidden"))
+        g, d_w1, d_b1, d_w2, d_b2 = _ffn_backward(g, mid, hidden, w1, w2, _SLOPE)
+        stacked = [(rows, *(np.stack([getattr(saved[i], name) for i in members])
+                            for name in ("q", "k", "v", "probs")))
+                   for members, rows in groups]
+        g, d_wq, d_wk, d_wv, d_wo = _attention_backward(g, x, merged, stacked,
+                                                        wq, wk, wv, wo, scale)
+        grads[:0] = (d_wq, d_wk, d_wv, d_wo, d_w1, d_b1, d_w2, d_b2)
+    buckets = np.concatenate([out.saved[0] for out in outs])
+    return (ad._RowGrad(buckets, g), *grads)
 
 
 ENC_MAGIC = b"OPFUSE-ENC-1\n"
@@ -305,3 +515,9 @@ class FileEncoder:
                 f"{self.path}: record {record.id!r} has a token ending at offset "
                 f"{stored.text_end}, past the end of its {len(record.text)}-character text")
         return stored.offsets, EncoderOutput(hidden=stored.hidden, pooled=stored.pooled)
+
+    def encode_batch(self, records: Sequence[Record]) -> EncodedBatch:
+        """Every record's stored states through ``encode_record``, concatenated."""
+        seqs, outs, token_rows = _encode_each(self, records)
+        return EncodedBatch(seqs, ad.concat([out.hidden for out in outs]),
+                            ad.concat([out.pooled for out in outs]), token_rows)

@@ -30,8 +30,9 @@ class Prediction:
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
-    """Read a JSON Lines prediction file ({id, gold, pred, logits?})."""
+    """Read a JSON Lines prediction file ({id, gold, pred, logits?}); an id may appear once."""
     preds: list[Prediction] = []
+    seen: set[str] = set()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -54,6 +55,9 @@ def read_predictions(path: str | Path) -> list[Prediction]:
                 if not isinstance(obj[key], str):
                     raise EvaluationError(f"{path} line {line_no}: field '{key}' must be a "
                                           f"string, got {type(obj[key]).__name__}")
+            if obj["id"] in seen:
+                raise EvaluationError(f"{path} line {line_no}: duplicate id {obj['id']!r}")
+            seen.add(obj["id"])
             logits = obj.get("logits")
             if logits is not None and not isinstance(logits, list):
                 raise EvaluationError(f"{path} line {line_no}: 'logits' must be a list")

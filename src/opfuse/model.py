@@ -287,18 +287,15 @@ class OpinionFusionModel:
 
     def _logits(self, records: list[Record]) -> Tensor:
         """Class logits (len(records), C); everything after the encoder runs once per call."""
-        encoded = [self.encoder.encode_record(record) for record in records]
-        h_seq = ad.concat([out.pooled for _, out in encoded])
+        batch = self.encoder.encode_batch(records)
         if self.config.architecture == "text_only":
-            return self.head(h_seq)
-        tokens = ad.concat([out.hidden for _, out in encoded])
-        token_rows = np.repeat(np.arange(len(records)),
-                               [out.hidden.shape[0] for _, out in encoded])
-        graph_vecs = self.graph_vectors(records, [seq for seq, _ in encoded],
-                                        tokens, h_seq, token_rows)
+            return self.head(batch.pooled)
+        graph_vecs = self.graph_vectors(records, batch.seqs, batch.hidden, batch.pooled,
+                                        batch.token_rows)
         h_graph = self.fusion_params.project_graph(graph_vecs)
-        h_fused = fuse(h_seq, h_graph, tokens, self.fusion_params, token_rows)
-        return self.head(residual(h_seq, h_fused, self.config.fusion.alpha_res))
+        h_fused = fuse(batch.pooled, h_graph, batch.hidden, self.fusion_params,
+                       batch.token_rows)
+        return self.head(residual(batch.pooled, h_fused, self.config.fusion.alpha_res))
 
     def forward_batch(self, records: list[Record]) -> Tensor:
         return self._logits(records)

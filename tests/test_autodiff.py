@@ -9,12 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfuse.autodiff as ad
+import opfuse.encoder as enc
 from opfuse.autodiff import NonFiniteError, ShapeError, Tape, Tensor
 
 from oracles import (composed_attention_block, composed_ffn_block, composed_project_heads,
                      max_rel_err, numeric_gradient, one_hot_edge_scores)
 
 TOL = 1e-4
+
+
+def attention_node(x, wq, wk, wv, wo, scale):
+    """The toy encoder's attention block on one record's rows, as one tape node:
+    its per-record forward, and its packed backward over a one-record batch."""
+    x, wq, wk, wv, wo = (ad.as_tensor(t) for t in (x, wq, wk, wv, wo))
+    weights = (wq.data, wk.data, wv.data, wo.data)
+    out, (q, k, v, probs, merged) = enc._attention_forward(x.data, *weights, scale)
+    group = (np.arange(x.shape[0]), q[None], k[None], v[None], probs[None])
+    return ad.node(out, (x, wq, wk, wv, wo), lambda g: enc._attention_backward(
+        g, x.data, merged, [group], *weights, scale))
+
+
+def ffn_node(x, w1, b1, w2, b2, slope):
+    """The toy encoder's feed-forward block on one record's rows, as one tape node."""
+    x, w1, b1, w2, b2 = (ad.as_tensor(t) for t in (x, w1, b1, w2, b2))
+    out, hidden = enc._ffn_forward(x.data, w1.data, b1.data, w2.data, b2.data, slope)
+    return ad.node(out, (x, w1, b1, w2, b2),
+                   lambda g: enc._ffn_backward(g, x.data, hidden, w1.data, w2.data, slope))
 
 
 def test_matmul_identity():
@@ -244,11 +264,11 @@ def test_primitive_gradients_match_finite_differences(op_name):
     cases["project_heads"] = (lambda: ad.project_heads(x, theta), (x, theta))
     wq, wk, wv = (Tensor(part, requires_grad=True) for part in w.standard_normal((3, 2, 4, 2)))
     wo = Tensor(w.standard_normal((4, 4)), requires_grad=True)
-    cases["attention_block"] = (lambda: ad.attention_block(x, wq, wk, wv, wo, 0.7),
+    cases["attention_block"] = (lambda: attention_node(x, wq, wk, wv, wo, 0.7),
                                 (x, wq, wk, wv, wo))
     w1, b1 = (Tensor(w.standard_normal(shape), requires_grad=True) for shape in ((4, 5), (1, 5)))
     w2, b2 = (Tensor(w.standard_normal(shape), requires_grad=True) for shape in ((5, 4), (1, 4)))
-    cases["ffn_block"] = (lambda: ad.ffn_block(x, w1, b1, w2, b2, 0.2), (x, w1, b1, w2, b2))
+    cases["ffn_block"] = (lambda: ffn_node(x, w1, b1, w2, b2, 0.2), (x, w1, b1, w2, b2))
     build, inputs = cases[op_name]
 
     # Weighted sum makes the scalar sensitive to every output entry.
@@ -426,8 +446,8 @@ def ffn_case(case):
 def test_block_primitives_reject_non_finite_values_as_the_composed_path_does(block, case,
                                                                              name):
     arrays, probe = (attention_case if block == "attention" else ffn_case)(case)
-    fused, composed = ((ad.attention_block, composed_attention_block) if block == "attention"
-                       else (ad.ffn_block, composed_ffn_block))
+    fused, composed = ((attention_node, composed_attention_block) if block == "attention"
+                       else (ffn_node, composed_ffn_block))
     messages = []
     for primitive in (fused, composed):
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -443,19 +463,19 @@ def test_block_primitives_reject_non_finite_values_as_the_composed_path_does(blo
 def test_a_score_the_softmax_hides_raises_although_the_output_is_finite():
     (x, wq, wk, wv, wo, scale), _ = attention_case("hidden score")
     with np.errstate(over="ignore", invalid="ignore"):
-        q, k, v, scores = ad._attention_scores(x, wq, wk, wv, scale, ad._unchecked)
-        probs, _, out = ad._attention_mix(x, v, scores, wo, ad._unchecked)
+        q, k, v, scores = enc._attention_scores(x, wq, wk, wv, scale, enc._unchecked)
+        probs, _, out = enc._attention_mix(x, v, scores, wo, enc._unchecked)
     # One -inf score per head, weighted 0; a check of the output alone passes.
     assert np.isneginf(scores).sum() == 2 and (probs == 0.0).sum() == 2
     assert np.isfinite(out).all()
-    for primitive in (ad.attention_block, composed_attention_block):
+    for primitive in (attention_node, composed_attention_block):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
                                                        match="^matmul produced non-finite"):
             primitive(x, wq, wk, wv, wo, scale)
 
 
 def block_outcome(primitive, arrays, extra, probe):
-    """Where ``primitive`` raises (forward, backward or nowhere), its message, and else its bits."""
+    """The forward's message or output bits, then the backward's message or gradients."""
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     with np.errstate(all="ignore"):
         try:
@@ -463,12 +483,12 @@ def block_outcome(primitive, arrays, extra, probe):
                 out = primitive(*inputs, extra)
                 loss = ad.tsum(ad.mul(out, probe))
         except NonFiniteError as err:
-            return "forward", str(err)
+            return str(err), None
         try:
             grads = tape.backward(loss)
         except NonFiniteError as err:
-            return "backward", str(err)
-    return "none", [out.data.tobytes()] + [grads.wrt(t).tobytes() for t in inputs]
+            return out.data.tobytes(), str(err)
+    return out.data.tobytes(), [grads.wrt(t) for t in inputs]
 
 
 BIG = (1e100, 1e154, 1e200, 1e300, np.finfo(np.float64).max)
@@ -487,20 +507,21 @@ def test_blocks_raise_as_the_composed_path_when_one_entry_overflows(
     of an operand is zeroed (so inf·0 = NaN must show), and the attention
     scores are scaled until some probabilities underflow to 0.  The probe is
     scaled to about ``10**probe_exp`` over the largest output, so that
-    gradients can overflow in backward."""
+    gradients can overflow in backward.  The block is the toy encoder's
+    per-record forward, then its batch backward over that one record."""
     rng = np.random.default_rng(seed)
     if block == "attention":
         d_h, model_width = width, heads * width
         shapes = [(rows, model_width)] + [(heads, model_width, d_h)] * 3 + [(heads * d_h,
                                                                             model_width)]
         extra = 1e3 if underflow else 1.0 / np.sqrt(d_h)
-        fused, composed = ad.attention_block, composed_attention_block
+        fused, composed = attention_node, composed_attention_block
     else:
         model_width, hidden = heads * width, 2 * heads * width + 1
         shapes = [(rows, model_width), (model_width, hidden), (1, hidden),
                   (hidden, model_width), (1, model_width)]
         extra = 0.2
-        fused, composed = ad.ffn_block, composed_ffn_block
+        fused, composed = ffn_node, composed_ffn_block
     arrays = [rng.standard_normal(shape) for shape in shapes]
     probe = rng.standard_normal((rows, model_width))
     if zeroed < 5:
@@ -516,9 +537,21 @@ def test_blocks_raise_as_the_composed_path_when_one_entry_overflows(
     probe *= 10.0 ** probe_exp / max(1.0, peak)
     if target == 5:
         probe.reshape(-1)[entry % probe.size] = sign * big
-    outcomes = [block_outcome(primitive, arrays, extra, probe)
-                for primitive in (fused, composed)]
-    assert outcomes[0] == outcomes[1]
+    (forward, backward), (want_forward, want_backward) = (
+        block_outcome(primitive, arrays, extra, probe) for primitive in (fused, composed))
+    # The per-record forward raises as the composed path does, or has its bits.
+    assert forward == want_forward
+    if want_backward is None:
+        assert backward is None
+    elif isinstance(backward, list) and isinstance(want_backward, list):
+        for got, want in zip(backward, want_backward):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    else:
+        # The batch backward sums each product in other GEMM shapes than the
+        # composed path, so a sum within an ulp or so of the double range may
+        # overflow on one side only; the side that overflows raises so.
+        for outcome in (backward, want_backward):
+            assert isinstance(outcome, list) or outcome == "backward produced non-finite values"
 
 
 def test_edge_scores_match_the_unfused_primitives():

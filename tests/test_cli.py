@@ -709,6 +709,30 @@ def test_exit_code_policy(tmp_path, capsys, command):
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+# Embedding tables of 466 TiB and 455 PiB: past any address space, so numpy
+# refuses them before touching memory, whatever the kernel overcommits.
+@pytest.mark.parametrize("buckets", [10**12, 10**15])
+def test_exit_code_policy_allocation_failure(tmp_path, capsys, buckets):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"encoder": {"vocab_buckets": buckets}}), encoding="utf-8")
+    assert main(["train", "--config", str(config), "--data", str(small_corpus_file(tmp_path)),
+                 "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate "), lines
+
+
+@pytest.mark.parametrize("command", ["eval", "aggregate", "compare"])
+def test_a_repeated_prediction_id_exits_2_naming_file_line_and_id(tmp_path, capsys, command):
+    lines = [json.dumps({"id": f"p{k}", "gold": "anger", "pred": "panic"}) for k in range(3)]
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    once.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    twice.write_text("".join(f"{line}\n{line}\n" for line in lines), encoding="utf-8")
+    args = {"eval": ["--pred", twice], "aggregate": ["--pred", twice, "--map", "valence3"],
+            "compare": ["--pred-a", once, "--pred-b", twice]}[command]
+    assert main([command, *map(str, args)]) == 2
+    assert capsys.readouterr().err == f"error: {twice} line 2: duplicate id 'p0'\n"
+
+
 @pytest.mark.parametrize("offset", ['"0"', "0.7", "true", "1e400", "null"])
 def test_ingest_rejects_non_integer_span_offsets(tmp_path, offset):
     line = ('{"id": "a", "split": "train", "text": "bulls run", "emotion": "anger", '

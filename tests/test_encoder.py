@@ -88,11 +88,24 @@ def test_encode_matches_per_head_reference(heads):
     assert np.max(np.abs(out.pooled.data - x.mean(axis=0, keepdims=True))) < 1e-12
 
 
+def probe_loss(hidden, pooled, probe_hidden, probe_pooled):
+    """A scalar that weighs every hidden and pooled entry by its own probe."""
+    return ad.add(ad.tsum(ad.mul(hidden, probe_hidden)), ad.tsum(ad.mul(pooled, probe_pooled)))
+
+
+def close(got, want, rel=1e-12):
+    """Every entry within ``rel`` of the largest magnitude in ``want``."""
+    return got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= rel * np.max(
+        np.abs(want), initial=0.0)
+
+
 @pytest.mark.parametrize("text", ["short the dip , buy the rip ?", "dip", ""],
                          ids=["sentence", "one-token", "empty"])
 @pytest.mark.parametrize("layers", [0, 1, 2])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_encode_has_the_bits_of_the_composed_blocks(heads, layers, text):
+    """The forward keeps the composed blocks' bits.  The batch backward sums
+    each weight's products in one GEMM, so its gradients agree to 1e-12."""
     enc = make_encoder(heads=heads, layers=layers, rng=np.random.default_rng(heads + 7 * layers))
     params = enc.parameters()
     seq = tokenize(text)
@@ -103,19 +116,84 @@ def test_encode_has_the_bits_of_the_composed_blocks(heads, layers, text):
     def run(forward):
         with Tape() as tape:
             hidden, pooled = forward()
-            loss = ad.add(ad.tsum(ad.mul(hidden, probe_hidden)),
-                          ad.tsum(ad.mul(pooled, probe_pooled)))
+            loss = probe_loss(hidden, pooled, probe_hidden, probe_pooled)
         grads = tape.backward(loss)
         return [hidden.data, pooled.data] + [grads.wrt(t) for t in params.values()]
 
     def fused():
-        out = enc.encode(text, seq)
-        return out.hidden, out.pooled
+        batch = enc.encode_batch([record(text)])
+        return batch.hidden, batch.pooled
 
     got, want = run(fused), run(lambda: composed_encode(enc, text, seq))
     assert len(got) == 2 + len(params) == 2 + 1 + 8 * layers
-    for name, a, b in zip(["hidden", "pooled", *params], got, want):
+    for name, a, b in zip(["hidden", "pooled"], got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name, a, b in zip(params, got[2:], want[2:]):
+        assert close(a, b), name
+
+
+# Records of 0 (one padding row), 1, 2 and 10 tokens, two of them sharing
+# words, so embedding rows repeat within and across records.
+FD_TEXTS = ("", "dip", "buy dip", "short the dip , buy the rip ? buy dip")
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_the_encoder_node_gradients_match_finite_differences(layers):
+    enc = make_encoder(width=4, heads=2, layers=layers, vocab_buckets=8,
+                       rng=np.random.default_rng(11 + layers))
+    records = [record(text, rid=f"r{i}") for i, text in enumerate(FD_TEXTS)]
+    assert [len(tokenize(r.text)) for r in records] == [0, 1, 2, 10]
+    rng = np.random.default_rng(12)
+    probe_hidden = Tensor(rng.standard_normal((14, 4)))
+    probe_pooled = Tensor(rng.standard_normal((4, 4)))
+
+    def scalar():
+        batch = enc.encode_batch(records)
+        return probe_loss(batch.hidden, batch.pooled, probe_hidden, probe_pooled)
+
+    with Tape() as tape:
+        loss = scalar()
+    assert len(tape) == 2 + 5    # the encoder's two nodes, then the probe loss's five
+    grads = tape.backward(loss)
+    for name, t in enc.parameters().items():
+        assert max_rel_err(grads.wrt(t), numeric_gradient(lambda: scalar().item(), t)) < 1e-4, name
+
+
+WORDS = ("buy", "sell", "dip", "rip", "moon", "short", "long", ",", "?", "$")
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6), data=st.data())
+def test_batch_gradients_are_the_sum_of_one_record_batches(lengths, data):
+    enc = make_encoder(width=8, heads=2, layers=2, vocab_buckets=16,
+                       rng=np.random.default_rng(len(lengths)))
+    words = np.random.default_rng(sum(lengths))
+    records = [record(" ".join(words.choice(WORDS, size=n)), rid=f"r{i}")
+               for i, n in enumerate(lengths)]
+    rng = np.random.default_rng(3)
+    probes = {r.id: (rng.standard_normal((max(n, 1), 8)), rng.standard_normal((1, 8)))
+              for r, n in zip(records, lengths)}
+    params = enc.parameters()
+
+    def grads_of(batch_records):
+        with Tape() as tape:
+            batch = enc.encode_batch(batch_records)
+            loss = probe_loss(batch.hidden, batch.pooled,
+                              np.concatenate([probes[r.id][0] for r in batch_records]),
+                              np.concatenate([probes[r.id][1] for r in batch_records]))
+        grads = tape.backward(loss)
+        return batch, [grads.wrt(t) for t in params.values()]
+
+    order = data.draw(st.permutations(records))
+    batch, got = grads_of(order)
+    singles = {r.id: grads_of([r]) for r in records}
+    want = [sum(parts) for parts in zip(*(g for _, g in singles.values()))]
+    for name, a, b in zip(params, got, want):
+        assert close(a, b), name
+    rows = [singles[r.id][0].hidden.data for r in order]
+    assert batch.hidden.data.tobytes() == np.concatenate(rows).tobytes()
+    assert batch.pooled.data.tobytes() == np.concatenate(
+        [singles[r.id][0].pooled.data for r in order]).tobytes()
 
 
 def test_the_position_tensor_is_built_once_per_shape_with_the_table_bits():
@@ -166,8 +244,8 @@ def test_toy_encoder_embedding_gradient_matches_finite_differences():
     head_w = Tensor(np.random.default_rng(1).standard_normal((8, 4)))
 
     def forward():
-        out = encode_text(enc, "aa bb aa")
-        logits = ad.matmul(out.pooled, head_w)
+        pooled = enc.encode_batch([record("aa bb aa")]).pooled
+        logits = ad.matmul(pooled, head_w)
         return ad.cross_entropy(logits, [2])
 
     with Tape() as tape:
