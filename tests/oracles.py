@@ -10,7 +10,8 @@ The GATv2 edge scores are recomputed with polarity as one-hot rows and
 their projection as a matrix product, with numpy's own gradient formulas.
 The toy encoder's attention and feed-forward blocks and GAT's per-head
 projection are composed from the separate primitives, one tape node per
-array op, as the fused primitives must reproduce bit for bit.
+array op.  The fused projection must reproduce them bit for bit; the
+encoder's forward must too, and its batch backward within 1e-12.
 Adam is replayed densely over every cell, and the checkpoint layout is
 rebuilt with a fresh float64 copy of every payload.  Encoder-state files are
 written and read field by field with no check at all, so a test can write
