@@ -73,13 +73,16 @@ def _check_finite(name: str, arr: np.ndarray, replay: Callable[[], object] | Non
 
 
 class Tensor:
-    """Immutable dense float64 array, optionally tracked for gradients.
+    """Dense float64 array, optionally tracked for gradients.
 
-    The value buffer is read-only after construction.  Parameter updates
-    between training steps go through :meth:`replace_data` or
-    :meth:`replace_rows`, which install a fresh buffer; gradients recorded
-    on an earlier tape are unaffected because backward functions close over
-    the arrays they need, and a kept buffer keeps its values.
+    The value buffer is read-only to every caller.  Parameter updates
+    between training steps go through :meth:`replace_data` (a copy, for
+    checkpoint loads), :meth:`install` (a fresh whole buffer) or
+    :meth:`write_rows`, which writes rows into the buffer in place.  A
+    parameter's buffer may therefore change after a step: whoever needs its
+    values later keeps a copy.  Gradients recorded on an earlier tape are
+    unaffected, because backward functions close over the arrays they need
+    and a step runs only after backward.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -113,30 +116,44 @@ class Tensor:
         new.setflags(write=False)
         object.__setattr__(self, "data", new)
 
-    def replace_rows(self, rows: np.ndarray | None, values: np.ndarray) -> None:
-        """Install a copy of the buffer with ``rows`` set to ``values`` (optimizer use only).
+    def install(self, values: np.ndarray) -> None:
+        """Make the float64 array ``values`` itself the buffer (optimizer use only).
 
-        The table is copied once and only the new rows are checked for
-        finiteness; on a failed check the old buffer stays installed.
-        ``rows=None`` stands for every row in order: ``values`` itself then
-        becomes the buffer, with no copy, so the caller must not write to it.
+        ``values`` is checked for finiteness first; on a failed check the old
+        buffer stays installed.  There is no copy, so the caller must not
+        write to ``values`` afterwards.
         """
         values = np.asarray(values, dtype=np.float64)
-        n_rows = self.data.shape[0] if rows is None else len(rows)
+        if values.shape != self.data.shape:
+            raise ShapeError(f"install got values of shape {values.shape} "
+                             f"for a buffer of {self.data.shape}")
+        _check_finite("install", values)
+        values.setflags(write=False)
+        object.__setattr__(self, "data", values)
+
+    def write_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Set ``rows`` of the buffer to ``values`` in place (optimizer use only).
+
+        Only the new rows are checked for finiteness, and before any is
+        written: on a failed check the buffer keeps its bytes.  The buffer is
+        made writable only for the write, which needs a buffer that owns its
+        memory, as the constructor's and ``replace_data``'s do.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        n_rows = len(rows)
         if values.shape != (n_rows,) + self.data.shape[1:]:
-            raise ShapeError(f"replace_rows got values of shape {values.shape} "
+            raise ShapeError(f"write_rows got values of shape {values.shape} "
                              f"for {n_rows} rows of {self.data.shape}")
-        _check_finite("replace_rows", values)
-        if rows is None:
-            new = values
-        else:
-            new = self.data.copy()
-            new[rows] = values
-        new.setflags(write=False)
-        object.__setattr__(self, "data", new)
+        _check_finite("write_rows", values)
+        self.data.setflags(write=True)
+        try:
+            self.data[rows] = values
+        finally:
+            self.data.setflags(write=False)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Tensor is immutable; use replace_data for parameter updates")
+        raise AttributeError("Tensor attributes are fixed; parameter updates go through "
+                             "replace_data, install or write_rows")
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

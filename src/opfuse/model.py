@@ -298,6 +298,8 @@ class OpinionFusionModel:
         return self.head(residual(batch.pooled, h_fused, self.config.fusion.alpha_res))
 
     def forward_batch(self, records: list[Record]) -> Tensor:
+        if not records:
+            raise ad.ShapeError("forward_batch needs at least one record")
         return self._logits(records)
 
     def predict(self, records: list[Record]) -> list[Prediction]:

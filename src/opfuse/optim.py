@@ -13,19 +13,18 @@ class _TouchedRows:
     A row (the first axis) gets the next free slot the first time it has a
     gradient; ``m`` and ``v`` hold one row per slot.  A dense gradient
     touches every row, so a parameter with one holds every row in slot
-    order.  The buffers have a slot for every row.  ``np.zeros`` maps fresh
-    pages lazily, so on a fresh heap only the slots in use take memory; heap
-    that earlier work freed, which training keeps for reuse, is zeroed and
-    so resident at once.  Measured for the (16384, 64) embedding table: the
-    two buffers took 0.2 MB in a fresh process and 7.9 MB in one that had
-    trained before.
+    order.  The buffers grow with the touched set: their capacity at least
+    doubles when it runs out, up to the row count, and the slots in use are
+    copied over.  A parameter with a dense first gradient is full-size after
+    its first step; a table that a batch gathers 64 rows of holds moments
+    for about those rows, not for the whole table.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         self.slot = np.full(shape[0], -1, dtype=np.intp)
         self.rows = np.empty(0, dtype=np.intp)
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+        self.m = np.zeros((0,) + shape[1:])
+        self.v = np.zeros((0,) + shape[1:])
         # Every row is touched and row r sits in slot r, as after a dense
         # first gradient: the slots are then the parameter's own rows.
         self.in_order = False
@@ -34,19 +33,35 @@ class _TouchedRows:
         new = idx[self.slot[idx] < 0]
         if not new.size:
             return
-        self.slot[new] = np.arange(self.rows.size, self.rows.size + new.size)
+        used = self.rows.size
+        count = used + new.size
+        if count > len(self.m):
+            capacity = min(self.slot.size, max(count, 2 * len(self.m)))
+            self.m = _grown(self.m, used, capacity)
+            self.v = _grown(self.v, used, capacity)
+        self.slot[new] = np.arange(used, count)
         self.rows = np.concatenate([self.rows, new])
-        self.in_order = np.array_equal(self.rows, np.arange(self.slot.size))
+        self.in_order = count == self.slot.size and np.array_equal(self.rows, np.arange(count))
+
+
+def _grown(buf: np.ndarray, used: int, capacity: int) -> np.ndarray:
+    """``buf`` with room for ``capacity`` slots: its first ``used`` slots, then zeros."""
+    out = np.zeros((capacity,) + buf.shape[1:])
+    out[:used] = buf[:used]
+    return out
 
 
 class Adam:
     """Adam with bias correction, β=(0.9, 0.999) and ε=1e-8.
 
-    Parameters are updated strictly between training steps via
-    ``Tensor.replace_rows``; moment state is keyed by parameter name.  A
-    parameter whose every row is touched in row order (any parameter with a
-    dense gradient) is stepped on its buffers as they are: no scatter of the
-    gradient, no gather of the rows and no copy of the table.
+    Parameters are updated strictly between training steps; moment state is
+    keyed by parameter name.  A parameter whose every row is touched in row
+    order (any parameter with a dense gradient) is stepped on its buffers as
+    they are, with no scatter of the gradient and no gather of the rows, and
+    gets a fresh value buffer (``Tensor.install``).  Any other parameter (an
+    embedding table a batch gathers from) has only its touched rows written,
+    in place (``Tensor.write_rows``): no step copies the table, so a kept
+    reference to its buffer sees later steps.
 
     Every parameter is updated by one rule: on the rows it ever had a
     gradient for, and on no other.  A dense gradient touches every row; a
@@ -82,12 +97,26 @@ class Adam:
 
     def _update(self, m: np.ndarray, v: np.ndarray, g: np.ndarray,
                 bc1: float, bc2: float) -> np.ndarray:
-        """Advance the moments in place and return the step to subtract."""
+        """Advance the moments in place and return the step to subtract.
+
+        Each value takes the operations of ``m = β1·m + (1-β1)·g``,
+        ``v = β2·v + (1-β2)·g·g`` and ``lr/bc1 · m / (sqrt(v/bc2) + ε)`` in
+        that order, written into two C-ordered buffers of ``g``'s size (a
+        gradient may be a strided view, and ``m`` and ``v`` are C-ordered).
+        """
+        tmp = np.multiply(g, 1.0 - self.BETA1, order="C")
         m *= self.BETA1
-        m += (1.0 - self.BETA1) * g
+        m += tmp
+        np.multiply(g, 1.0 - self.BETA2, out=tmp)
+        tmp *= g
         v *= self.BETA2
-        v += (1.0 - self.BETA2) * g * g
-        return (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.EPS)
+        v += tmp
+        step = np.multiply(m, self.lr / bc1)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.EPS
+        step /= tmp
+        return step
 
     def _step_rows(self, name: str, param: Tensor, part, bc1: float, bc2: float) -> None:
         idx, summed = part
@@ -103,8 +132,10 @@ class Adam:
         else:
             g = np.zeros((count,) + param.shape[1:])
             g[table.slot[idx]] = summed
-        update = self._update(table.m[:count], table.v[:count], g, bc1, bc2)
+        step = self._update(table.m[:count], table.v[:count], g, bc1, bc2)
         if table.in_order:
-            param.replace_rows(None, param.data - update)
+            param.install(np.subtract(param.data, step, out=step))
         else:
-            param.replace_rows(table.rows, param.data[table.rows] - update)
+            new = param.data[table.rows]
+            new -= step
+            param.write_rows(table.rows, new)

@@ -97,12 +97,15 @@ def run_sweep(base: ModelConfig, space: dict[str, list], corpus: Corpus,
     """Train ``budget`` sampled grid points; returns trials ranked by dev macro-F1.
 
     Sampling is without replacement until the grid is exhausted, then
-    uniform with replacement for any remaining budget.
+    uniform with replacement for any remaining budget.  ``jobs`` above 1
+    trains trials in ``min(jobs, budget)`` worker processes.
     """
     if budget < 1:
         raise SweepError(f"sweep budget must be >= 1, got {budget}")
     if seed < 0:
         raise SweepError(f"sweep seed must be >= 0, got {seed}")
+    if jobs < 1:
+        raise SweepError(f"sweep jobs must be >= 1, got {jobs}")
     base.validate()
     if base.architecture != "fused":
         raise SweepError("sweep searches fusion hyperparameters; "
@@ -120,8 +123,10 @@ def run_sweep(base: ModelConfig, space: dict[str, list], corpus: Corpus,
     # trains: a ConfigError raised in a worker cannot be unpickled back.
     tasks = [(replace(apply_point(base, point), seed=trial_seed(seed, t)), corpus)
              for t, point in enumerate(points)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers at once, so never more than there are trials.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks))
     else:
         outcomes = [_run_trial(task) for task in tasks]

@@ -86,7 +86,9 @@ def train_model(config: ModelConfig, corpus: Corpus,
     that epoch rather than made again after training.  With ``out_dir``
     set, writes ``checkpoint.bin``, ``training_log.csv`` and
     ``dev_predictions.jsonl`` there.  Fixed config + seed reproduces the
-    three files byte for byte.
+    three files byte for byte.  The best epoch's parameters are copied when
+    a later epoch may still run, since optimizer steps change parameter
+    buffers in place, and copied back only if a later epoch ran.
 
     Under glibc, training keeps freed heap for reuse by later steps rather
     than giving it back to the OS, so the process's RSS does not fall
@@ -145,18 +147,20 @@ def train_model(config: ModelConfig, corpus: Corpus,
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             best_epoch = epoch
-            # Parameter buffers are read-only and every optimizer step
-            # installs fresh ones, so keeping them keeps this epoch's values.
-            best_state = {name: p.data for name, p in params.items()}
             best_predictions = dev_predictions
+            # Optimizer steps write embedding rows in place, so only a copy
+            # keeps this epoch's values; the last epoch has no later steps.
+            best_state = ({name: p.data.copy() for name, p in params.items()}
+                          if epoch < config.optimizer.epochs else None)
         elif epoch - best_epoch >= config.optimizer.patience:
             log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
             break
 
-    assert best_state is not None
-    # Prediction takes no randomness, so the kept predictions are the ones
-    # the restored parameters would make.
-    restore_into(params, best_state)
+    if best_epoch < rows[-1].epoch:
+        # Prediction takes no randomness, so the kept predictions are the
+        # ones the restored parameters would make.
+        assert best_state is not None
+        restore_into(params, best_state)
 
     result = TrainResult(model=model, log_rows=rows, best_epoch=best_epoch,
                          best_dev_f1=best_f1, dev_predictions=best_predictions)

@@ -866,28 +866,33 @@ def test_gradient_rows_of_a_dense_part_are_every_row():
     assert idx.tolist() == [1, 3] and rows.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
 
-def test_replace_rows_installs_a_copy_and_checks_only_new_rows():
+def test_write_rows_writes_in_place_and_checks_only_new_rows():
     t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    before = t.data
-    t.replace_rows(np.array([2, 0]), [[9.0, 9.0], [7.0, 7.0]])
-    assert t.data.tolist() == [[7.0, 7.0], [2.0, 3.0], [9.0, 9.0]]
-    assert before.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-    assert not t.data.flags.writeable
-    installed = t.data
-    with pytest.raises(NonFiniteError):
-        t.replace_rows(np.array([1]), [[np.nan, 0.0]])
+    buffer = t.data
+    t.write_rows(np.array([2, 0]), [[9.0, 9.0], [7.0, 7.0]])
+    assert t.data is buffer and not buffer.flags.writeable
+    assert buffer.tolist() == [[7.0, 7.0], [2.0, 3.0], [9.0, 9.0]]
+    before = buffer.tobytes()
+    with pytest.raises(NonFiniteError, match="write_rows"):
+        t.write_rows(np.array([1, 2]), [[1.0, 1.0], [np.nan, 0.0]])
     with pytest.raises(ShapeError):
-        t.replace_rows(np.array([1]), [[1.0, 2.0, 3.0]])
-    assert t.data is installed
-def test_replace_rows_of_every_row_installs_the_values_themselves():
+        t.write_rows(np.array([1]), [[1.0, 2.0, 3.0]])
+    assert t.data is buffer and buffer.tobytes() == before and not buffer.flags.writeable
+    # Rows not written are not checked.
+    t = ad._wrap(np.array([[np.inf, 0.0], [1.0, 1.0]]), True)
+    t.write_rows(np.array([1]), [[2.0, 2.0]])
+    assert t.data[1].tolist() == [2.0, 2.0]
+
+
+def test_install_makes_the_values_themselves_the_buffer():
     t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     values = np.full((3, 2), 4.0)
-    t.replace_rows(None, values)
+    t.install(values)
     assert t.data is values and not values.flags.writeable
-    with pytest.raises(NonFiniteError):
-        t.replace_rows(None, np.full((3, 2), np.inf))
+    with pytest.raises(NonFiniteError, match="install"):
+        t.install(np.full((3, 2), np.inf))
     with pytest.raises(ShapeError):
-        t.replace_rows(None, np.zeros((2, 2)))
+        t.install(np.zeros((2, 2)))
     assert t.data is values
 
 

@@ -632,6 +632,15 @@ def test_sweep_invalid_grid_point_exits_2_with_parallel_jobs(tmp_path):
                           "(2, 3, 4, 6, 8)\n", proc.stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_with_fewer_than_one_job_exits_2_with_one_line(tmp_path, jobs):
+    proc = run_cli("sweep", "--config", config_file(tmp_path), "--data",
+                   small_corpus_file(tmp_path), "--out", tmp_path / "s", "--budget", "1",
+                   "--jobs", jobs)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: sweep jobs must be >= 1, got {jobs}\n"
+
+
 def exit_policy_files(tmp_path):
     """Valid inputs for every command plus malformed inputs of each kind."""
     files = {"missing": tmp_path / "missing.jsonl", "data": small_corpus_file(tmp_path),

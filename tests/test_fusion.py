@@ -268,6 +268,15 @@ def test_forward_batch_matches_single_record_forward_on_narrow_inputs(depth):
     assert np.max(np.abs(batch - single)) <= 1e-10 * np.max(np.abs(single))
 
 
+@pytest.mark.parametrize("architecture", ["fused", "text_only"])
+def test_an_empty_batch_raises_shape_error_and_predicts_nothing(architecture):
+    model = OpinionFusionModel(tiny_config(architecture=architecture),
+                               rng=np.random.default_rng(0))
+    with pytest.raises(ad.ShapeError, match="forward_batch needs at least one record"):
+        model.forward_batch([])
+    assert model.predict([]) == []
+
+
 def graph_readouts(model, records, readout_shares):
     """Each opinion graph's readout after every GAT layer: the last layer run
     for its readout shares, or per node as every earlier layer is."""

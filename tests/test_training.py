@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfuse.autodiff as ad
+import opfuse.sweep
+import opfuse.train
 from opfuse.autodiff import Tape, cross_entropy
 from opfuse.checkpoint import restore_into
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, load_corpus
@@ -142,24 +144,26 @@ def test_best_checkpoint_is_restored():
     assert abs(restored - result.best_dev_f1) < 1e-12
 
 
-def test_kept_parameter_buffers_survive_later_steps():
-    # train_model keeps the best epoch's p.data buffers rather than copies.
+def test_steps_write_the_table_in_place_and_a_copied_snapshot_restores_it():
+    # Adam writes the embedding table's touched rows into its own buffer, so
+    # train_model keeps copies of the best epoch's parameters.
     model = OpinionFusionModel(quick_config(), rng=np.random.default_rng(0))
     params = model.parameters()
-    kept = {name: p.data for name, p in params.items()}
-    snapshot = {name: arr.tobytes() for name, arr in kept.items()}
+    table = params["encoder.embedding"].data
+    snapshot = {name: p.data.copy() for name, p in params.items()}
     optimizer = Adam(params, lr=1e-2)
     records = small_corpus().split("train")
     for _ in range(3):
         with Tape() as tape:
             loss = cross_entropy(model.forward_batch(records), [0] * len(records))
         optimizer.step(tape.backward(loss))
-    assert all(not arr.flags.writeable for arr in kept.values())
-    assert {name: arr.tobytes() for name, arr in kept.items()} == snapshot
-    moved = [name for name, p in params.items() if p.data.tobytes() != snapshot[name]]
+    assert all(not p.data.flags.writeable for p in params.values())
+    assert params["encoder.embedding"].data is table
+    moved = [name for name, p in params.items()
+             if p.data.tobytes() != snapshot[name].tobytes()]
     assert "encoder.embedding" in moved and len(moved) == len(params)
-    restore_into(params, kept)
-    assert {name: p.data.tobytes() for name, p in params.items()} == snapshot
+    restore_into(params, snapshot)
+    assert all(p.data.tobytes() == snapshot[name].tobytes() for name, p in params.items())
 
 
 def count_predict_calls(monkeypatch) -> list[list]:
@@ -193,6 +197,23 @@ def test_kept_dev_predictions_are_what_the_restored_model_predicts(monkeypatch):
     assert prediction_bits(calls[-1]) != prediction_bits(result.dev_predictions)
     oracle = result.model.predict(corpus.split("dev"))
     assert prediction_bits(result.dev_predictions) == prediction_bits(oracle)
+
+
+@pytest.mark.parametrize("config, restores", [
+    (early_stop_config(), 1),         # best epoch 3 of 5
+    (quick_config(epochs=1), 0),      # the only epoch is the best
+], ids=["early_stop", "last_epoch_best"])
+def test_parameters_are_restored_only_when_a_later_epoch_ran(monkeypatch, config, restores):
+    calls = []
+
+    def counted(params, values):
+        calls.append(values)
+        restore_into(params, values)
+
+    monkeypatch.setattr(opfuse.train, "restore_into", counted)
+    result = train_model(config, small_corpus())
+    assert len(calls) == restores
+    assert (result.best_epoch < len(result.log_rows)) == bool(restores)
 
 
 @pytest.mark.parametrize("config, epochs_run", [
@@ -382,6 +403,42 @@ def test_sweep_parallel_jobs_match_serial():
     parallel = run_sweep(base, space, corpus, budget=2, seed=3, jobs=2)
     assert [(t.trial, t.point, t.dev_macro_f1, t.best_epoch) for t in serial] == \
            [(t.trial, t.point, t.dev_macro_f1, t.best_epoch) for t in parallel]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_refuses_fewer_than_one_job(jobs):
+    with pytest.raises(SweepError, match=f"sweep jobs must be >= 1, got {jobs}"):
+        run_sweep(quick_config(), DEFAULT_SPACE, small_corpus(), budget=1, jobs=jobs)
+
+
+def test_sweep_starts_at_most_one_worker_per_trial(monkeypatch):
+    # A stand-in pool that records its size and runs the trials in this
+    # process, so no worker is ever started.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(opfuse.sweep, "ProcessPoolExecutor", InProcessPool)
+    corpus = small_corpus()
+    base = quick_config(epochs=1)
+    space = {"batch_size": [8], "gat_out_dim": [4], "gat_heads": [2],
+             "fusion_type": ["cat", "gate"], "alpha_res": [0.5]}
+    serial = run_sweep(base, space, corpus, budget=2, seed=3, jobs=1)
+    pooled = run_sweep(base, space, corpus, budget=2, seed=3, jobs=5000)
+    assert started == [2]
+    assert [(t.trial, t.point, t.dev_macro_f1, t.best_epoch) for t in serial] == \
+           [(t.trial, t.point, t.dev_macro_f1, t.best_epoch) for t in pooled]
 
 
 def test_load_space_rejects_unknown_dimension(tmp_path):
