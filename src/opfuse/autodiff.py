@@ -75,14 +75,13 @@ def _check_finite(name: str, arr: np.ndarray, replay: Callable[[], object] | Non
 class Tensor:
     """Dense float64 array, optionally tracked for gradients.
 
-    The value buffer is read-only to every caller.  Parameter updates
-    between training steps go through :meth:`replace_data` (a copy, for
-    checkpoint loads), :meth:`install` (a fresh whole buffer) or
-    :meth:`write_rows`, which writes rows into the buffer in place.  A
-    parameter's buffer may therefore change after a step: whoever needs its
-    values later keeps a copy.  Gradients recorded on an earlier tape are
-    unaffected, because backward functions close over the arrays they need
-    and a step runs only after backward.
+    The value buffer is read-only to every caller, and a tensor keeps the
+    buffer its constructor made for life.  Parameter updates between
+    training steps (optimizer steps, checkpoint loads) write into it in
+    place through :meth:`write_rows`, so a kept reference to ``data`` sees
+    them: whoever needs a parameter's values later keeps a copy.  A write
+    runs only after the backward of every tape that read the buffer, since
+    backward functions read the arrays they close over when they run.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -107,43 +106,19 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def replace_data(self, arr: np.ndarray) -> None:
-        """Install a new value buffer (checkpoint-load use only)."""
-        new = np.array(arr, dtype=np.float64)
-        if new.shape != self.data.shape:
-            raise ShapeError(f"replace_data shape {new.shape} != existing {self.data.shape}")
-        _check_finite("replace_data", new)
-        new.setflags(write=False)
-        object.__setattr__(self, "data", new)
+    def write_rows(self, rows, values: np.ndarray) -> None:
+        """Set ``rows`` of the buffer to ``values`` in place.
 
-    def install(self, values: np.ndarray) -> None:
-        """Make the float64 array ``values`` itself the buffer (optimizer use only).
-
-        ``values`` is checked for finiteness first; on a failed check the old
-        buffer stays installed.  There is no copy, so the caller must not
-        write to ``values`` afterwards.
+        ``rows`` is an index array over the first axis, or ``...`` for the
+        whole buffer (a 0-d one too).  Only the new values are checked for
+        finiteness, and before any is written: on a failed check the buffer
+        keeps its bytes.  The buffer is made writable only for the write,
+        which needs a buffer that owns its memory, as the constructor's does.
         """
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.data.shape:
-            raise ShapeError(f"install got values of shape {values.shape} "
-                             f"for a buffer of {self.data.shape}")
-        _check_finite("install", values)
-        values.setflags(write=False)
-        object.__setattr__(self, "data", values)
-
-    def write_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Set ``rows`` of the buffer to ``values`` in place (optimizer use only).
-
-        Only the new rows are checked for finiteness, and before any is
-        written: on a failed check the buffer keeps its bytes.  The buffer is
-        made writable only for the write, which needs a buffer that owns its
-        memory, as the constructor's and ``replace_data``'s do.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        n_rows = len(rows)
-        if values.shape != (n_rows,) + self.data.shape[1:]:
-            raise ShapeError(f"write_rows got values of shape {values.shape} "
-                             f"for {n_rows} rows of {self.data.shape}")
+        shape = self.data.shape if rows is ... else (len(rows),) + self.data.shape[1:]
+        if values.shape != shape:
+            raise ShapeError(f"write_rows got values of shape {values.shape}, needs {shape}")
         _check_finite("write_rows", values)
         self.data.setflags(write=True)
         try:
@@ -153,7 +128,7 @@ class Tensor:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Tensor attributes are fixed; parameter updates go through "
-                             "replace_data, install or write_rows")
+                             "write_rows")
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -244,7 +219,7 @@ class _Accumulator:
 
         Row parts are checked as they came, not summed: finite rows that
         overflow only in their sum reach the optimizer, whose own check on
-        the rows it installs raises.
+        the rows it writes raises.
         """
         if self.dense is not None:
             _check_finite("backward", self.dense)
@@ -378,15 +353,14 @@ _UNCHECKED = frozenset({"gather_rows", "concat", "reshape", "transpose",
 
 
 def _apply(name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...],
-           backward_fn: Callable[[np.ndarray], tuple],
-           replay: Callable[[], object] | None = None) -> Tensor:
+           backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap ``out_data`` as primitive ``name``'s output; record it when a tape is active.
 
-    The output is checked for finiteness under ``name``, running ``replay``
-    first on a failure, unless the primitive is one of ``_UNCHECKED``.
+    The output is checked for finiteness under ``name``, unless the
+    primitive is one of ``_UNCHECKED``.
     """
     if name not in _UNCHECKED:
-        _check_finite(name, out_data, replay)
+        _check_finite(name, out_data)
     return node(out_data, inputs, backward_fn)
 
 

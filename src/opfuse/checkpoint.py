@@ -9,6 +9,7 @@ Per-head weights are stored stacked, as ``P.N`` with a leading head axis.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -71,35 +72,48 @@ def _read_manifest(path, header: bytes) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Every named array of the checkpoint, as views into one payload buffer.
+
+    The payload is read with one call into one array, which the caller
+    frees with the last view: a model-sized read, made once per checkpoint,
+    is one allocation, not one per parameter.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not an OPFUSE-CKPT-1 checkpoint")
-        header = fh.readline()
+        entries = _read_manifest(path, fh.readline())
+        # Sizes come from the file, so they are checked against what is
+        # left before the buffer is allocated.
+        ends = list(itertools.accumulate((math.prod(shape) for _, shape in entries), initial=0))
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        out: dict[str, np.ndarray] = {}
-        for name, shape in _read_manifest(path, header):
-            # Sizes come from the file, so they are checked against what is
-            # left before any read.
-            size = 8 * math.prod(shape)
-            if size > left:
-                raise CheckpointError(f"{path}: truncated payload for {name}")
-            left -= size
-            # Read straight into the array through a flat view: a 0-d or
-            # zero-size array's own memoryview cannot be cast to bytes.
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != size:
-                raise CheckpointError(f"{path}: truncated payload for {name}")
-            if not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"{path}: non-finite values in {name}")
-            out[name] = arr
-        if left:
-            raise CheckpointError(f"{path}: {left} bytes after the last payload")
+
+        def truncated(size: int) -> CheckpointError:
+            name = next(name for (name, _), end in zip(entries, ends[1:]) if 8 * end > size)
+            return CheckpointError(f"{path}: truncated payload for {name}")
+
+        if 8 * ends[-1] > left:
+            raise truncated(left)
+        if 8 * ends[-1] < left:
+            raise CheckpointError(f"{path}: {left - 8 * ends[-1]} bytes after the last payload")
+        payload = np.empty(ends[-1], dtype="<f8")
+        read = fh.readinto(memoryview(payload).cast("B"))
+        if read != 8 * ends[-1]:
+            raise truncated(read)
+    out: dict[str, np.ndarray] = {}
+    for (name, shape), start, end in zip(entries, ends, ends[1:]):
+        out[name] = payload[start:end].reshape(shape)
+        if not np.isfinite(out[name]).all():
+            raise CheckpointError(f"{path}: non-finite values in {name}")
     return out
 
 
 def restore_into(params: dict[str, Tensor], values: dict[str, np.ndarray]) -> None:
-    """Load checkpoint values into live parameter tensors, validating names/shapes."""
+    """Write checkpoint values into live parameter tensors' own buffers.
+
+    Every name, shape and value is checked before any buffer is written, so
+    a refused checkpoint leaves the parameters as they were.
+    """
     missing = sorted(set(params) - set(values))
     extra = sorted(set(values) - set(params))
     if missing or extra:
@@ -110,4 +124,7 @@ def restore_into(params: dict[str, Tensor], values: dict[str, np.ndarray]) -> No
         if arr.shape != tensor.shape:
             raise CheckpointError(
                 f"checkpoint shape mismatch for {name}: {arr.shape} vs {tensor.shape}")
-        tensor.replace_data(arr)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint has non-finite values in {name}")
+    for name, tensor in params.items():
+        tensor.write_rows(..., values[name])

@@ -24,6 +24,7 @@ environment variable (error, info, debug); Python warnings go to the log.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -125,9 +126,10 @@ def cmd_eval(args) -> int:
     if args.remapped:
         write_predictions(args.remapped, remapped)
     if args.csv:
-        rows = report.to_csv_rows(taxonomy)
-        text = "taxonomy,label,f1\n" + "\n".join(",".join(r) for r in rows) + "\n"
-        Path(args.csv).write_text(text, encoding="utf-8")
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("taxonomy", "label", "f1"))
+            writer.writerows(report.to_csv_rows(taxonomy))
     return EXIT_OK
 
 

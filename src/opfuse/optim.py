@@ -57,11 +57,11 @@ class Adam:
     Parameters are updated strictly between training steps; moment state is
     keyed by parameter name.  A parameter whose every row is touched in row
     order (any parameter with a dense gradient) is stepped on its buffers as
-    they are, with no scatter of the gradient and no gather of the rows, and
-    gets a fresh value buffer (``Tensor.install``).  Any other parameter (an
-    embedding table a batch gathers from) has only its touched rows written,
-    in place (``Tensor.write_rows``): no step copies the table, so a kept
-    reference to its buffer sees later steps.
+    they are, with no scatter of the gradient and no gather of the rows.  Any
+    other parameter (an embedding table a batch gathers from) has only its
+    touched rows stepped.  Either way the new values are written into the
+    parameter's own buffer in place (``Tensor.write_rows``): no step copies
+    a parameter, so a kept reference to its buffer sees later steps.
 
     Every parameter is updated by one rule: on the rows it ever had a
     gradient for, and on no other.  A dense gradient touches every row; a
@@ -133,9 +133,5 @@ class Adam:
             g = np.zeros((count,) + param.shape[1:])
             g[table.slot[idx]] = summed
         step = self._update(table.m[:count], table.v[:count], g, bc1, bc2)
-        if table.in_order:
-            param.install(np.subtract(param.data, step, out=step))
-        else:
-            new = param.data[table.rows]
-            new -= step
-            param.write_rows(table.rows, new)
+        rows = ... if table.in_order else table.rows
+        param.write_rows(rows, np.subtract(param.data[rows], step, out=step))

@@ -148,7 +148,7 @@ def train_model(config: ModelConfig, corpus: Corpus,
             best_f1 = dev_f1
             best_epoch = epoch
             best_predictions = dev_predictions
-            # Optimizer steps write embedding rows in place, so only a copy
+            # Optimizer steps write every parameter in place, so only a copy
             # keeps this epoch's values; the last epoch has no later steps.
             best_state = ({name: p.data.copy() for name, p in params.items()}
                           if epoch < config.optimizer.epochs else None)

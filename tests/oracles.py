@@ -49,16 +49,16 @@ def numeric_gradient(f, param: Tensor, eps: float = 1e-5) -> np.ndarray:
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] += eps
-        param.replace_data(bumped.reshape(base.shape))
+        param.write_rows(..., bumped.reshape(base.shape))
         up = f()
         bumped[i] -= 2 * eps
-        param.replace_data(bumped.reshape(base.shape))
+        param.write_rows(..., bumped.reshape(base.shape))
         down = f()
         change = up - down
         if abs(change) <= 8 * np.spacing(max(abs(up), abs(down))):
             change = 0.0
         grad.reshape(-1)[i] = change / (2 * eps)
-    param.replace_data(base)
+    param.write_rows(..., base)
     return grad
 
 

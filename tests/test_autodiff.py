@@ -815,7 +815,7 @@ def test_a_leaf_gradient_is_checked_whole_when_dense_and_by_parts_when_row_spars
                                                    match="^backward produced non-finite values$"):
         tape.backward(loss)
     # Two finite row parts of 1e308 on one row of a leaf table reach the
-    # optimizer, whose check of the rows it installs raises.
+    # optimizer, whose check of the rows it writes raises.
     table = Tensor(np.full((3, 1), 1e-10), requires_grad=True)
     with Tape() as tape:
         loss = ad.add(ad.tsum(ad.mul(ad.gather_rows(table, [1]), 1e308)),
@@ -884,15 +884,19 @@ def test_write_rows_writes_in_place_and_checks_only_new_rows():
     assert t.data[1].tolist() == [2.0, 2.0]
 
 
-def test_install_makes_the_values_themselves_the_buffer():
-    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    values = np.full((3, 2), 4.0)
-    t.install(values)
-    assert t.data is values and not values.flags.writeable
-    with pytest.raises(NonFiniteError, match="install"):
-        t.install(np.full((3, 2), np.inf))
+@pytest.mark.parametrize("shape", [(), (3, 2)], ids=str)
+def test_write_rows_on_the_whole_buffer_keeps_the_buffer(shape):
+    t = Tensor(np.zeros(shape), requires_grad=True)
+    buffer = t.data
+    values = np.full(shape, 4.0)
+    t.write_rows(..., values)
+    assert t.data is buffer and buffer is not values and not buffer.flags.writeable
+    assert buffer.tobytes() == values.tobytes()
+    values[...] = 5.0                  # a copy: later writes to values do not reach t
+    with pytest.raises(NonFiniteError, match="write_rows"):
+        t.write_rows(..., np.full(shape, np.inf))
     with pytest.raises(ShapeError):
-        t.install(np.zeros((2, 2)))
-    assert t.data is values
+        t.write_rows(..., np.zeros((2, 2)))
+    assert t.data is buffer and buffer.tobytes() == np.full(shape, 4.0).tobytes()
 
 

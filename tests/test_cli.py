@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output mirroring, end-to-end flows."""
 
+import csv
 import json
 import os
 import subprocess
@@ -218,6 +219,24 @@ def test_eval_and_aggregate(tmp_path, capsys):
                  "--csv", str(csv_file)]) == 0
     capsys.readouterr()
     assert any(line.startswith("ekman6,") for line in csv_file.read_text().split("\n"))
+
+
+@pytest.mark.parametrize("command", ["eval", "aggregate"])
+def test_eval_csv_quotes_names_holding_commas_and_quotes(tmp_path, capsys, command):
+    path_a, _ = write_prediction_files(tmp_path)
+    groups = ["good, calm", 'say "no"']
+    label_map = tmp_path / "odd.json"
+    label_map.write_text(json.dumps({"name": "val,2", "mapping": {
+        label: groups[i % 2] for i, label in enumerate(EMOTIONS)}}))
+    csv_file = tmp_path / "f1.csv"
+    assert main([command, "--pred", str(path_a), "--map", str(label_map),
+                 "--csv", str(csv_file)]) == 0
+    capsys.readouterr()
+    with open(csv_file, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["taxonomy", "label", "f1"]
+    assert [row[:2] for row in rows[1:]] == [["val,2", g] for g in groups + ["macro"]]
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_aggregate_remapped_output(tmp_path, capsys):

@@ -33,8 +33,8 @@ def vec(values):
 
 def test_gate_zero_weights_averages_inputs():
     params = make_params("gate")
-    params.weight.replace_data(np.zeros((2 * D, D)))
-    params.bias.replace_data(np.zeros((1, D)))
+    params.weight.write_rows(..., np.zeros((2 * D, D)))
+    params.bias.write_rows(..., np.zeros((1, D)))
     h_seq = vec([1.0, 2.0, 3.0, 4.0])
     h_graph = vec([5.0, 6.0, 7.0, 8.0])
     out = fuse(h_seq, h_graph, Tensor(np.zeros((2, D))), params, [0, 0])
@@ -43,8 +43,8 @@ def test_gate_zero_weights_averages_inputs():
 
 def test_cat_zero_weight_returns_bias():
     params = make_params("cat")
-    params.weight.replace_data(np.zeros((2 * D, D)))
-    params.bias.replace_data(np.array([[9.0, 8.0, 7.0, 6.0]]))
+    params.weight.write_rows(..., np.zeros((2 * D, D)))
+    params.bias.write_rows(..., np.array([[9.0, 8.0, 7.0, 6.0]]))
     out = fuse(vec([1, 2, 3, 4]), vec([5, 6, 7, 8]), Tensor(np.zeros((2, D))), params,
                [0, 0])
     assert np.allclose(out.data, [[9.0, 8.0, 7.0, 6.0]])
@@ -89,12 +89,12 @@ def test_residual_formula():
 
 def test_classifier_head_affine():
     head = ClassifierHead(D, 12, rng=np.random.default_rng(0))
-    head.weight.replace_data(np.zeros((D, 12)))
-    head.bias.replace_data(np.arange(12.0).reshape(1, 12))
+    head.weight.write_rows(..., np.zeros((D, 12)))
+    head.bias.write_rows(..., np.arange(12.0).reshape(1, 12))
     assert np.allclose(head(vec([1, 2, 3, 4])).data, np.arange(12.0).reshape(1, 12))
-    head.bias.replace_data(np.zeros((1, 12)))
+    head.bias.write_rows(..., np.zeros((1, 12)))
     rng = np.random.default_rng(1)
-    head.weight.replace_data(rng.standard_normal((D, 12)))
+    head.weight.write_rows(..., rng.standard_normal((D, 12)))
     h = vec(rng.standard_normal(D))
     assert np.allclose(head(ad.mul(h, 2.0)).data, 2.0 * head(h).data)
 
@@ -103,7 +103,7 @@ def test_classifier_head_affine():
 def test_head_rows_match_single_row_calls_bit_for_bit(batch):
     rng = np.random.default_rng(batch)
     head = ClassifierHead(64, 12, rng=rng)
-    head.bias.replace_data(rng.standard_normal((1, 12)))
+    head.bias.write_rows(..., rng.standard_normal((1, 12)))
     h = rng.standard_normal((batch, 64))
     rows = head(Tensor(h)).data
     single = np.concatenate([head(Tensor(h[i:i + 1])).data for i in range(batch)])

@@ -89,7 +89,7 @@ def run_adam_against_reference(table_shape, steps, seed, lr=0.01):
     """Step Adam and the dense reference side by side; compare bytes after each step.
 
     A step of kind ``overflow`` sums two finite 1e308 rows to inf: both
-    sides then give a non-finite row, Adam raises and installs nothing, and
+    sides then give a non-finite row, Adam raises and writes nothing, and
     the sequence ends there.
     """
     rng = np.random.default_rng(seed)
@@ -272,6 +272,25 @@ def test_restore_into_validates_names_and_shapes(tmp_path):
         restore_into({"w": w}, {"w": np.zeros((3, 3))})
     restore_into({"w": w}, {"w": np.ones((2, 2))})
     assert np.array_equal(w.data, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("fault", ["shape", "non_finite"])
+def test_a_refused_restore_writes_no_parameter(fault):
+    # Every name, shape and value is checked before the first write; the
+    # faulty entry is the last of the 26 parameters.
+    params = OpinionFusionModel(ModelConfig(), rng=np.random.default_rng(0)).parameters()
+    assert list(params)[-1] == "head.bias"
+    buffers = {name: p.data for name, p in params.items()}
+    before = {name: p.data.tobytes() for name, p in params.items()}
+    values = {name: np.ones(p.shape) for name, p in params.items()}
+    if fault == "shape":
+        values["head.bias"] = np.ones((1, 13))
+    else:
+        values["head.bias"][0, -1] = np.nan
+    with pytest.raises(CheckpointError):
+        restore_into(params, values)
+    assert all(p.data is buffers[name] and p.data.tobytes() == before[name]
+               for name, p in params.items())
 
 
 # Weights stored with a leading head axis.

@@ -12,7 +12,7 @@ import opfuse.autodiff as ad
 import opfuse.sweep
 import opfuse.train
 from opfuse.autodiff import Tape, cross_entropy
-from opfuse.checkpoint import restore_into
+from opfuse.checkpoint import CheckpointError, restore_into
 from opfuse.data import Corpus, OpinionAnnotation, Record, Span, load_corpus
 from opfuse.encoder import write_encoder_states
 from opfuse.evaluation import read_predictions
@@ -144,26 +144,34 @@ def test_best_checkpoint_is_restored():
     assert abs(restored - result.best_dev_f1) < 1e-12
 
 
-def test_steps_write_the_table_in_place_and_a_copied_snapshot_restores_it():
-    # Adam writes the embedding table's touched rows into its own buffer, so
+def test_steps_write_every_parameter_in_place_and_a_copied_snapshot_restores_it():
+    # Adam and restore_into write into each parameter's own buffer, so
     # train_model keeps copies of the best epoch's parameters.
     model = OpinionFusionModel(quick_config(), rng=np.random.default_rng(0))
     params = model.parameters()
-    table = params["encoder.embedding"].data
+    buffers = {name: p.data for name, p in params.items()}
     snapshot = {name: p.data.copy() for name, p in params.items()}
+
+    def kept(expected):
+        return all(p.data is buffers[name] and not p.data.flags.writeable
+                   and p.data.tobytes() == expected[name].tobytes()
+                   for name, p in params.items())
+
     optimizer = Adam(params, lr=1e-2)
     records = small_corpus().split("train")
     for _ in range(3):
         with Tape() as tape:
             loss = cross_entropy(model.forward_batch(records), [0] * len(records))
         optimizer.step(tape.backward(loss))
-    assert all(not p.data.flags.writeable for p in params.values())
-    assert params["encoder.embedding"].data is table
-    moved = [name for name, p in params.items()
-             if p.data.tobytes() != snapshot[name].tobytes()]
-    assert "encoder.embedding" in moved and len(moved) == len(params)
+    stepped = {name: p.data.copy() for name, p in params.items()}
+    assert kept(stepped)
+    assert all(stepped[name].tobytes() != snapshot[name].tobytes() for name in params)
+    refused = dict(snapshot, **{"head.bias": np.full(params["head.bias"].shape, np.inf)})
+    with pytest.raises(CheckpointError):
+        restore_into(params, refused)
+    assert kept(stepped)
     restore_into(params, snapshot)
-    assert all(p.data.tobytes() == snapshot[name].tobytes() for name, p in params.items())
+    assert kept(snapshot)
 
 
 def count_predict_calls(monkeypatch) -> list[list]:
