@@ -9,6 +9,12 @@ points:
 * Operations execute eagerly on numpy arrays.  When a ``Tape`` is active
   and an input requires gradients, the primitive application is recorded
   as a node; ``Tape.backward`` replays the node list once in reverse.
+* Backward frees memory as it walks the tape.  Once a node's backward has
+  run, the tape drops the node, and with it the forward arrays that its
+  backward closed over; once the node that made a tensor has read that
+  tensor's gradient, the gradient is dropped.  ``Gradients`` keeps leaf
+  gradients only, and a tape's backward runs once.  There is no option to
+  keep the rest.
 * Every ``Tensor`` holds finite values only.  A value is checked where
   arithmetic can first make it non-finite, or where a non-finite value
   could vanish before the next check (``exp(-inf) = 0`` in a softmax);
@@ -199,13 +205,12 @@ class _Accumulator:
     once, when a node reads it or, for a leaf, at the end.
     """
 
-    __slots__ = ("tensor", "dense", "parts", "read")
+    __slots__ = ("tensor", "dense", "parts")
 
     def __init__(self, tensor: Tensor):
         self.tensor = tensor
         self.dense: np.ndarray | None = None
         self.parts: list[_RowGrad] = []
-        self.read = False
 
     def add(self, g) -> None:
         if isinstance(g, _RowGrad):
@@ -253,9 +258,12 @@ class _Accumulator:
 
 
 class Gradients:
-    """Per-tensor gradient accumulators produced by ``Tape.backward``.
+    """The leaf gradients that ``Tape.backward`` produced.
 
-    Tensors never touched by the loss read as exact zeros.
+    A leaf is a tensor no recorded node made: a parameter, or an input
+    that requires gradients.  Backward drops each other tensor's gradient
+    as soon as the node that made the tensor has read it, so ``wrt`` of an
+    intermediate reads as zeros, as does a tensor the loss never touched.
     """
 
     def __init__(self, store: dict[int, _Accumulator]):
@@ -295,12 +303,14 @@ class Tape:
             loss = model_loss(...)
         grads = tape.backward(loss)
 
+    ``backward`` runs once per tape: it frees the nodes as it walks them.
     Tapes are single-threaded; independent tapes on different threads do
     not share state (the active-tape stack is thread-local).
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[_Node | None] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -311,36 +321,45 @@ class Tape:
         assert popped is self
 
     def __len__(self) -> int:
+        """The number of recorded nodes, before and after ``backward``."""
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Accumulate d(loss)/d(tensor) for every recorded tensor.
+        """Accumulate d(loss)/d(leaf) for every leaf the loss depends on.
 
-        Visits each node exactly once, in reverse recording order.  Each
+        Visits each node exactly once, in reverse recording order, and frees
+        as it goes: once a node's backward has run, the tape drops the node,
+        and with it the forward arrays its backward closed over; once the
+        node that made a tensor has read that tensor's gradient, the
+        gradient is dropped.  Only leaf gradients are returned.  Each
         gradient is checked for finiteness once: as the node that made its
-        tensor reads it, or after the last node for a tensor no node made.
+        tensor reads it, or after the last node for a leaf.  A second call
+        raises ``RuntimeError``, since the nodes it would walk are gone.
         """
+        if self._spent:
+            raise RuntimeError("backward already ran on this tape and freed its nodes; "
+                               "record a new tape")
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        self._spent = True
         store = {id(loss): _Accumulator(loss)}
         store[id(loss)].dense = np.ones(loss.shape, dtype=np.float64)
-        for node in reversed(self._nodes):
-            entry = store.get(id(node.out))
+        nodes = self._nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            node, nodes[i] = nodes[i], None
+            entry = store.pop(id(node.out), None)
             if entry is None:
                 continue
             grad = entry.value()
             _check_finite("backward", grad)
-            entry.read = True
-            in_grads = node.backward_fn(grad)
-            for t, g in zip(node.inputs, in_grads):
+            for t, g in zip(node.inputs, node.backward_fn(grad)):
                 if g is None or not t.requires_grad:
                     continue
                 if id(t) not in store:
                     store[id(t)] = _Accumulator(t)
                 store[id(t)].add(g)
         for entry in store.values():
-            if not entry.read:
-                entry.check_leaf()
+            entry.check_leaf()
         return Gradients(store)
 
 
@@ -478,11 +497,35 @@ def gather_rows(a, indices: Sequence[int]) -> Tensor:
     return _apply("gather_rows", out, (a,), backward)
 
 
+# Most (row, column) cells that one ``bincount`` of ``_scatter_add_rows``
+# indexes: 512 KiB of int64 cell ids, and as much of copied weights.
+_SCATTER_CELLS = 1 << 16
+
+
 def _scatter_add_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """(n, w) array whose row ``r`` sums ``rows[m]`` over every ``idx[m] == r``.
 
-    One ``bincount`` over flattened (row, column) cells: it adds in input
-    order like ``np.add.at``, so the bits match, at a fraction of the cost.
+    Runs ``_bincount_rows`` on blocks of as many columns as fit in
+    ``_SCATTER_CELLS`` cells (at least one), so its cell ids take no more
+    memory than that; a scatter that fits is one call.  Each output cell
+    sums its inputs in input order either way, so the bits do not depend on
+    the blocks.
+    """
+    n_rows, width = rows.shape
+    cols = max(1, _SCATTER_CELLS // max(1, n_rows))
+    if cols >= width:
+        return _bincount_rows(rows, idx, n)
+    out = np.empty((n, width))
+    for start in range(0, width, cols):
+        out[:, start:start + cols] = _bincount_rows(rows[:, start:start + cols], idx, n)
+    return out
+
+
+def _bincount_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """``_scatter_add_rows`` as one ``bincount`` over flattened (row, column) cells.
+
+    It adds in input order like ``np.add.at``, so the bits match, at a
+    fraction of the cost.
     """
     width = rows.shape[1]
     cells = (idx[:, None] * width + np.arange(width)).ravel()

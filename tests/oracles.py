@@ -8,6 +8,7 @@ one head at a time in plain numpy, and span pooling resolves a span against
 token offsets itself rather than reading the token indices a graph stores.
 The GATv2 edge scores are recomputed with polarity as one-hot rows and
 their projection as a matrix product, with numpy's own gradient formulas.
+Row scatters are summed with ``np.add.at``, one input row at a time.
 The toy encoder's attention and feed-forward blocks and GAT's per-head
 projection are composed from the separate primitives, one tape node per
 array op.  The fused projection must reproduce them bit for bit; the
@@ -119,6 +120,17 @@ def dense_gat_reference(features: np.ndarray, edges: list[tuple[int, int]],
         alpha = ex / ex.sum(axis=1, keepdims=True)
         outputs.append(alpha @ t)
     return np.concatenate(outputs, axis=1)
+
+
+def scatter_add_rows_reference(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """(n, w) array whose row ``r`` sums ``rows[m]`` over every ``idx[m] == r``.
+
+    ``np.add.at`` adds row ``m`` after row ``m - 1``, so each cell sums its
+    inputs in input order, starting from +0.0.
+    """
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
 
 
 def one_hot_edge_scores(src_proj: np.ndarray, tgt_proj: np.ndarray, theta_e: np.ndarray,

@@ -1,6 +1,7 @@
 """Core tensor/tape primitives against hand values and finite differences."""
 
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,8 @@ import opfuse.encoder as enc
 from opfuse.autodiff import NonFiniteError, ShapeError, Tape, Tensor
 
 from oracles import (composed_attention_block, composed_ffn_block, composed_project_heads,
-                     max_rel_err, numeric_gradient, one_hot_edge_scores)
+                     max_rel_err, numeric_gradient, one_hot_edge_scores,
+                     scatter_add_rows_reference)
 
 TOL = 1e-4
 
@@ -207,6 +209,31 @@ def test_gradient_accumulates_across_uses():
     with Tape() as tape:
         loss = ad.tsum(ad.add(ad.mul(x, x), x))  # x^2 + x
     assert np.allclose(tape.backward(loss).wrt(x), [5.0])
+
+
+def test_backward_frees_the_forward_arrays_and_keeps_only_leaf_gradients():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape() as tape:
+        hidden = ad.mul(x, x)
+        loss = ad.tsum(ad.matmul(hidden, Tensor(np.ones((3, 1)))))
+    kept = weakref.ref(hidden.data)
+    recorded = len(tape)
+    del hidden                            # the caller's own name for the intermediate
+    assert kept() is not None             # the tape still holds it
+    grads = tape.backward(loss)
+    assert kept() is None
+    assert len(tape) == recorded == 3
+    assert np.array_equal(grads.wrt(x), 2.0 * x.data)
+    assert x in grads and loss not in grads   # the loss was made by a node
+
+
+def test_a_second_backward_on_a_spent_tape_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.tsum(ad.mul(x, x))
+    tape.backward(loss)
+    with pytest.raises(RuntimeError, match="backward already ran on this tape"):
+        tape.backward(loss)
 
 
 @pytest.mark.parametrize("op_name", [
@@ -844,6 +871,30 @@ def test_gradient_rows_sum_like_the_dense_scatter(n, w, seed, sizes):
     assert idx.tolist() == sorted(set(np.concatenate(gathers).tolist()))
     assert rows.tobytes() == dense[idx].tobytes()
     assert grads.wrt(table).tobytes() == dense.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(width=st.sampled_from([1, 63, 64, 65, 768]),
+       size=st.sampled_from(["empty", "below", "fits", "one_over", "above"]),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), negative_zero=st.booleans(),
+       strided=st.booleans())
+def test_scatter_add_rows_matches_add_at_byte_for_byte(width, size, n, seed, negative_zero,
+                                                       strided):
+    """Scatters that fit the cell budget run as one bincount and larger ones
+    by blocks of columns; either way each cell sums its inputs in input order."""
+    rng = np.random.default_rng(seed)
+    fits = ad._SCATTER_CELLS // width
+    n_rows = {"empty": 0, "below": int(rng.integers(1, fits)), "fits": fits,
+              "one_over": fits + 1, "above": int(rng.integers(fits + 2, 3 * fits))}[size]
+    idx = rng.integers(0, n, size=n_rows)              # unsorted, and repeated
+    rows = rng.standard_normal((n_rows, width)) * 10.0 ** rng.integers(-8, 9, (n_rows, 1))
+    if negative_zero and n_rows:
+        rows[rng.integers(n_rows)] = -0.0
+    if strided:
+        rows = np.asfortranarray(rows)
+    got = ad._scatter_add_rows(rows, idx, n)
+    assert got.shape == (n, width)
+    assert got.tobytes() == scatter_add_rows_reference(rows, idx, n).tobytes()
 
 
 def test_gradient_rows_of_a_dense_part_are_every_row():

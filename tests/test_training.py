@@ -1,7 +1,12 @@
 """Training loop behavior, determinism, and the sweep harness."""
 
+import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,7 +77,8 @@ def test_single_record_memorization():
 
 
 def readme_default_step():
-    """Forward and backward of one README-default batch; returns the tape and the batch size."""
+    """Forward and backward of one README-default batch: the tape, the batch
+    size, the model and the gradients."""
     config = ModelConfig(fusion=FusionConfig(type="gate"))   # the README config
     batch = [r for r in make_planted_corpus(n_train=32, n_dev=1, n_test=1, seed=2).records
              if r.split == "train"]
@@ -80,16 +86,33 @@ def readme_default_step():
     model = OpinionFusionModel(config, rng=np.random.default_rng(0))
     with Tape() as tape:
         loss = cross_entropy(model.forward_batch(batch), [r % 12 for r in range(len(batch))])
-    tape.backward(loss)
-    return tape, len(batch)
+    grads = tape.backward(loss)
+    return tape, len(batch), model, grads
 
 
 def test_a_readme_default_step_records_at_most_1_25_tape_nodes_per_record():
     """The encoder records two tape nodes per batch, not one per block per
     record, so the 32-record step's tape holds 39 nodes: the encoder's two
     and 37 from the graphs, fusion, head and loss."""
-    tape, records = readme_default_step()
+    tape, records, _, _ = readme_default_step()
     assert len(tape) / records <= 1.25
+
+
+# sha256 over each parameter's name and dense gradient bytes, in name order,
+# taken while ``Tape.backward`` still kept every node and gradient until the
+# tape died, with numpy 2.4.6 and its OpenBLAS 0.3.31 (x86-64, Haswell
+# kernels).  One and two BLAS threads gave it too.  Freeing as backward runs
+# must not change a bit; BLAS kernels for another CPU may.
+README_STEP_GRADIENTS_SHA256 = "74bacbbc4b74ee14524eecbaacc2d390b7d2fee940ea8bcf489722552dabe492"
+
+
+def test_a_readme_default_step_keeps_the_gradient_bits_of_a_tape_that_freed_nothing():
+    _, _, model, grads = readme_default_step()
+    digest = hashlib.sha256()
+    for name, param in sorted(model.parameters().items()):
+        digest.update(name.encode())
+        digest.update(grads.wrt(param).tobytes())
+    assert digest.hexdigest() == README_STEP_GRADIENTS_SHA256
 
 
 def test_a_readme_default_step_runs_at_most_24_finiteness_passes_per_record(monkeypatch):
@@ -104,7 +127,7 @@ def test_a_readme_default_step_runs_at_most_24_finiteness_passes_per_record(monk
         check(*args)
 
     monkeypatch.setattr(ad, "_check_finite", counted)
-    _, records = readme_default_step()
+    _, records, _, _ = readme_default_step()
     assert len(passes) / records <= 24
 
 
@@ -281,6 +304,62 @@ def wide_frozen_setup(tmp_path):
         fusion=FusionConfig(type="attn", alpha_res=0.5),
         optimizer=OptimizerConfig(learning_rate=1e-4, batch_size=64, epochs=1, patience=1))
     return config, Corpus(records)
+
+
+def test_a_wide_frozen_step_peaks_under_28_4_mb_of_traced_memory(tmp_path):
+    """One warm 64-record step at the benchmark's frozen shape (width 64, GAT
+    4x192, attn): forward, backward and Adam.  tracemalloc counts every
+    array numpy allocates, so its peak does not depend on the host's
+    allocator or load.  On CPython 3.11.7 with numpy 2.4.6 it read
+    25,782,912 bytes with backward freeing each node and intermediate
+    gradient as it goes, and 51,119,489 bytes when both lived until the
+    tape died.  The cap is the first value plus 10%."""
+    config, corpus = wide_frozen_setup(tmp_path)
+    model = OpinionFusionModel(config, rng=np.random.default_rng(0))
+    optimizer = Adam(model.parameters(), lr=config.optimizer.learning_rate)
+    batch = corpus.split("train")
+    labels = [i % 12 for i in range(len(batch))]
+
+    def step():
+        with Tape() as tape:
+            loss = cross_entropy(model.forward_batch(batch), labels)
+        optimizer.step(tape.backward(loss))
+
+    step()              # graphs, Adam's moments and other first-step state
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28_360_000, peak
+
+
+# Trains the README-default model config for 3 epochs on 64 planted records
+# of 30 tokens and writes the run directory given as the first argument.
+_TINY_README_RUN = """
+import sys
+from opfuse.model import FusionConfig, ModelConfig, OptimizerConfig
+from opfuse.synthetic import make_planted_corpus
+from opfuse.train import train_model
+
+config = ModelConfig(fusion=FusionConfig(type="gate"),
+                     optimizer=OptimizerConfig(epochs=3, patience=3))
+corpus = make_planted_corpus(n_train=64, n_dev=32, n_test=0, seed=3, tokens_per_text=30)
+train_model(config, corpus, out_dir=sys.argv[1])
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS reads its thread count once, at load, so each count runs in
+    a process of its own.  A GEMM split that depended on the thread count
+    would change the artifacts' bytes."""
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-c", _TINY_README_RUN, str(tmp_path / threads)],
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                       check=True, capture_output=True, timeout=60)
+    for name in ("checkpoint.bin", "training_log.csv", "dev_predictions.jsonl"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
