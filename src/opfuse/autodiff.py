@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,7 +91,7 @@ class Tensor:
     backward functions read the arrays they close over when they run.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -262,15 +263,27 @@ class Gradients:
 
     A leaf is a tensor no recorded node made: a parameter, or an input
     that requires gradients.  Backward drops each other tensor's gradient
-    as soon as the node that made the tensor has read it, so ``wrt`` of an
-    intermediate reads as zeros, as does a tensor the loss never touched.
+    as soon as the node that made the tensor has read it, so ``wrt`` and
+    ``rows`` of such an intermediate raise ``RuntimeError``.  A tensor the
+    loss never touched reads as exact zeros.
     """
 
-    def __init__(self, store: dict[int, _Accumulator]):
+    def __init__(self, store: dict[int, _Accumulator],
+                 freed: dict[int, weakref.ref]):
         self._store = store
+        self._freed = freed
+
+    def _entry(self, t: Tensor) -> _Accumulator | None:
+        entry = self._store.get(id(t))
+        if entry is None:
+            ref = self._freed.get(id(t))
+            if ref is not None and ref() is t:
+                raise RuntimeError("backward freed this tensor's gradient once the node "
+                                   "that made it had read it; only leaf gradients are kept")
+        return entry
 
     def wrt(self, t: Tensor) -> np.ndarray:
-        entry = self._store.get(id(t))
+        entry = self._entry(t)
         if entry is None:
             return np.zeros(t.shape, dtype=np.float64)
         return entry.value()
@@ -283,7 +296,7 @@ class Gradients:
         made of row parts alone has the rows they name, and no dense array
         is built.  Each row's bits equal the same row of ``wrt(t)``.
         """
-        entry = self._store.get(id(t))
+        entry = self._entry(t)
         if entry is None:
             return _RowGrad(np.empty(0, dtype=np.intp), np.empty((0,) + t.shape[1:]))
         if entry.dense is not None:
@@ -331,10 +344,11 @@ class Tape:
         as it goes: once a node's backward has run, the tape drops the node,
         and with it the forward arrays its backward closed over; once the
         node that made a tensor has read that tensor's gradient, the
-        gradient is dropped.  Only leaf gradients are returned.  Each
-        gradient is checked for finiteness once: as the node that made its
-        tensor reads it, or after the last node for a leaf.  A second call
-        raises ``RuntimeError``, since the nodes it would walk are gone.
+        gradient is dropped.  Only leaf gradients are returned; reading a
+        dropped one from them raises ``RuntimeError``.  Each gradient is
+        checked for finiteness once: as the node that made its tensor reads
+        it, or after the last node for a leaf.  A second call raises
+        ``RuntimeError``, since the nodes it would walk are gone.
         """
         if self._spent:
             raise RuntimeError("backward already ran on this tape and freed its nodes; "
@@ -344,12 +358,14 @@ class Tape:
         self._spent = True
         store = {id(loss): _Accumulator(loss)}
         store[id(loss)].dense = np.ones(loss.shape, dtype=np.float64)
+        freed: dict[int, weakref.ref] = {}
         nodes = self._nodes
         for i in range(len(nodes) - 1, -1, -1):
             node, nodes[i] = nodes[i], None
             entry = store.pop(id(node.out), None)
             if entry is None:
                 continue
+            freed[id(node.out)] = weakref.ref(node.out)
             grad = entry.value()
             _check_finite("backward", grad)
             for t, g in zip(node.inputs, node.backward_fn(grad)):
@@ -360,7 +376,7 @@ class Tape:
                 store[id(t)].add(g)
         for entry in store.values():
             entry.check_leaf()
-        return Gradients(store)
+        return Gradients(store, freed)
 
 
 # Primitives whose output is finite whenever their inputs are: nothing to
@@ -497,35 +513,11 @@ def gather_rows(a, indices: Sequence[int]) -> Tensor:
     return _apply("gather_rows", out, (a,), backward)
 
 
-# Most (row, column) cells that one ``bincount`` of ``_scatter_add_rows``
-# indexes: 512 KiB of int64 cell ids, and as much of copied weights.
-_SCATTER_CELLS = 1 << 16
-
-
 def _scatter_add_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """(n, w) array whose row ``r`` sums ``rows[m]`` over every ``idx[m] == r``.
 
-    Runs ``_bincount_rows`` on blocks of as many columns as fit in
-    ``_SCATTER_CELLS`` cells (at least one), so its cell ids take no more
-    memory than that; a scatter that fits is one call.  Each output cell
-    sums its inputs in input order either way, so the bits do not depend on
-    the blocks.
-    """
-    n_rows, width = rows.shape
-    cols = max(1, _SCATTER_CELLS // max(1, n_rows))
-    if cols >= width:
-        return _bincount_rows(rows, idx, n)
-    out = np.empty((n, width))
-    for start in range(0, width, cols):
-        out[:, start:start + cols] = _bincount_rows(rows[:, start:start + cols], idx, n)
-    return out
-
-
-def _bincount_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """``_scatter_add_rows`` as one ``bincount`` over flattened (row, column) cells.
-
-    It adds in input order like ``np.add.at``, so the bits match, at a
-    fraction of the cost.
+    One ``bincount`` over flattened (row, column) cells: it adds in input
+    order like ``np.add.at``, so the bits match, at a fraction of the cost.
     """
     width = rows.shape[1]
     cells = (idx[:, None] * width + np.arange(width)).ravel()
